@@ -6,19 +6,23 @@ acceptance suite.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import canonical, catalog
-from .hypersurface import (GeometryBatch, classify_structure,
-                           codazzi_residual_batch, grid_points,
+from .hypersurface import (GeometryBatch, codazzi_residual_batch, grid_points,
                            identity_diagnostics, ricci_gauss,
-                           ricci_intrinsic_batch)
-from .lorentz import AmbiguousClassification, classify_shape_operator
-from .soliton import fit_lambda_from_geometry, route_agreement_batch
+                           ricci_intrinsic_batch, structure_verdicts)
+from .lorentz import VARIANTS, classify_batch
+from .soliton import RICCI_MODES, fit_lambda_pointwise, identity_checks
 
 
-def default_grid(entry, params, counts=(5, 5, 5)):
-    return grid_points(entry.safe_box(params), counts)
+class Report(dict):
+    """An analysis report, ready for JSON.  The attribute ``pointwise`` holds
+    one row of POINTWISE_COLUMNS per grid point, from the same pass."""
+
+    pointwise = None
 
 
 def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
@@ -28,11 +32,10 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     imm, merged = entry.build(**(params or {}))
     if orientation_override is not None:
         imm = imm.with_orientation(orientation_override)
-    grid = default_grid(entry, merged, grid_counts)
+    grid = grid_points(entry.safe_box(merged), grid_counts)
     geo = GeometryBatch(imm, grid)
-    report = analyze_immersion(
-        imm, grid, ricci_mode=ricci_mode,
-        tau_identity=entry.tau_identity, tau_sol=entry.tau_sol, geo=geo)
+    report, ric = _analyze(imm, geo, ricci_mode,
+                           entry.tau_identity, entry.tau_sol)
     report["entry"] = name
     report["parameters"] = {k: _to_plain(v) for k, v in merged.items()}
     report["grid"] = {
@@ -46,13 +49,11 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
         ids["level_set_residual"] = float(np.max(res))
     ids["tangent_position_sup"] = float(
         np.max(np.abs(geo.tangent_position_values())))
-    ids["ricci_sup"] = float(np.max(np.abs(ricci_gauss(
-        geo.shape_values(), geo.metric(), geo.epsilon, corrected=True))))
+    ids["ricci_sup"] = float(np.max(np.abs(ric["corrected"])))
     if "c" in merged:
         c = merged["c"]
-        ric_int = ricci_intrinsic_batch(geo)
         ids["ricci_intrinsic_vs_2c2_g"] = float(
-            np.max(np.abs(ric_int - 2.0 * c * c * geo.metric())))
+            np.max(np.abs(ric["intrinsic"] - 2.0 * c * c * geo.metric())))
     report["expectations"] = _expectation_table(entry, merged, report)
     return report
 
@@ -60,112 +61,109 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
 def analyze_immersion(imm, grid, ricci_mode="both",
                       tau_identity=1e-7, tau_sol=1e-6, geo=None):
     """Analysis core shared by catalog entries and user-supplied charts."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if geo is None:
         geo = GeometryBatch(imm, grid)
+    return _analyze(imm, geo, ricci_mode, tau_identity, tau_sol)[0]
+
+
+def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
+    """One pass over a geometry batch: the Report and the Ricci tensors it
+    was built from, keyed by Ricci mode and "intrinsic"."""
+    if ricci_mode != "both" and ricci_mode not in RICCI_MODES:
+        raise ValueError(f"ricci_mode must be 'both' or one of {RICCI_MODES}")
+    Av, gv = geo.shape_values(), geo.metric()
+    ric = {mode: ricci_gauss(Av, gv, geo.epsilon, mode == "corrected")
+           for mode in RICCI_MODES}
+    ric["intrinsic"] = ric_int = ricci_intrinsic_batch(geo)
 
     identities = identity_diagnostics(geo)
-    identities["codazzi_residual"] = float(np.max(codazzi_residual_batch(geo)))
-    ric_int = ricci_intrinsic_batch(geo)
-    Av, gv = geo.shape_values(), geo.metric()
-    ric_corr = ricci_gauss(Av, gv, geo.epsilon, corrected=True)
-    ric_plain = ricci_gauss(Av, gv, geo.epsilon, corrected=False)
+    codazzi = codazzi_residual_batch(geo)
+    identities["codazzi_residual"] = float(np.max(codazzi))
     scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
-    identities["gauss_vs_intrinsic"] = float(
-        np.max(np.max(np.abs(ric_corr - ric_int), axis=(1, 2)) / scale))
-    identities["plain_vs_intrinsic"] = float(
-        np.max(np.max(np.abs(ric_plain - ric_int), axis=(1, 2)) / scale))
+    identities["gauss_vs_intrinsic"] = float(np.max(np.max(
+        np.abs(ric["corrected"] - ric_int), axis=(1, 2)) / scale))
+    identities["plain_vs_intrinsic"] = float(np.max(np.max(
+        np.abs(ric["paper_form"] - ric_int), axis=(1, 2)) / scale))
     live = np.abs(ric_int) > 1e-6
     if np.any(live):
         identities["plain_vs_intrinsic_factor"] = float(
-            np.median(ric_plain[live] / ric_int[live]))
+            np.median(ric["paper_form"][live] / ric_int[live]))
     else:
         identities["plain_vs_intrinsic_factor"] = 1.0
-    identities["route_agreement"] = route_agreement_batch(geo)
+    checks = identity_checks(geo)
+    gradient, lemma1, route = checks
+    identities["route_agreement"] = route
 
-    reports = {}
-    modes = ("corrected", "paper_form") if ricci_mode == "both" else (ricci_mode,)
-    for mode in modes:
-        reports[mode] = fit_lambda_from_geometry(geo, mode, tau=tau_sol)
-    headline = reports.get("corrected") or reports[modes[0]]
-    identities["lemma1"] = list(headline.lemma1_residuals)
-    identities["gradient_check"] = headline.gradient_check
+    # Both fits always run: the pointwise columns carry both lambdas.
+    fits = {mode: fit_lambda_pointwise(geo, ric[mode], mode, tau_sol, checks)
+            for mode in RICCI_MODES}
+    modes = RICCI_MODES if ricci_mode == "both" else (ricci_mode,)
+    reports = {mode: fits[mode][0] for mode in modes}
+    headline_mode = "corrected" if "corrected" in reports else modes[0]
+    identities["lemma1"] = list(lemma1)
+    identities["gradient_check"] = gradient
 
     gate_keys = ("normal_orthogonality", "normal_unit",
                  "position_decomposition", "shape_self_adjoint",
                  "weingarten_tangency", "codazzi_residual",
                  "gauss_vs_intrinsic", "route_agreement", "gradient_check")
-    gate = [identities[k] for k in gate_keys] + identities["lemma1"]
-    identities["pass"] = bool(max(gate) < tau_identity)
+    gate = np.array([identities[k] for k in gate_keys] + identities["lemma1"])
+    identities["pass"] = bool(np.all(np.isfinite(gate))
+                              and np.max(gate) < tau_identity)
     identities["tau"] = tau_identity
     identities["epsilon"] = geo.epsilon
 
-    classification = _classification_block(geo, imm, grid)
-
-    soliton_block = headline.to_dict()
-    soliton_block["headline_mode"] = ("corrected" if "corrected" in reports
-                                      else modes[0])
+    forms = classify_batch(Av, gv)
+    soliton_block = reports[headline_mode].to_dict()
+    soliton_block["headline_mode"] = headline_mode
     for mode, rep in reports.items():
         soliton_block[mode] = rep.to_dict()
-
-    consistency = _consistency_block(geo, reports, classification)
+    consistency = _consistency_block(geo, reports, forms)
     if consistency is not None:
         soliton_block["case_system_consistency"] = consistency
-    classification.pop("_forms", None)
 
-    return {
-        "entry": imm.name,
-        "parameters": {},
-        "grid": {"n_points": int(grid.shape[0])},
-        "identities": identities,
-        "classification": classification,
-        "soliton": soliton_block,
-        "expectations": [],
-    }
+    report = Report(
+        entry=imm.name,
+        parameters={},
+        grid={"n_points": geo.n_points()},
+        identities=identities,
+        classification=_classification_block(geo, forms),
+        soliton=soliton_block,
+        expectations=[],
+    )
+    (_, lam_c, res_c), (_, lam_p, _) = fits["corrected"], fits["paper_form"]
+    report.pointwise = np.column_stack([
+        geo.points, np.full(geo.n_points(), geo.epsilon), geo.H.value,
+        geo.rho.value, geo.det.value, lam_c, lam_p, codazzi,
+        np.linalg.norm(geo.tangent_position_values(), axis=-1), res_c])
+    return report, ric
 
 
-def _classification_block(geo, imm, grid):
-    Av = geo.shape_values()
-    gv = geo.metric()
-    histogram = {}
-    forms = []
-    for n in range(Av.shape[0]):
-        try:
-            form = classify_shape_operator(Av[n], gv[n])
-            key = form.variant.value
-        except AmbiguousClassification:
-            form = None
-            key = "ambiguous"
-        forms.append(form)
-        histogram[key] = histogram.get(key, 0) + 1
+def _classification_block(geo, forms):
+    labels = np.where(forms.ambiguous, len(VARIANTS), forms.variant)
+    names = [v.value for v in VARIANTS] + ["ambiguous"]
+    codes, first, counts = np.unique(labels, return_index=True,
+                                     return_counts=True)
+    # keys in order of first occurrence over the grid
+    histogram = {names[codes[k]]: int(counts[k]) for k in np.argsort(first)}
 
-    center = len(forms) // 2
-    center_form = forms[center]
+    center = len(labels) // 2
     detail = None
-    if center_form is not None:
+    if not forms.ambiguous[center]:
+        form = forms.form(center)
         detail = {
-            "variant": center_form.variant.value,
-            "parameters": [float(p) for p in center_form.parameters],
-            "minimal_polynomial": [float(c)
-                                   for c in center_form.minimal_polynomial],
+            "variant": form.variant.value,
+            "parameters": [float(p) for p in form.parameters],
+            "minimal_polynomial": [float(c) for c in form.minimal_polynomial],
         }
-    structure = classify_structure(imm, grid, geo=geo)
     return {
         "form_histogram": histogram,
         "center_form": detail,
-        "structure": {
-            "totally_umbilical": structure.totally_umbilical,
-            "isoparametric": structure.isoparametric,
-            "generalized_constant_ratio": structure.generalized_constant_ratio,
-            "constant_mean_curvature": structure.constant_mean_curvature,
-            "witnesses": {k: float(v)
-                          for k, v in structure.witnesses.items()},
-        },
-        "_forms": forms,
+        "structure": dataclasses.asdict(structure_verdicts(geo, forms)),
     }
 
 
-def _consistency_block(geo, reports, classification):
+def _consistency_block(geo, reports, forms):
     """Tie verified solitons back to the per-form algebraic systems.
 
     The case systems transcribe the uncorrected Ricci convention, so the
@@ -180,19 +178,15 @@ def _consistency_block(geo, reports, classification):
     if source is None:
         return None
     lam = source.lambda_fit
-    eps = int(geo.epsilon)
-    rho = geo.rho.value
     worst = 0.0
-    n_checked = 0
-    for n, form in enumerate(classification["_forms"]):
-        if form is None:
-            continue
-        res = canonical.consistency_residual(
-            form.variant, form.parameters, eps, rho[n], lam)
-        worst = max(worst, res)
-        n_checked += 1
+    rows = np.flatnonzero(~forms.ambiguous)
+    for n in rows:
+        form = forms.form(n)
+        worst = max(worst, canonical.consistency_residual(
+            form.variant, form.parameters, int(geo.epsilon), geo.rho.value[n],
+            lam))
     return {"convention": "paper_form", "lambda": lam,
-            "max_residual": worst, "points_checked": n_checked}
+            "max_residual": worst, "points_checked": len(rows)}
 
 
 def _expectation_table(entry, params, report):
@@ -290,26 +284,6 @@ POINTWISE_COLUMNS = ("u1", "u2", "u3", "epsilon", "mean_curvature", "support",
                      "soliton_residual_corrected")
 
 
-def pointwise_table(imm, grid):
-    """One row of scalars per grid point, for the CSV report format."""
-    from .soliton import _equation_lhs, _per_point_lambda
-
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    geo = GeometryBatch(imm, grid)
-    gv = geo.metric()
-    lam_c = _per_point_lambda(_equation_lhs(geo, "corrected"), gv)
-    lam_p = _per_point_lambda(_equation_lhs(geo, "paper_form"), gv)
-    lhs = _equation_lhs(geo, "corrected")
-    scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
-    res = np.max(np.abs(lhs - lam_c.mean() * gv), axis=(1, 2)) / scale
-    cod = codazzi_residual_batch(geo)
-    xt = np.linalg.norm(geo.tangent_position_values(), axis=-1)
-    rows = []
-    for n in range(grid.shape[0]):
-        rows.append([
-            grid[n, 0], grid[n, 1], grid[n, 2], geo.epsilon,
-            float(geo.H.value[n]), float(geo.rho.value[n]),
-            float(geo.det.value[n]), float(lam_c[n]), float(lam_p[n]),
-            float(cod[n]), float(xt[n]), float(res[n]),
-        ])
-    return POINTWISE_COLUMNS, rows
+def pointwise_table(report):
+    """Header and one row of scalars per grid point, for the CSV format."""
+    return POINTWISE_COLUMNS, report.pointwise.tolist()

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -54,10 +55,14 @@ def _parse_params(items):
         if "=" not in item:
             raise UsageError(f"--param expects name=value, got {item!r}")
         k, v = item.split("=", 1)
+        k = k.strip()
         try:
-            out[k.strip()] = float(v)
+            out[k] = value = float(v)
         except ValueError:
-            out[k.strip()] = v.strip()
+            out[k] = v.strip()
+        else:
+            if not math.isfinite(value):
+                raise UsageError(f"--param {k} must be finite, got {v!r}")
     return out
 
 
@@ -79,7 +84,10 @@ def _parse_box(text):
         bits = part.split(":")
         if len(bits) != 2:
             raise UsageError(f"--box expects lo:hi,lo:hi,lo:hi, got {text!r}")
-        box.append((float(bits[0]), float(bits[1])))
+        lo, hi = float(bits[0]), float(bits[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise UsageError(f"--box bounds must be finite, got {part!r}")
+        box.append((lo, hi))
     if len(box) != 3:
         raise UsageError("--box expects three intervals")
     return tuple(box)
@@ -189,7 +197,6 @@ def cmd_analyze(args):
         report["grid"] = {"counts": list(grid_counts),
                           "box": [list(iv) for iv in imm.domain],
                           "n_points": int(len(grid))}
-        entry_obj, merged = None, params
     else:
         if args.entry not in catalog.ENTRIES:
             raise UsageError(f"unknown catalog entry {args.entry!r}; "
@@ -201,17 +208,13 @@ def cmd_analyze(args):
                                       if args.orientation else None))
         except (KeyError, ValueError) as err:
             raise UsageError(str(err))
-        entry_obj = catalog.get(args.entry)
 
     if args.format == "json":
         text = dump_json(report)
     elif args.format == "text":
         text = _text_report(report)
-    else:  # csv: pointwise scalars
-        if entry_obj is not None:
-            imm, merged = entry_obj.build(**params)
-            grid = analysis.default_grid(entry_obj, merged, grid_counts)
-        header, rows = analysis.pointwise_table(imm, grid)
+    else:  # csv: pointwise scalars of the same analysis pass
+        header, rows = analysis.pointwise_table(report)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

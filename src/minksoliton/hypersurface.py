@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .lorentz import TAU_DEGENERATE, PSEUDO_ORTHONORMAL_GRAM, mink_inner
+from .lorentz import (TAU_DEGENERATE, PSEUDO_ORTHONORMAL_GRAM, char_poly,
+                      classify_batch, mink_inner)
 
 
 class DegenerateMetric(ArithmeticError):
@@ -470,24 +471,22 @@ TAU_CLASS = 1e-6
 
 def classify_structure(imm, grid, tol=TAU_CLASS, geo=None):
     """Grid-level structural verdicts with witness residuals."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[0] == 0:
-        raise EmptyGrid("structural classification needs a nonempty grid")
-    from .lorentz import char_poly, minimal_polynomial
-
     if geo is None:
         geo = GeometryBatch(imm, grid)
+    return structure_verdicts(geo, classify_batch(geo.shape_values()), tol)
+
+
+def structure_verdicts(geo, forms, tol=TAU_CLASS):
+    """Structural verdicts of a geometry batch whose shape operators have
+    the canonical forms ``forms`` (a lorentz.FormBatch)."""
     Av = geo.shape_values()
     Hv = geo.H.value
     scale = max(1.0, float(np.max(np.abs(Av))))
 
     umb = float(np.max(np.abs(Av - Hv[:, None, None] * np.eye(3))))
-    char = np.stack([char_poly(Av[n]) for n in range(len(grid))])
-    char_spread = float(np.max(np.ptp(char, axis=0)))
-    mps = [minimal_polynomial(Av[n]) for n in range(len(grid))]
-    degs = {len(mp) for mp in mps}
-    if len(degs) == 1:
-        mp_spread = float(np.max(np.ptp(np.stack(mps), axis=0)))
+    char_spread = float(np.max(np.ptp(char_poly(Av), axis=0)))
+    if np.ptp(np.argmax(forms.min_poly != 0.0, axis=1)) == 0:  # one degree
+        mp_spread = float(np.max(np.ptp(forms.min_poly, axis=0)))
     else:
         mp_spread = float("inf")
     iso_witness = max(char_spread, mp_spread)

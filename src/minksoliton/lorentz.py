@@ -6,8 +6,9 @@ a self-adjoint tangent endomorphism into one of the four Lorentzian
 canonical forms (diagonalizable, complex pair, 2-step or 3-step Jordan
 block) via its minimal polynomial.
 
-Eigenvalues of 3x3 matrices come from the closed-form cubic with a Newton
-polish, so results are reproducible without a general eigensolver.
+One batched classifier, classify_batch, sorts a whole stack of operators at
+once.  Eigenvalues of 3x3 matrices come from the closed-form cubic with a
+Newton polish, so results are reproducible without a general eigensolver.
 """
 
 from __future__ import annotations
@@ -103,137 +104,103 @@ def solve_indefinite(g, rhs, tol=TAU_DEGENERATE):
     return np.linalg.solve(g, np.asarray(rhs, dtype=float))
 
 
-# -- cubic eigenstructure ---------------------------------------------------
+# -- cubic eigenstructure, row by row on stacks of 3x3 matrices -------------
+# Powers, arccos and cos run on Python floats: numpy's vectorized pow and acos
+# differ from the C library in the last bit, which the reports would show.
+
+def _libm(fn, x):
+    return np.array([fn(t) for t in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _pow(x, y):
+    return _libm(lambda t: t ** y, x)
+
 
 def char_poly(A):
-    """Monic characteristic polynomial coefficients, highest degree first."""
+    """Monic characteristic polynomial coefficients, highest degree first;
+    A is one matrix or a stack of them."""
     A = np.asarray(A, dtype=float)
-    tr = np.trace(A)
-    minors = (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1]
-              + A[0, 0] * A[2, 2] - A[0, 2] * A[2, 0]
-              + A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+    tr = np.trace(A, axis1=-2, axis2=-1)
+    minors = (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1]
+              + A[..., 0, 0] * A[..., 2, 2] - A[..., 0, 2] * A[..., 2, 0]
+              + A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0])
     det = np.linalg.det(A)
-    return np.array([1.0, -tr, minors, -det])
+    return np.stack([np.ones_like(tr), -tr, minors, -det], axis=-1)
 
 
-def _cubic_roots(coeffs):
-    """Real roots and optional complex pair of a monic real cubic."""
-    _, b, c, d = coeffs
+def _cubic_roots(cp):
+    """Closed-form roots of the monic cubics in the rows of cp: sorted reals
+    (n, 3), with NaN after the real root of a row with a complex pair
+    re +/- i*im, and re, im (NaN on rows without a pair)."""
+    _, b, c, d = cp.T
     p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    q = 2.0 * _pow(b, 3) / 27.0 - b * c / 3.0 + d
     shift = -b / 3.0
-    scale = max(1.0, abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0))
-    if abs(p) < 1e-14 * scale ** 2 and abs(q) < 1e-14 * scale ** 3:
-        return np.array([shift, shift, shift]), None
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        t1 = -q / 2.0 - math.copysign(s, q)
-        u = math.copysign(abs(t1) ** (1.0 / 3.0), t1)
-        v = -p / (3.0 * u) if u != 0.0 else 0.0
-        y1 = u + v
-        re = -y1 / 2.0 + shift
-        im = math.sqrt(3.0) / 2.0 * abs(u - v)
-        return np.array([y1 + shift]), (re, im)
-    m = 2.0 * math.sqrt(max(-p, 0.0) / 3.0)
-    if m == 0.0:
-        return np.array([shift, shift, shift]), None
-    arg = 3.0 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg) / 3.0
-    ys = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    return np.array(sorted(y + shift for y in ys)), None
+    scale = np.maximum.reduce([np.ones_like(b), np.abs(b), np.sqrt(np.abs(c)),
+                               _pow(np.abs(d), 1.0 / 3.0)])
+    flat = ((np.abs(p) < 1e-14 * _pow(scale, 2))
+            & (np.abs(q) < 1e-14 * _pow(scale, 3)))
+    disc = _pow(q / 2.0, 2) + _pow(p / 3.0, 3)
+    pair = ~flat & (disc > 0.0)
+    reals = np.repeat(shift[:, None], 3, axis=1)
+    re, im = np.full((2, len(cp)), np.nan)
+
+    t1 = -q[pair] / 2.0 - np.copysign(np.sqrt(disc[pair]), q[pair])
+    u = np.copysign(_pow(np.abs(t1), 1.0 / 3.0), t1)
+    v = np.where(u != 0.0, -p[pair] / (3.0 * u), 0.0)
+    reals[pair] = np.nan
+    reals[pair, 0] = u + v + shift[pair]
+    re[pair] = -(u + v) / 2.0 + shift[pair]
+    im[pair] = math.sqrt(3.0) / 2.0 * np.abs(u - v)
+
+    # three real roots, unless the depressed cubic is t^3
+    rows = np.flatnonzero(~flat & ~pair)
+    m = 2.0 * np.sqrt(np.maximum(-p[rows], 0.0) / 3.0)
+    rows, m = rows[m != 0.0], m[m != 0.0]
+    arg = np.clip(3.0 * q[rows] / (p[rows] * m), -1.0, 1.0)
+    phi = _libm(math.acos, arg) / 3.0
+    turns = np.array([2.0 * math.pi * k / 3.0 for k in range(3)])
+    ys = m[:, None] * _libm(math.cos, phi[:, None] - turns)
+    reals[rows] = np.sort(ys + shift[rows, None], axis=1)
+    return reals, re, im
 
 
-def _polish(root, coeffs, scale):
+def _polish(roots, cp, scale):
+    """Two guarded Newton steps on every root; NaN entries stay NaN."""
+    c0, c1, c2, c3 = (cp[:, k, None] for k in range(4))
+    flat_slope = 1e-8 * _pow(scale, 2)[:, None]
+    live = np.ones(roots.shape, dtype=bool)
     for _ in range(2):
-        p = ((coeffs[0] * root + coeffs[1]) * root + coeffs[2]) * root + coeffs[3]
-        dp = (3.0 * coeffs[0] * root + 2.0 * coeffs[1]) * root + coeffs[2]
-        if abs(dp) < 1e-8 * scale ** 2:
-            break
-        root -= p / dp
-    return root
-
-
-def eigenvalues_3x3(A):
-    """(real_roots, complex_pair) of A;  complex_pair is (re, im) or None."""
-    coeffs = char_poly(A)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    reals, pair = _cubic_roots(coeffs)
-    reals = np.array(sorted(_polish(r, coeffs, scale) for r in reals))
-    return reals, pair
-
-
-def _cluster(values, tol):
-    """Group sorted values whose gaps are below tol; returns (means, counts)."""
-    values = np.sort(np.asarray(values, dtype=float))
-    groups = [[values[0]]]
-    for v in values[1:]:
-        if v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return ([float(np.mean(grp)) for grp in groups],
-            [len(grp) for grp in groups])
-
-
-def _refine_by_trace(means, counts, trace):
-    """Recompute the repeated root from the trace; multiple roots of the cubic
-    are ill-conditioned but the trace identity is exact."""
-    if len(means) == 1:
-        return [trace / 3.0]
-    if len(means) == 2:
-        if counts[0] == 2:
-            return [(trace - means[1]) / 2.0, means[1]]
-        return [means[0], (trace - means[0]) / 2.0]
-    return means
+        p = ((c0 * roots + c1) * roots + c2) * roots + c3
+        dp = (3.0 * c0 * roots + 2.0 * c1) * roots + c2
+        live &= ~(np.abs(dp) < flat_slope)
+        roots = np.where(live, roots - p / dp, roots)
+    return roots
 
 
 def _poly_from_roots(roots):
-    coeffs = np.array([1.0])
-    for r in roots:
-        coeffs = np.convolve(coeffs, [1.0, -r])
+    """Coefficients of t^3 .. t^0 of the monic polynomial with each row's roots."""
+    coeffs = np.zeros((len(roots), 4))
+    coeffs[:, 3] = 1.0
+    for r in roots.T:
+        coeffs = _times_linear(coeffs, r)
     return coeffs
 
 
-def poly_apply(coeffs, A):
-    """Evaluate a monic polynomial (highest-first coefficients) at a matrix."""
-    A = np.asarray(A, dtype=float)
-    out = np.zeros_like(A)
-    for c in coeffs:
-        out = out @ A + c * np.eye(3)
+def _times_linear(coeffs, r):
+    """coeffs * (t - r) per row, each sum from +0.0 as in np.convolve."""
+    out = coeffs * -r[:, None] + 0.0
+    out[:, :-1] += coeffs[:, 1:]
     return out
 
 
-def minimal_polynomial(A, tol=TAU_RANK):
-    """Coefficients (highest degree first) of the monic annihilator of least degree."""
+def poly_apply(coeffs, A):
+    """Evaluate polynomials (highest-first coefficients) at (stacked) matrices."""
     A = np.asarray(A, dtype=float)
-    nrm = max(1.0, float(np.linalg.norm(A, 2)))
-    reals, pair = eigenvalues_3x3(A)
-    if pair is not None and pair[1] >= TAU_CLUSTER * nrm:
-        re, im = pair
-        quad = np.array([1.0, -2.0 * re, re * re + im * im])
-        return np.convolve(quad, [1.0, -reals[0]])
-    if pair is not None:
-        reals = np.array(sorted([reals[0], pair[0], pair[0]]))
-    means, counts = _cluster(reals, TAU_CLUSTER * nrm)
-    means = _refine_by_trace(means, counts, float(np.trace(A)))
-
-    candidates = []
-    if len(means) == 1:
-        lam = means[0]
-        candidates = [[lam], [lam, lam], [lam, lam, lam]]
-    elif len(means) == 2:
-        d = means[0] if counts[0] == 2 else means[1]
-        s = means[1] if counts[0] == 2 else means[0]
-        candidates = [[d, s], [d, d, s]]
-    else:
-        candidates = [list(means)]
-    for roots in candidates:
-        coeffs = _poly_from_roots(roots)
-        if np.max(np.abs(poly_apply(coeffs, A))) <= tol * nrm ** len(roots):
-            return coeffs
-    return char_poly(A)
+    out = np.zeros_like(A)
+    for c in np.moveaxis(np.asarray(coeffs, dtype=float), -1, 0):
+        out = out @ A + np.multiply.outer(c, np.eye(3))
+    return out
 
 
 class FormVariant(enum.Enum):
@@ -241,6 +208,11 @@ class FormVariant(enum.Enum):
     COMPLEX_PAIR = "complex_pair"
     JORDAN_2 = "jordan2"
     JORDAN_3 = "jordan3"
+
+
+VARIANTS = tuple(FormVariant)
+DIAG, CPLX, JORDAN2, JORDAN3 = range(4)
+N_PARAMETERS = (3, 3, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -258,75 +230,117 @@ class ShapeOperatorForm:
     parameters: tuple
     minimal_polynomial: np.ndarray
 
-    def min_poly_degree(self):
-        return len(self.minimal_polynomial) - 1
+
+@dataclass(frozen=True)
+class FormBatch:
+    """Canonical forms of n operators: variant codes into VARIANTS,
+    parameters (n, 3) of which the first N_PARAMETERS[code] count, minimal
+    polynomials (n, 4) as coefficients of t^3 .. t^0, and ambiguity flags."""
+
+    variant: np.ndarray
+    parameters: np.ndarray
+    min_poly: np.ndarray
+    ambiguous: np.ndarray
+
+    def form(self, i):
+        code = self.variant[i]
+        params = self.parameters[i, :N_PARAMETERS[code]]
+        return ShapeOperatorForm(VARIANTS[code], tuple(params.tolist()),
+                                 np.trim_zeros(self.min_poly[i], "f"))
 
 
 def is_self_adjoint(A, g, tol=TAU_ALG):
-    A = np.asarray(A, dtype=float)
-    g = np.asarray(g, dtype=float)
-    m = g @ A
-    scale = max(1.0, float(np.max(np.abs(m))))
-    return float(np.max(np.abs(m - m.T))) <= tol * scale * 10.0
+    """Whether g A is symmetric, per matrix of a stack."""
+    m = np.asarray(g, dtype=float) @ np.asarray(A, dtype=float)
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    asym = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1))
+    return asym <= tol * scale * 10.0
 
 
-def classify_shape_operator(A, g, tol_rank=TAU_RANK, tol_cluster=TAU_CLUSTER):
-    """Sort A into its Lorentzian canonical form from basis-free invariants.
+def classify_batch(A, g=None, tol=TAU_RANK):
+    """Lorentzian canonical forms of a stack of operators A (n, 3, 3).
 
-    Raises AmbiguousClassification when eigenvalue separations land just
-    above the clustering threshold (within a factor of ten), where the
-    repeated/distinct decision is not numerically trustworthy.
+    Roots of the characteristic cubic closer than TAU_CLUSTER * |A| merge,
+    a repeated one is recomputed from the exact trace, and the first
+    candidate polynomial, by degree, that annihilates A to tol * |A|^degree
+    is the minimal polynomial.  A row is ambiguous when a separation lies
+    within ten times the cluster threshold.  With g, A must be g-self-adjoint.
     """
     A = np.asarray(A, dtype=float)
-    if not is_self_adjoint(A, g):
+    if g is not None and not np.all(is_self_adjoint(A, g)):
         raise ValueError("operator is not self-adjoint for the supplied metric")
-    nrm = max(1.0, float(np.linalg.norm(A, 2)))
-    reals, pair = eigenvalues_3x3(A)
+    n = len(A)
+    nrm = np.maximum(1.0, np.linalg.norm(A, 2, axis=(1, 2)))
+    gap, wide = TAU_CLUSTER * nrm, 10.0 * TAU_CLUSTER * nrm
+    trace = np.trace(A, axis1=1, axis2=2)
+    cp = char_poly(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reals, re, im = _cubic_roots(cp)
+        scale = np.maximum(1.0, np.max(np.abs(A), axis=(1, 2)))
+        reals = np.sort(_polish(reals, cp, scale), axis=1)
+    cplx = im >= gap
+    small = ~np.isnan(re) & ~cplx  # a double real root at re
+    reals[small] = np.sort(np.stack(
+        [reals[small, 0], re[small], re[small]], axis=1), axis=1)
 
-    if pair is not None and pair[1] >= tol_cluster * nrm:
-        if pair[1] < 10.0 * tol_cluster * nrm:
-            raise AmbiguousClassification(
-                "imaginary part sits in the undecidable band; refine sampling")
-        re, im = pair
-        quad = np.array([1.0, -2.0 * re, re * re + im * im])
-        mp = np.convolve(quad, [1.0, -reals[0]])
-        return ShapeOperatorForm(FormVariant.COMPLEX_PAIR,
-                                 (re, im, float(reals[0])), mp)
-    if pair is not None:
-        reals = np.array(sorted([reals[0], pair[0], pair[0]]))
+    # chain clustering of the sorted roots, group means as np.mean forms them
+    join1 = reals[:, 1] - reals[:, 0] <= gap
+    join2 = reals[:, 2] - reals[:, 1] <= gap
+    one, two = join1 & join2, join1 ^ join2
+    s0, s1, s2 = (reals[:, k:k + 1].mean(axis=1) for k in range(3))
+    low, high = reals[:, :2].mean(axis=1), reals[:, 1:].mean(axis=1)
+    sep = np.select([one, join1, join2], [np.inf, s2 - low, high - s0],
+                    np.minimum(s1 - s0, s2 - s1))
+    ambiguous = np.where(cplx, im < wide, sep < wide)
+    # the repeated root from the trace: lam (triple) or d (double, beside s)
+    lam = trace / 3.0
+    s = np.where(join1, s2, s0)
+    d = (trace - s) / 2.0
 
-    means, counts = _cluster(reals, tol_cluster * nrm)
-    for lo, hi in zip(means[:-1], means[1:]):
-        if hi - lo < 10.0 * tol_cluster * nrm:
-            raise AmbiguousClassification(
-                f"eigenvalue gap {hi - lo:.3e} straddles the cluster "
-                "threshold; refine sampling")
-    means = _refine_by_trace(means, counts, float(np.trace(A)))
+    # Candidates by degree.  The one-cluster ones of degree 1 and 2 are
+    # written out in lam, so a zero coefficient keeps the sign of -lam.
+    zero, unit = np.zeros(n), np.ones(n)
+    cand = [np.stack([zero, zero, unit, -lam], axis=1),
+            np.where(two[:, None], _poly_from_roots(np.stack([d, s], axis=1)),
+                     np.stack([zero, unit, -2.0 * lam, lam * lam], axis=1)),
+            _poly_from_roots(np.select(
+                [one[:, None], two[:, None]],
+                [lam[:, None], np.stack([d, d, s], axis=1)],
+                np.stack([s0, s1, s2], axis=1)))]
+    kills = [np.max(np.abs(poly_apply(c, A)), axis=(1, 2))
+             <= tol * _pow(nrm, k + 1) for k, c in enumerate(cand)]
+    k1 = one & kills[0]
+    k2 = (one | two) & ~k1 & kills[1]
+    k3 = ~k1 & ~k2 & kills[2]
+    quad = np.stack([zero, unit, -2.0 * re, re * re + im * im], axis=1)
+    min_poly = np.select([cplx[:, None], k1[:, None], k2[:, None], k3[:, None]],
+                         [_times_linear(quad, reals[:, 0])] + cand, cp)
+    # diagonalizable wherever the first candidate tried kills A
+    variant = np.select([cplx, one & k2, one & ~k1, two & ~k2],
+                        [CPLX, JORDAN2, JORDAN3, JORDAN2], DIAG)
+    parameters = np.select(
+        [cplx[:, None], one[:, None], two[:, None]],
+        [np.stack([re, im, reals[:, 0]], axis=1), lam[:, None],
+         np.stack([d, np.where(k2, d, s), s], axis=1)],
+        np.stack([s0, s1, s2], axis=1))
+    return FormBatch(variant, parameters, min_poly, ambiguous)
 
-    if len(means) == 3:
-        mp = _poly_from_roots(means)
-        return ShapeOperatorForm(FormVariant.DIAGONALIZABLE, tuple(means), mp)
 
-    if len(means) == 1:
-        lam = means[0]
-        if np.max(np.abs(A - lam * np.eye(3))) <= tol_rank * nrm:
-            return ShapeOperatorForm(FormVariant.DIAGONALIZABLE,
-                                     (lam, lam, lam), np.array([1.0, -lam]))
-        sq = poly_apply(np.array([1.0, -2.0 * lam, lam * lam]), A)
-        if np.max(np.abs(sq)) <= tol_rank * nrm ** 2:
-            return ShapeOperatorForm(FormVariant.JORDAN_2, (lam, lam),
-                                     np.array([1.0, -2.0 * lam, lam * lam]))
-        return ShapeOperatorForm(FormVariant.JORDAN_3, (lam,),
-                                 _poly_from_roots([lam, lam, lam]))
+def classify_shape_operator(A, g):
+    """Canonical form of one operator; raises AmbiguousClassification where
+    classify_batch flags the row."""
+    forms = classify_batch(np.asarray(A, dtype=float)[None],
+                           np.asarray(g, dtype=float)[None])
+    if forms.ambiguous[0]:
+        raise AmbiguousClassification("eigenvalue separation straddles the "
+                                      "cluster threshold; refine sampling")
+    return forms.form(0)
 
-    d = means[0] if counts[0] == 2 else means[1]
-    s = means[1] if counts[0] == 2 else means[0]
-    prod = poly_apply(_poly_from_roots([d, s]), A)
-    if np.max(np.abs(prod)) <= tol_rank * nrm ** 2:
-        return ShapeOperatorForm(FormVariant.DIAGONALIZABLE, (d, d, s),
-                                 _poly_from_roots([d, s]))
-    return ShapeOperatorForm(FormVariant.JORDAN_2, (d, s),
-                             _poly_from_roots([d, d, s]))
+
+def minimal_polynomial(A, tol=TAU_RANK):
+    """Coefficients (highest degree first) of the monic annihilator of least degree."""
+    mp = classify_batch(np.asarray(A, dtype=float)[None], tol=tol).min_poly[0]
+    return np.trim_zeros(mp, "f") + 0.0  # zeros read +0.0, whatever -lam's sign
 
 
 PSEUDO_ORTHONORMAL_GRAM = np.array([[0.0, -1.0, 0.0],

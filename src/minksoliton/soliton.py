@@ -129,15 +129,10 @@ def _ricci_batch(geo, ricci_mode):
                        corrected=(ricci_mode == "corrected"))
 
 
-def _equation_lhs(geo, ricci_mode):
-    """Half Lie derivative plus Ricci, per point (closed-form Lie route)."""
-    return 0.5 * lie_closed_form_batch(geo) + _ricci_batch(geo, ricci_mode)
-
-
 def soliton_residual(imm, grid, lam, ricci_mode="corrected"):
     """sup over the grid of |L/2 + Ric - lam*g| / |g|, component max-norms."""
     geo = GeometryBatch(imm, grid)
-    lhs = _equation_lhs(geo, ricci_mode)
+    lhs = 0.5 * lie_closed_form_batch(geo) + _ricci_batch(geo, ricci_mode)
     gv = geo.metric()
     res = np.max(np.abs(lhs - lam * gv), axis=(1, 2))
     scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
@@ -160,20 +155,34 @@ def fit_lambda(imm, grid, ricci_mode="corrected", tau=TAU_SOL_CLOSED):
 
 
 def fit_lambda_from_geometry(geo, ricci_mode="corrected", tau=TAU_SOL_CLOSED):
-    lhs = _equation_lhs(geo, ricci_mode)
+    report, _, _ = fit_lambda_pointwise(geo, _ricci_batch(geo, ricci_mode),
+                                        ricci_mode, tau, identity_checks(geo))
+    return report
+
+
+def identity_checks(geo):
+    """Mode-independent checks: (gradient, Lemma 1 residuals, route agreement)."""
+    return gradient_check_batch(geo), lemma1_batch(geo), route_agreement_batch(geo)
+
+
+def fit_lambda_pointwise(geo, ric, ricci_mode, tau, checks):
+    """Fit lambda against the Ricci tensor ``ric`` of ``ricci_mode``, with
+    ``checks`` = identity_checks(geo): the SolitonReport, per-point lambda
+    and per-point residual."""
+    lhs = 0.5 * lie_closed_form_batch(geo) + ric
     gv = geo.metric()
     lam_pt = _per_point_lambda(lhs, gv)
     lam = float(lam_pt.mean())
     spread = float(np.max(np.abs(lam_pt - lam)))
     scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
-    residual = float(np.max(np.max(np.abs(lhs - lam * gv), axis=(1, 2)) / scale))
+    res_pt = np.max(np.abs(lhs - lam * gv), axis=(1, 2)) / scale
+    residual = float(np.max(res_pt))
 
     # Equivalence of the defining equation with the Ricci-tensor condition
     # Ric = (lam - 1) g - eps*rho*g(A.,.): identical through the closed form.
     Av = geo.shape_values()
     h = gv @ Av
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    ric = _ricci_batch(geo, ricci_mode)
     alt = ric - (lam - 1.0) * gv + geo.epsilon * geo.rho.value[:, None, None] * h
     alt_res = float(np.max(np.max(np.abs(alt), axis=(1, 2)) / scale))
     gap = abs(alt_res - residual)
@@ -188,9 +197,7 @@ def fit_lambda_from_geometry(geo, ricci_mode="corrected", tau=TAU_SOL_CLOSED):
     else:
         verdict = Verdict.NOT_A_SOLITON
 
-    grad = gradient_check_batch(geo)
-    lem = lemma1_batch(geo)
-    route = route_agreement_batch(geo)
+    grad, lem, route = checks
     return SolitonReport(
         lambda_fit=lam,
         lambda_spread=spread,
@@ -202,7 +209,7 @@ def fit_lambda_from_geometry(geo, ricci_mode="corrected", tau=TAU_SOL_CLOSED):
         ricci_mode=ricci_mode,
         tau=tau,
         equation_equivalence_gap=gap,
-    )
+    ), lam_pt, res_pt
 
 
 # -- universal identities ------------------------------------------------------

@@ -1,6 +1,8 @@
 """Report assembly: classification histograms, consistency-block rules,
 and expectation bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,16 +20,15 @@ def test_histogram_sums_to_grid_size():
 
 def test_ambiguous_points_are_counted(monkeypatch):
     from minksoliton import lorentz
-    original = lorentz.classify_shape_operator
-    calls = {"n": 0}
+    original = lorentz.classify_batch
 
-    def flaky(A, g, **kw):
-        calls["n"] += 1
-        if calls["n"] % 2 == 0:
-            raise lorentz.AmbiguousClassification("synthetic")
-        return original(A, g, **kw)
+    def flaky(A, g=None, **kw):
+        forms = original(A, g, **kw)
+        ambiguous = forms.ambiguous.copy()
+        ambiguous[1::2] = True
+        return dataclasses.replace(forms, ambiguous=ambiguous)
 
-    monkeypatch.setattr(analysis, "classify_shape_operator", flaky)
+    monkeypatch.setattr(analysis, "classify_batch", flaky)
     rep = analysis.analyze_entry("de_sitter", grid_counts=(2, 2, 2))
     hist = rep["classification"]["form_histogram"]
     assert hist.get("ambiguous", 0) == 4
@@ -73,7 +74,8 @@ def test_pointwise_table_shape_and_columns():
     entry = catalog.get("de_sitter")
     imm, merged = entry.build()
     grid = grid_points(entry.safe_box(merged), (3, 3, 3))
-    header, rows = analysis.pointwise_table(imm, grid)
+    header, rows = analysis.pointwise_table(
+        analysis.analyze_immersion(imm, grid))
     assert header[:3] == ("u1", "u2", "u3")
     assert len(rows) == 27
     assert all(len(r) == len(header) for r in rows)
@@ -89,3 +91,46 @@ def test_expectation_table_has_no_placeholder_rows():
             if row["agrees"] is None:
                 # informational rows only: no computed counterpart exists
                 assert row["computed"] is None
+
+
+def test_identity_gate_fails_closed_on_nan(monkeypatch, capsys):
+    from minksoliton.cli import main
+    original = analysis.codazzi_residual_batch
+
+    def nan_at_last_point(geo):
+        res = original(geo)
+        res[-1] = np.nan
+        return res
+
+    monkeypatch.setattr(analysis, "codazzi_residual_batch", nan_at_last_point)
+    rep = analysis.analyze_entry("de_sitter", grid_counts=(3, 3, 3))
+    assert rep["identities"]["pass"] is False
+    assert main(["analyze", "--entry", "de_sitter", "--grid", "3,3,3",
+                 "--format", "json"]) == 2
+    capsys.readouterr()
+
+
+def test_one_pass_per_analysis(monkeypatch):
+    from minksoliton import soliton
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((analysis, "GeometryBatch"),
+                         (analysis, "ricci_intrinsic_batch"),
+                         (soliton, "route_agreement_batch"),
+                         (soliton, "lemma1_batch"),
+                         (soliton, "gradient_check_batch")):
+        monkeypatch.setattr(module, name, counted(module, name))
+    rep = analysis.analyze_entry("de_sitter", params={"c": 1.5},
+                                 grid_counts=(3, 3, 3))
+    analysis.pointwise_table(rep)
+    assert calls == {"GeometryBatch": 1, "ricci_intrinsic_batch": 1,
+                     "route_agreement_batch": 1, "lemma1_batch": 1,
+                     "gradient_check_batch": 1}

@@ -245,3 +245,32 @@ def test_cli_reports_deterministic_across_runs(tmp_path):
                      "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_csv_honours_orientation(capsys):
+    columns = {}
+    for sign in ("1", "-1"):
+        assert main(["analyze", "--entry", "hyperbolic_space", "--grid",
+                     "2,2,2", "--format", "csv", f"--orientation={sign}"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        col = lines[0].split(",").index("mean_curvature")
+        columns[sign] = [float(ln.split(",")[col]) for ln in lines[1:]]
+    assert all(h != 0.0 for h in columns["1"])
+    assert columns["-1"] == [-h for h in columns["1"]]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_param(bad, capsys):
+    assert main(["analyze", "--entry", "de_sitter", "--param", f"c={bad}"]) == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err and bad in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_rejects_non_finite_box(tmp_path, bad, capsys):
+    f = tmp_path / "graph.txt"
+    f.write_text("u\nv\nw\n2 + u*u\n")
+    assert main(["analyze", "--entry", str(f),
+                 f"--box=0:1,0:{bad},0:1"]) == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err and bad in err

@@ -226,6 +226,44 @@ def test_classify_materialize_roundtrip_1000(variant):
         assert np.max(np.abs(np.sort(want) - np.sort(got))) < 1e-8
 
 
+def test_batch_equals_one_row_calls():
+    """Classifying n rows at once gives, bit for bit, the n one-row results."""
+    rng = np.random.default_rng(23)
+    As, gs = [], []
+    for variant in FormVariant:
+        for _ in range(25):
+            A, g = canonical_matrix(variant, _draw_parameters(rng, variant))
+            S = _random_conjugation(rng)
+            As.append(np.linalg.solve(S, A @ S))
+            gs.append(S.T @ g @ S)
+    As.append(np.diag([0.5, 0.5 + 3e-4, 2.0]))  # in the ambiguous band
+    gs.append(np.eye(3))
+    forms = lorentz.classify_batch(np.array(As), np.array(gs))
+    assert forms.ambiguous[-1] and not forms.ambiguous[:-1].any()
+    for i, (A, g) in enumerate(zip(As, gs)):
+        one = lorentz.classify_batch(A[None], g[None])
+        for name in ("variant", "parameters", "min_poly", "ambiguous"):
+            assert getattr(one, name)[0].tobytes() == \
+                getattr(forms, name)[i].tobytes()
+        assert minimal_polynomial(A).tobytes() == \
+            (np.trim_zeros(forms.min_poly[i], "f") + 0.0).tobytes()
+        if forms.ambiguous[i]:
+            with pytest.raises(AmbiguousClassification):
+                classify_shape_operator(A, g)
+            continue
+        form = classify_shape_operator(A, g)
+        assert form.variant is lorentz.VARIANTS[forms.variant[i]]
+        assert form.parameters == forms.form(i).parameters
+        assert form.minimal_polynomial.tobytes() == \
+            forms.form(i).minimal_polynomial.tobytes()
+
+
+def test_batch_rejects_any_non_self_adjoint_row():
+    A = np.stack([np.eye(3), np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]])])
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        lorentz.classify_batch(A, np.stack([np.eye(3)] * 2))
+
+
 def test_min_poly_norm_bound():
     rng = np.random.default_rng(17)
     for _ in range(100):
