@@ -275,9 +275,9 @@ class FrameTable:
         """
         s = np.atleast_1d(np.asarray(s, dtype=float))
         F0 = self.values_at(s)
-        K0 = np.stack([self.spec.coefficient_matrix(t, 0) for t in s])
-        K1 = np.stack([self.spec.coefficient_matrix(t, 1) for t in s])
-        K2 = np.stack([self.spec.coefficient_matrix(t, 2) for t in s])
+        distinct, back = np.unique(s, return_inverse=True)
+        K0, K1, K2 = (np.stack([self.spec.coefficient_matrix(t, k) for t in distinct])[back]
+                      for k in range(3))
         F1 = K0 @ F0
         F2 = K1 @ F0 + K0 @ F1
         F3 = K2 @ F0 + 2.0 * (K1 @ F1) + K0 @ F2
@@ -285,19 +285,10 @@ class FrameTable:
 
     def component_jets(self, s):
         """The five frame vectors as 4-tuples of jets in chart variable 1."""
-        tay = self.taylor_at(s)
-        facts = np.array([1.0, 1.0, 2.0, 6.0])
-        out = []
-        s_slots = [jets.INDEX_OF[(k, 0, 0)] for k in range(4)]
-        for vec in range(5):
-            comps = []
-            for mu in range(4):
-                c = np.zeros(tay.shape[0:1] + (jets.N_COEFFS,))
-                for k in range(4):
-                    c[:, s_slots[k]] = tay[:, k, vec, mu] / facts[k]
-                comps.append(jets.Jet(c))
-            out.append(comps)
-        return out
+        tay = self.taylor_at(s) / np.array([1.0, 1.0, 2.0, 6.0])[:, None, None]
+        c = np.zeros((5, 4, jets.N_COEFFS, len(tay)))
+        c[:, :, [jets.INDEX_OF[(k, 0, 0)] for k in range(4)]] = tay.transpose(2, 3, 1, 0)
+        return [[jets.Jet(c[vec, mu]) for mu in range(4)] for vec in range(5)]
 
 
 _TABLE_CACHE = {}

@@ -1,11 +1,14 @@
 """Expression grammar, chart files, and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import minksoliton
 from minksoliton import exprs, jets
 from minksoliton.cli import main, round_floats
 
@@ -188,8 +191,12 @@ def test_cli_list(capsys):
 
 
 def test_cli_installed_entry_point():
+    # The child imports the same package as the tests, also when pytest's
+    # ``pythonpath`` setting (not the environment) put it on sys.path.
+    path = [str(Path(minksoliton.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run([sys.executable, "-m", "minksoliton.cli", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "de_sitter" in proc.stdout
 

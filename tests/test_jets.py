@@ -253,3 +253,128 @@ def test_jets_match_finite_differences_on_random_expressions():
             if rel > tol:
                 failures.append((case, mi, jd, fd, rel))
     assert not failures, f"{len(failures)} mismatches, first: {failures[0]}"
+
+
+# -- fixed-order products against the BLAS formulas they replace -----------------
+#
+# The references below are the point-major products the engine used before
+# coefficient-major jets: a selection matrix summing each output coefficient's
+# pair products in one BLAS product.  For batches of two or more points the
+# BLAS kernel sums each output in pair-table order from +0.0, so the fixed-order
+# sums must reproduce it bit for bit.
+
+def _ref_pair_table():
+    ia, ib, iout = [], [], []
+    for na, a in enumerate(jets.MULTI_INDICES):
+        for nb, b in enumerate(jets.MULTI_INDICES):
+            if sum(a) + sum(b) <= jets.DEGREE:
+                ia.append(na)
+                ib.append(nb)
+                iout.append(jets.INDEX_OF[tuple(x + y for x, y in zip(a, b))])
+    sel = np.zeros((len(ia), jets.N_COEFFS))
+    sel[np.arange(len(ia)), iout] = 1.0
+    return np.array(ia), np.array(ib), np.array(iout), sel
+
+
+REF_A, REF_B, REF_OUT, REF_SEL = _ref_pair_table()
+REF_DEG = np.array([sum(mi) for mi in jets.MULTI_INDICES])
+
+
+def _ref_groups(require_both_nonzero):
+    groups = []
+    for d in range(1, jets.DEGREE + 1):
+        keep = (REF_DEG[REF_OUT] == d) & (REF_DEG[REF_A] > 0)
+        if require_both_nonzero:
+            keep &= REF_DEG[REF_B] > 0
+        slots = np.flatnonzero(REF_DEG == d)
+        groups.append((REF_A[keep], REF_B[keep], REF_SEL[keep][:, slots], slots))
+    return groups
+
+
+REF_DIV_GROUPS = _ref_groups(require_both_nonzero=False)
+REF_SQRT_GROUPS = _ref_groups(require_both_nonzero=True)
+
+
+def ref_mul(a, b):
+    """Product of point-major coefficient arrays of shape (n, 20)."""
+    return (a[:, REF_A] * b[:, REF_B]) @ REF_SEL
+
+
+def ref_div(a, b):
+    b0 = b[:, 0]
+    out = np.zeros(a.shape)
+    out[:, 0] = a[:, 0] / b0
+    for ia, ib, sel, slots in REF_DIV_GROUPS:
+        acc = (b[:, ia] * out[:, ib]) @ sel
+        out[:, slots] = (a[:, slots] - acc) / b0[:, None]
+    return out
+
+
+def ref_sqrt(a):
+    out = np.zeros(a.shape)
+    out[:, 0] = np.sqrt(a[:, 0])
+    twice = 2.0 * out[:, 0]
+    for ia, ib, sel, slots in REF_SQRT_GROUPS:
+        acc = (out[:, ia] * out[:, ib]) @ sel
+        out[:, slots] = (a[:, slots] - acc) / twice[:, None]
+    return out
+
+
+def _draw_coeffs(rng, n):
+    """Point-major (n, 20) coefficients of mixed magnitude with signed zeros;
+    the constant term is positive."""
+    c = rng.standard_normal((n, 20)) * 10.0 ** rng.integers(-6, 7, size=(n, 20))
+    c[rng.random((n, 20)) < 0.1] = -0.0
+    c[rng.random((n, 20)) < 0.05] = 0.0
+    c[:, 0] = np.abs(c[:, 0]) + 0.25
+    return c
+
+
+def _same_bits(jet, ref):
+    got = np.ascontiguousarray(jet.coeffs.T)
+    return got.shape == ref.shape and np.array_equal(got.view(np.int64),
+                                                     ref.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 125, 1331, 9261])
+def test_products_match_blas_reference_bitwise(n):
+    rng = np.random.default_rng(n)
+    a, b = _draw_coeffs(rng, n), _draw_coeffs(rng, n)
+    a[:, 0] *= rng.choice([-1.0, 1.0], size=n)
+    a[::5, 0] = -0.0     # sums whose every product is -0.0
+    ja, jb = jets.Jet(a.T.copy()), jets.Jet(b.T.copy())
+    assert _same_bits(ja * jb, ref_mul(a, b))
+    assert _same_bits(ja / jb, ref_div(a, b))
+    assert _same_bits(jets.sqrt(jb), ref_sqrt(b))
+
+
+@pytest.mark.parametrize("n", [2, 125])
+def test_scalar_lifted_operands_match_blas_reference(n):
+    rng = np.random.default_rng(100 + n)
+    b = _draw_coeffs(rng, n)
+    jb = jets.Jet(b.T.copy())
+    one = np.zeros((n, 20))
+    one[:, 0] = 1.0
+    assert _same_bits(1.0 / jb, ref_div(one, b))
+    assert _same_bits(1.0 - jb, one - b)
+    single = _draw_coeffs(rng, 1)[0]
+    tiled = np.tile(single, (n, 1))
+    assert _same_bits(jets.Jet(single) * jb, ref_mul(tiled, b))
+    assert _same_bits(jb * jets.Jet(single), ref_mul(b, tiled))
+    assert _same_bits(jets.Jet(single) / jb, ref_div(tiled, b))
+    assert _same_bits(jb / jets.Jet(single), ref_div(b, tiled))
+    scale = rng.uniform(-2.0, 2.0, size=n)
+    assert _same_bits(jets.Jet(single) * scale, tiled * scale[:, None])
+
+
+def test_one_point_batch_matches_same_row_of_larger_batches():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        a, b = _draw_coeffs(rng, 7), _draw_coeffs(rng, 7)
+        for size in (2, 7):
+            ja, jb = jets.Jet(a[:size].T.copy()), jets.Jet(b[:size].T.copy())
+            ra, rb = jets.Jet(a[:1].T.copy()), jets.Jet(b[:1].T.copy())
+            for one, many in ((ra * rb, ja * jb), (ra / rb, ja / jb),
+                              (jets.sqrt(rb), jets.sqrt(jb))):
+                assert np.array_equal(one.coeffs[:, 0].view(np.int64),
+                                      many.coeffs[:, 0].view(np.int64))
