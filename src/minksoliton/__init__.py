@@ -20,9 +20,7 @@ from .hypersurface import (HypersurfaceSample, Immersion, classify_structure,
                            codazzi_residual, connection_forms, grid_points,
                            ricci_gauss, ricci_intrinsic, sample,
                            shape_operator)
-from .soliton import (SolitonReport, Verdict, fit_lambda, gradient_soliton_check,
-                      lemma1_check, lie_derivative_closed_form,
-                      lie_derivative_coordinate, soliton_residual)
+from .soliton import SolitonReport, Verdict, fit_lambda, soliton_residual
 from .frame_ode import (BFunction, FrameODESpec, FrameState,
                         build_generalized_cylinder_I,
                         build_generalized_umbilical, closed_frame_system,
@@ -40,9 +38,7 @@ __all__ = [
     "build_generalized_cylinder_I", "build_generalized_umbilical",
     "causal_character", "classify_shape_operator", "classify_structure",
     "closed_frame_system", "codazzi_residual", "connection_forms",
-    "extract_derivative", "fit_lambda", "gradient_soliton_check",
-    "grid_points", "integrate_frame", "lemma1_check",
-    "lie_derivative_closed_form", "lie_derivative_coordinate",
+    "extract_derivative", "fit_lambda", "grid_points", "integrate_frame",
     "minimal_polynomial", "mink_cross", "mink_inner", "ricci_gauss",
     "ricci_intrinsic", "sample", "shape_operator", "solve_case",
     "solve_indefinite", "soliton_residual", "sweep",

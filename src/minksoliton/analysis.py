@@ -45,15 +45,14 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     }
     ids = report["identities"]
     if entry.constraint is not None:
-        res = entry.constraint(geo.point_values(), merged)
+        res = entry.constraint(geo.x, merged)
         ids["level_set_residual"] = float(np.max(res))
-    ids["tangent_position_sup"] = float(
-        np.max(np.abs(geo.tangent_position_values())))
+    ids["tangent_position_sup"] = float(np.max(np.abs(geo.xT)))
     ids["ricci_sup"] = float(np.max(np.abs(ric["corrected"])))
     if "c" in merged:
         c = merged["c"]
         ids["ricci_intrinsic_vs_2c2_g"] = float(
-            np.max(np.abs(ric["intrinsic"] - 2.0 * c * c * geo.metric())))
+            np.max(np.abs(ric["intrinsic"] - 2.0 * c * c * geo.g)))
     report["expectations"] = _expectation_table(entry, merged, report)
     return report
 
@@ -71,7 +70,7 @@ def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
     was built from, keyed by Ricci mode and "intrinsic"."""
     if ricci_mode != "both" and ricci_mode not in RICCI_MODES:
         raise ValueError(f"ricci_mode must be 'both' or one of {RICCI_MODES}")
-    Av, gv = geo.shape_values(), geo.metric()
+    Av, gv = geo.A, geo.g
     ric = {mode: ricci_gauss(Av, gv, geo.epsilon, mode == "corrected")
            for mode in RICCI_MODES}
     ric["intrinsic"] = ric_int = ricci_intrinsic_batch(geo)
@@ -133,9 +132,9 @@ def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
     )
     (_, lam_c, res_c), (_, lam_p, _) = fits["corrected"], fits["paper_form"]
     report.pointwise = np.column_stack([
-        geo.points, np.full(geo.n_points(), geo.epsilon), geo.H.value,
-        geo.rho.value, geo.det.value, lam_c, lam_p, codazzi,
-        np.linalg.norm(geo.tangent_position_values(), axis=-1), res_c])
+        geo.points, np.full(geo.n_points(), geo.epsilon), geo.H, geo.rho,
+        geo.det, lam_c, lam_p, codazzi, np.linalg.norm(geo.xT, axis=-1),
+        res_c])
     return report, ric
 
 
@@ -178,13 +177,10 @@ def _consistency_block(geo, reports, forms):
     if source is None:
         return None
     lam = source.lambda_fit
-    worst = 0.0
     rows = np.flatnonzero(~forms.ambiguous)
-    for n in rows:
-        form = forms.form(n)
-        worst = max(worst, canonical.consistency_residual(
-            form.variant, form.parameters, int(geo.epsilon), geo.rho.value[n],
-            lam))
+    worst = canonical.consistency_residual(
+        np.array(VARIANTS, dtype=object)[forms.variant[rows]],
+        forms.parameters[rows], int(geo.epsilon), geo.rho[rows], lam)
     return {"convention": "paper_form", "lambda": lam,
             "max_residual": worst, "points_checked": len(rows)}
 

@@ -259,22 +259,23 @@ def sweep(form, n_draws=10000, seed=0, epsilon=1):
 def consistency_residual(form_variant, parameters, epsilon, rho, lam):
     """Max residual of the case equations at extracted geometric data.
 
-    Used to tie the geometry engine back to the algebraic systems: the
-    canonical parameters, support value and fitted constant of a verified
-    soliton must satisfy the corresponding system.
+    Rows: ``form_variant`` holds one FormVariant per row (or a single one),
+    ``parameters`` the canonical parameters of each row in the order of the
+    form (trailing extra columns are ignored) and ``rho`` the support value
+    of each row.  Used to tie the geometry engine back to the algebraic
+    systems: the canonical parameters, support value and fitted constant of
+    a verified soliton must satisfy the corresponding system.  NaN
+    propagates.
     """
-    if form_variant is FormVariant.DIAGONALIZABLE:
-        a1, a2, a3 = parameters
-        system = build_case_system(form_variant, epsilon=epsilon,
-                                   a1=a1, a2=a2, a3=a3)
-    elif form_variant is FormVariant.COMPLEX_PAIR:
-        a1, b1, a2 = parameters
-        system = build_case_system(form_variant, epsilon=epsilon,
-                                   a1=a1, b1=b1, a2=a2)
-    elif form_variant is FormVariant.JORDAN_2:
-        a1, a2 = parameters
-        system = build_case_system(form_variant, epsilon=epsilon, a1=a1, a2=a2)
-    else:
-        (a1,) = parameters
-        system = build_case_system(form_variant, epsilon=epsilon, a1=a1)
-    return float(np.max(np.abs(system.residuals(lam, rho))))
+    variant = np.atleast_1d(np.asarray(form_variant, dtype=object))
+    parameters = np.atleast_2d(np.asarray(parameters, dtype=float))
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), variant.shape)
+    worst = [0.0]
+    for form, names in _REQUIRED.items():
+        rows = variant == form
+        if np.any(rows):
+            system = CaseSystem(form, int(epsilon),
+                                dict(zip(names, parameters[rows].T)))
+            worst += [np.max(np.abs(r))
+                      for r in system.residuals(lam, rho[rows])]
+    return float(np.max(worst))

@@ -122,33 +122,62 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
+def _parts(tree):
+    """Values (n, *S) and first chart partials (n, 3, *S), C-contiguous, of
+    a jet or a nested list of jets of shape S; the partials are coefficient
+    rows 1-3."""
+    shape, flat = (), [tree]
+    while isinstance(flat[0], (list, tuple)):
+        shape += (len(flat[0]),)
+        flat = [leaf for node in flat for leaf in node]
+    rows = np.stack([jet.coeffs[:4] for jet in flat], axis=-1)
+    rows = rows.reshape(rows.shape[:2] + shape)
+    return rows[0].copy(), np.ascontiguousarray(np.moveaxis(rows[1:], 0, 1))
+
+
 class GeometryBatch:
-    """Jet-level geometric data for a batch of chart points."""
+    """Geometric data of a batch of n chart points.
+
+    Every array is C-contiguous float64 with leading axis n.  Values: the
+    point ``x`` (n, 4), ``tangents`` (n, 3, 4) with rows dx/du^i, the metric
+    ``g``, its inverse ``ginv`` and determinant ``det``, the unit normal
+    ``N``, the shape operator ``A`` (A[:, i, j] = A^i_j), the second
+    fundamental form ``h`` = g(A., .), the mean curvature ``H``, the
+    Christoffel symbols ``Gamma`` (Gamma[:, k, i, j] = Gamma^k_ij), the
+    support function ``rho``, the tangential position field ``xT`` and the
+    potential ``f`` = <x, x>/2.  First chart partials carry the derivative
+    index on axis 1: ``dg``, ``dN``, ``dA``, ``dGamma``, ``drho``, ``dxT``
+    and ``df`` (so dg[:, m, i, j] = d_m g_ij).  The degree-3 jets they are
+    computed from live only during construction.
+    """
 
     def __init__(self, imm, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[0] == 0:
             raise EmptyGrid("no sample points supplied")
-        self.points = pts
+        self.points = np.ascontiguousarray(pts)
         ju = jets.variable(1, pts[:, 0])
         jv = jets.variable(2, pts[:, 1])
         jw = jets.variable(3, pts[:, 2])
         x = list(imm.chart_map(ju, jv, jw))
         if len(x) != 4:
             raise ValueError("chart map must return four components")
-        self.x = x
-        self.xi = [[comp.deriv(i + 1) for comp in x] for i in range(3)]
+        xi = [[comp.deriv(i + 1) for comp in x] for i in range(3)]
+        self.x = _parts(x)[0]
+        self.tangents = _parts(xi)[0]
 
-        self.g = [[_inner4(self.xi[i], self.xi[j]) for j in range(3)]
-                  for i in range(3)]
-        self.det = _det3(self.g)
-        g_scale = max(1.0, float(np.max(np.abs(self.metric()))))
-        if np.min(np.abs(self.det.value)) < TAU_DEGENERATE * g_scale ** 3:
+        g = [[_inner4(xi[i], xi[j]) for j in range(3)] for i in range(3)]
+        self.g, self.dg = _parts(g)
+        det = _det3(g)
+        self.det = _parts(det)[0]
+        g_scale = max(1.0, float(np.max(np.abs(self.g))))
+        if np.min(np.abs(self.det)) < TAU_DEGENERATE * g_scale ** 3:
             raise DegenerateMetric(
                 f"induced metric of {imm.name!r} is singular on the batch")
-        self.ginv = _inv3(self.g, self.det)
+        ginv = _inv3(g, det)
+        self.ginv = _parts(ginv)[0]
 
-        raw_n = _cross4(self.xi[0], self.xi[1], self.xi[2])
+        raw_n = _cross4(xi[0], xi[1], xi[2])
         nn = _inner4(raw_n, raw_n)
         n_scale = max(float(np.max(np.abs([c.value for c in raw_n]))), 1e-300) ** 2
         if np.min(np.abs(nn.value)) < 1e-10 * n_scale:
@@ -161,81 +190,55 @@ class GeometryBatch:
         self.epsilon = float(signs.flat[0])
         norm = jets.sqrt(nn * self.epsilon)
         sign = float(imm.orientation_sign)
-        self.N = [comp * sign / norm for comp in raw_n]
+        N = [comp * sign / norm for comp in raw_n]
+        self.N, self.dN = _parts(N)
 
         # Weingarten: dN/du^j = -A^i_j (dx/du^i); solve through the metric.
-        dN = [[comp.deriv(j + 1) for comp in self.N] for j in range(3)]
-        self.A = [[None] * 3 for _ in range(3)]
+        dN = [[comp.deriv(j + 1) for comp in N] for j in range(3)]
+        A = [[None] * 3 for _ in range(3)]
         for j in range(3):
-            rhs = [-_inner4(dN[j], self.xi[k]) for k in range(3)]
+            rhs = [-_inner4(dN[j], xi[k]) for k in range(3)]
             for i in range(3):
-                acc = self.ginv[i][0] * rhs[0]
-                acc = acc + self.ginv[i][1] * rhs[1]
-                acc = acc + self.ginv[i][2] * rhs[2]
-                self.A[i][j] = acc
-        self.dN = dN
-        self.H = (self.A[0][0] + self.A[1][1] + self.A[2][2]) / 3.0
+                acc = ginv[i][0] * rhs[0]
+                acc = acc + ginv[i][1] * rhs[1]
+                acc = acc + ginv[i][2] * rhs[2]
+                A[i][j] = acc
+        del dN  # 20-row jets: free them before the Christoffel block
+        self.A, self.dA = _parts(A)
+        self.H = _parts((A[0][0] + A[1][1] + A[2][2]) / 3.0)[0]
+        gA = self.g @ self.A
+        self.h = 0.5 * (gA + np.swapaxes(gA, -1, -2))
 
-        dg = [[[self.g[i][j].deriv(m + 1) for j in range(3)] for i in range(3)]
+        dg = [[[g[i][j].deriv(m + 1) for j in range(3)] for i in range(3)]
               for m in range(3)]
-        self.Gamma = [[[None] * 3 for _ in range(3)] for _ in range(3)]
+        Gamma = [[[None] * 3 for _ in range(3)] for _ in range(3)]
         for k in range(3):
             for i in range(3):
                 for j in range(i, 3):
                     acc = None
                     for l in range(3):
-                        term = self.ginv[k][l] * (dg[i][j][l] + dg[j][i][l]
-                                                  - dg[l][i][j])
+                        term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l]
+                                             - dg[l][i][j])
                         acc = term if acc is None else acc + term
                     val = acc * 0.5
-                    self.Gamma[k][i][j] = val
-                    self.Gamma[k][j][i] = val
+                    Gamma[k][i][j] = val
+                    Gamma[k][j][i] = val
+        del dg
+        self.Gamma, self.dGamma = _parts(Gamma)
 
-        self.rho = _inner4(self.x, self.N)
-        proj = [_inner4(self.x, self.xi[k]) for k in range(3)]
-        self.xT = []
+        self.rho, self.drho = _parts(_inner4(x, N))
+        proj = [_inner4(x, xi[k]) for k in range(3)]
+        xT = []
         for i in range(3):
-            acc = self.ginv[i][0] * proj[0]
-            acc = acc + self.ginv[i][1] * proj[1]
-            acc = acc + self.ginv[i][2] * proj[2]
-            self.xT.append(acc)
-        self.f = _inner4(self.x, self.x) * 0.5
-
-    # -- value extraction ----------------------------------------------------
+            acc = ginv[i][0] * proj[0]
+            acc = acc + ginv[i][1] * proj[1]
+            acc = acc + ginv[i][2] * proj[2]
+            xT.append(acc)
+        self.xT, self.dxT = _parts(xT)
+        self.f, self.df = _parts(_inner4(x, x) * 0.5)
 
     def n_points(self):
         return self.points.shape[0]
-
-    def point_values(self):
-        return np.stack([c.value for c in self.x], axis=-1)
-
-    def tangent_values(self):
-        return np.stack([np.stack([c.value for c in row], axis=-1)
-                         for row in self.xi], axis=-2)
-
-    def metric(self):
-        return np.stack([np.stack([self.g[i][j].value for j in range(3)], axis=-1)
-                         for i in range(3)], axis=-2)
-
-    def metric_inverse(self):
-        return np.stack([np.stack([self.ginv[i][j].value for j in range(3)], axis=-1)
-                         for i in range(3)], axis=-2)
-
-    def normal_values(self):
-        return np.stack([c.value for c in self.N], axis=-1)
-
-    def shape_values(self):
-        return np.stack([np.stack([self.A[i][j].value for j in range(3)], axis=-1)
-                         for i in range(3)], axis=-2)
-
-    def christoffel_values(self):
-        return np.stack([np.stack([np.stack([self.Gamma[k][i][j].value
-                                             for j in range(3)], axis=-1)
-                                   for i in range(3)], axis=-2)
-                         for k in range(3)], axis=-3)
-
-    def tangent_position_values(self):
-        return np.stack([c.value for c in self.xT], axis=-1)
 
 
 def ricci_gauss(A, g, epsilon, corrected=True):
@@ -255,18 +258,11 @@ def ricci_gauss(A, g, epsilon, corrected=True):
 
 
 def ricci_intrinsic_batch(geo):
-    """Intrinsic Ricci from Christoffel jets: positive on the round sphere."""
+    """Intrinsic Ricci from the Christoffel symbols and their first
+    partials: positive on the round sphere."""
     n = geo.n_points()
     ric = np.zeros((n, 3, 3))
-    Gv = geo.christoffel_values()
-    dG = np.zeros((n, 3, 3, 3, 3))  # dG[:, m, k, i, j] = d_m Gamma^k_ij
-    for m in range(3):
-        for k in range(3):
-            for i in range(3):
-                for j in range(i, 3):
-                    d = geo.Gamma[k][i][j].deriv(m + 1).value
-                    dG[:, m, k, i, j] = d
-                    dG[:, m, k, j, i] = d
+    Gv, dG = geo.Gamma, geo.dGamma
     for j in range(3):
         for k in range(j, 3):
             term = np.zeros(n)
@@ -283,17 +279,15 @@ def ricci_intrinsic_batch(geo):
 def covariant_shape_derivative(geo):
     """(nabla_i A)^k_j as an (n, 3, 3, 3) array, indices [i, k, j]."""
     n = geo.n_points()
-    Av = geo.shape_values()
-    Gv = geo.christoffel_values()
+    Av, Gv = geo.A, geo.Gamma
     out = np.zeros((n, 3, 3, 3))
     for i in range(3):
         for k in range(3):
             for j in range(3):
-                d = geo.A[k][j].deriv(i + 1).value
                 corr = np.zeros(n)
                 for l in range(3):
                     corr += Gv[:, k, i, l] * Av[:, l, j] - Gv[:, l, i, j] * Av[:, k, l]
-                out[:, i, k, j] = d + corr
+                out[:, i, k, j] = geo.dA[:, i, k, j] + corr
     return out
 
 
@@ -306,23 +300,16 @@ def codazzi_residual_batch(geo):
 
 def identity_diagnostics(geo):
     """Universal pointwise identities; sup over the batch of each residual."""
-    Nv = geo.normal_values()
-    xv = geo.point_values()
-    tv = geo.tangent_values()
-    gv = geo.metric()
-    Av = geo.shape_values()
+    Nv, tv = geo.N, geo.tangents
     orth = max(float(np.max(np.abs(mink_inner(Nv, tv[:, i, :]))))
                for i in range(3))
     unit = float(np.max(np.abs(np.abs(mink_inner(Nv, Nv)) - 1.0)))
-    xT = geo.tangent_position_values()
-    recon = np.einsum('ni,nik->nk', xT, tv) + (
-        geo.epsilon * geo.rho.value)[:, None] * Nv
-    decomp = float(np.max(np.abs(xv - recon)))
-    gA = gv @ Av
+    recon = np.einsum('ni,nik->nk', geo.xT, tv) + (
+        geo.epsilon * geo.rho)[:, None] * Nv
+    decomp = float(np.max(np.abs(geo.x - recon)))
+    gA = geo.g @ geo.A
     selfadj = float(np.max(np.abs(gA - np.swapaxes(gA, -1, -2))))
-    dN_val = np.stack([np.stack([c.value for c in geo.dN[j]], axis=-1)
-                       for j in range(3)], axis=-2)
-    tangency = float(np.max(np.abs(mink_inner(dN_val, Nv[:, None, :]))))
+    tangency = float(np.max(np.abs(mink_inner(geo.dN, Nv[:, None, :]))))
     return {
         "normal_orthogonality": orth,
         "normal_unit": unit,
@@ -337,28 +324,27 @@ def identity_diagnostics(geo):
 def sample(imm, p):
     """Full geometric sample at one chart point."""
     geo = GeometryBatch(imm, np.asarray(p, dtype=float)[None, :])
-    ric_plain = ricci_gauss(geo.shape_values(), geo.metric(), geo.epsilon,
-                            corrected=False)
+    ric_plain = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=False)
     return HypersurfaceSample(
-        point=geo.point_values()[0],
-        tangent_basis=geo.tangent_values()[0],
-        metric=geo.metric()[0],
-        normal=geo.normal_values()[0],
+        point=geo.x[0],
+        tangent_basis=geo.tangents[0],
+        metric=geo.g[0],
+        normal=geo.N[0],
         epsilon=geo.epsilon,
-        shape=geo.shape_values()[0],
-        mean_curvature=float(geo.H.value[0]),
+        shape=geo.A[0],
+        mean_curvature=float(geo.H[0]),
         ricci_extrinsic=(geo.epsilon * ric_plain)[0],
         ricci_paper_form=ric_plain[0],
         ricci_intrinsic=ricci_intrinsic_batch(geo)[0],
-        christoffels=geo.christoffel_values()[0],
-        support=float(geo.rho.value[0]),
-        tangent_position=geo.tangent_position_values()[0],
+        christoffels=geo.Gamma[0],
+        support=float(geo.rho[0]),
+        tangent_position=geo.xT[0],
     )
 
 
 def shape_operator(imm, p):
     geo = GeometryBatch(imm, np.asarray(p, dtype=float)[None, :])
-    return geo.shape_values()[0]
+    return geo.A[0]
 
 
 def ricci_intrinsic(imm, p):
@@ -415,9 +401,9 @@ def connection_forms(imm, p, frame_field, kind):
     ju = jets.variable(1, pts[:, 0])
     jv = jets.variable(2, pts[:, 1])
     jw = jets.variable(3, pts[:, 2])
-    E = frame_field(ju, jv, jw)
-    gv = geo.metric()[0]
-    Ev = np.array([[E[i][k].value[0] for k in range(3)] for i in range(3)])
+    Ev, dE = _parts(frame_field(ju, jv, jw))
+    Ev, dE = Ev[0], np.swapaxes(dE[0], 0, 1)  # dE[i, m, l] = d_m e_i^l
+    gv = geo.g[0]
     gram = Ev @ gv @ Ev.T
     target = expected_gram(kind, geo.epsilon)
     if np.max(np.abs(gram - target)) > 1e-6:
@@ -425,9 +411,7 @@ def connection_forms(imm, p, frame_field, kind):
             f"frame Gram matrix deviates from the {kind} convention by "
             f"{np.max(np.abs(gram - target)):.3e}")
 
-    Gv = geo.christoffel_values()[0]
-    dE = np.array([[[E[i][l].deriv(m + 1).value[0] for l in range(3)]
-                    for m in range(3)] for i in range(3)])  # [i, m, l]
+    Gv = geo.Gamma[0]
     # (nabla_m e_i)^l then contract with e_k^m
     nab = np.empty((3, 3, 3))  # [i, m, l]
     for i in range(3):
@@ -473,14 +457,13 @@ def classify_structure(imm, grid, tol=TAU_CLASS, geo=None):
     """Grid-level structural verdicts with witness residuals."""
     if geo is None:
         geo = GeometryBatch(imm, grid)
-    return structure_verdicts(geo, classify_batch(geo.shape_values()), tol)
+    return structure_verdicts(geo, classify_batch(geo.A), tol)
 
 
 def structure_verdicts(geo, forms, tol=TAU_CLASS):
     """Structural verdicts of a geometry batch whose shape operators have
     the canonical forms ``forms`` (a lorentz.FormBatch)."""
-    Av = geo.shape_values()
-    Hv = geo.H.value
+    Av, Hv = geo.A, geo.H
     scale = max(1.0, float(np.max(np.abs(Av))))
 
     umb = float(np.max(np.abs(Av - Hv[:, None, None] * np.eye(3))))
@@ -491,11 +474,10 @@ def structure_verdicts(geo, forms, tol=TAU_CLASS):
         mp_spread = float("inf")
     iso_witness = max(char_spread, mp_spread)
 
-    xT = geo.tangent_position_values()
-    norms = np.linalg.norm(xT, axis=-1)
+    norms = np.linalg.norm(geo.xT, axis=-1)
     live = norms > 1e-8
     if np.any(live):
-        v = xT[live]
+        v = geo.xT[live]
         Avl = Av[live]
         Axt = np.einsum('nij,nj->ni', Avl, v)
         mu = np.einsum('ni,ni->n', Axt, v) / np.einsum('ni,ni->n', v, v)

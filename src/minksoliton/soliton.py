@@ -37,13 +37,6 @@ class Verdict(enum.Enum):
 
 
 @dataclass
-class PotentialData:
-    support: float
-    tangent_position: np.ndarray
-    potential_function_value: float
-
-
-@dataclass
 class SolitonReport:
     lambda_fit: float
     lambda_spread: float
@@ -75,48 +68,20 @@ class SolitonReport:
 
 def lie_coordinate_batch(geo):
     """(L_{xT} g)_ij by chart differentiation, per point: (n, 3, 3)."""
-    n = geo.n_points()
-    gv = geo.metric()
-    xT = geo.tangent_position_values()
-    dxT = np.stack([np.stack([geo.xT[k].deriv(i + 1).value for k in range(3)],
-                             axis=-1) for i in range(3)], axis=-2)  # [n, i, k]
-    dg = np.zeros((n, 3, 3, 3))  # [n, m, i, j]
-    for m in range(3):
-        for i in range(3):
-            for j in range(i, 3):
-                d = geo.g[i][j].deriv(m + 1).value
-                dg[:, m, i, j] = d
-                dg[:, m, j, i] = d
-    lie = np.einsum('nk,nkij->nij', xT, dg)
-    lie += np.einsum('nik,nkj->nij', dxT, gv)
-    lie += np.einsum('njk,nik->nij', dxT, gv)
+    lie = np.einsum('nk,nkij->nij', geo.xT, geo.dg)
+    lie += np.einsum('nik,nkj->nij', geo.dxT, geo.g)
+    lie += np.einsum('njk,nik->nij', geo.dxT, geo.g)
     return lie
 
 
 def lie_closed_form_batch(geo):
     """Full Lie derivative from the concurrent-field identity: 2(g + eps*rho*gA)."""
-    gv = geo.metric()
-    Av = geo.shape_values()
-    h = gv @ Av
-    h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    return 2.0 * (gv + geo.epsilon * geo.rho.value[:, None, None] * h)
-
-
-def lie_derivative_coordinate(imm, p):
-    geo = GeometryBatch(imm, np.asarray(p, dtype=float)[None, :])
-    return lie_coordinate_batch(geo)[0]
-
-
-def lie_derivative_closed_form(sample):
-    """2(g + eps*rho*g(A.,.)) from an evaluated HypersurfaceSample."""
-    h = sample.metric @ sample.shape
-    h = 0.5 * (h + h.T)
-    return 2.0 * (sample.metric + sample.epsilon * sample.support * h)
+    return 2.0 * (geo.g + geo.epsilon * geo.rho[:, None, None] * geo.h)
 
 
 def route_agreement_batch(geo):
     diff = lie_coordinate_batch(geo) - lie_closed_form_batch(geo)
-    scale = np.maximum(1.0, np.max(np.abs(geo.metric()), axis=(1, 2)))
+    scale = np.maximum(1.0, np.max(np.abs(geo.g), axis=(1, 2)))
     return float(np.max(np.max(np.abs(diff), axis=(1, 2)) / scale))
 
 
@@ -125,7 +90,7 @@ def route_agreement_batch(geo):
 def _ricci_batch(geo, ricci_mode):
     if ricci_mode not in RICCI_MODES:
         raise ValueError(f"ricci_mode must be one of {RICCI_MODES}")
-    return ricci_gauss(geo.shape_values(), geo.metric(), geo.epsilon,
+    return ricci_gauss(geo.A, geo.g, geo.epsilon,
                        corrected=(ricci_mode == "corrected"))
 
 
@@ -133,7 +98,7 @@ def soliton_residual(imm, grid, lam, ricci_mode="corrected"):
     """sup over the grid of |L/2 + Ric - lam*g| / |g|, component max-norms."""
     geo = GeometryBatch(imm, grid)
     lhs = 0.5 * lie_closed_form_batch(geo) + _ricci_batch(geo, ricci_mode)
-    gv = geo.metric()
+    gv = geo.g
     res = np.max(np.abs(lhs - lam * gv), axis=(1, 2))
     scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
     return float(np.max(res / scale))
@@ -170,7 +135,7 @@ def fit_lambda_pointwise(geo, ric, ricci_mode, tau, checks):
     ``checks`` = identity_checks(geo): the SolitonReport, per-point lambda
     and per-point residual."""
     lhs = 0.5 * lie_closed_form_batch(geo) + ric
-    gv = geo.metric()
+    gv = geo.g
     lam_pt = _per_point_lambda(lhs, gv)
     lam = float(lam_pt.mean())
     spread = float(np.max(np.abs(lam_pt - lam)))
@@ -180,10 +145,7 @@ def fit_lambda_pointwise(geo, ric, ricci_mode, tau, checks):
 
     # Equivalence of the defining equation with the Ricci-tensor condition
     # Ric = (lam - 1) g - eps*rho*g(A.,.): identical through the closed form.
-    Av = geo.shape_values()
-    h = gv @ Av
-    h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    alt = ric - (lam - 1.0) * gv + geo.epsilon * geo.rho.value[:, None, None] * h
+    alt = ric - (lam - 1.0) * gv + geo.epsilon * geo.rho[:, None, None] * geo.h
     alt_res = float(np.max(np.max(np.abs(alt), axis=(1, 2)) / scale))
     gap = abs(alt_res - residual)
 
@@ -216,42 +178,19 @@ def fit_lambda_pointwise(geo, ric, ricci_mode, tau, checks):
 
 def lemma1_batch(geo):
     """(sup |nabla_i xT - delta - eps*rho*A|, sup |grad rho + A xT|)."""
-    n = geo.n_points()
-    Gv = geo.christoffel_values()
-    Av = geo.shape_values()
-    xT = geo.tangent_position_values()
-    rho = geo.rho.value
-    dxT = np.stack([np.stack([geo.xT[k].deriv(i + 1).value for k in range(3)],
-                             axis=-1) for i in range(3)], axis=-2)  # [n, i, k]
+    Av, xT = geo.A, geo.xT
     # covariant derivative: (nabla_i xT)^k = d_i xT^k + Gamma^k_{i l} xT^l
-    nab = dxT + np.einsum('nkil,nl->nik', Gv, xT)
-    expect = np.broadcast_to(np.eye(3), (n, 3, 3)) \
-        + geo.epsilon * rho[:, None, None] * np.swapaxes(Av, 1, 2)
+    nab = geo.dxT + np.einsum('nkil,nl->nik', geo.Gamma, xT)
+    expect = np.broadcast_to(np.eye(3), (geo.n_points(), 3, 3)) \
+        + geo.epsilon * geo.rho[:, None, None] * np.swapaxes(Av, 1, 2)
     first = float(np.max(np.abs(nab - expect)))
 
-    drho = np.stack([geo.rho.deriv(i + 1).value for i in range(3)], axis=-1)
-    grad_rho = np.einsum('nkl,nl->nk', geo.metric_inverse(), drho)
+    grad_rho = np.einsum('nkl,nl->nk', geo.ginv, geo.drho)
     second = float(np.max(np.abs(grad_rho + np.einsum('nkl,nl->nk', Av, xT))))
     return (first, second)
 
 
-def lemma1_check(imm, grid):
-    geo = GeometryBatch(imm, grid)
-    return lemma1_batch(geo)
-
-
 def gradient_check_batch(geo):
     """sup |grad(<x,x>/2) - xT| in chart components."""
-    df = np.stack([geo.f.deriv(i + 1).value for i in range(3)], axis=-1)
-    grad_f = np.einsum('nkl,nl->nk', geo.metric_inverse(), df)
-    return float(np.max(np.abs(grad_f - geo.tangent_position_values())))
-
-
-def gradient_soliton_check(imm, grid):
-    geo = GeometryBatch(imm, grid)
-    return gradient_check_batch(geo)
-
-
-def potential_data(sample):
-    f = 0.5 * float(np.sum(sample.point ** 2 * np.array([-1.0, 1, 1, 1])))
-    return PotentialData(sample.support, sample.tangent_position, f)
+    grad_f = np.einsum('nkl,nl->nk', geo.ginv, geo.df)
+    return float(np.max(np.abs(grad_f - geo.xT)))

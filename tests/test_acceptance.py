@@ -103,11 +103,11 @@ def test_c03_equivalence_of_formulations(reports, geometries):
         imm, grid, _ = geometries[key]
         geo = GeometryBatch(imm, grid[::5])
         lam = rng.uniform(-3.0, 3.0)
-        gv, Av = geo.metric(), geo.shape_values()
+        gv, Av = geo.g, geo.A
         h = gv @ Av
         h = 0.5 * (h + np.swapaxes(h, -1, -2))
         ric = ricci_gauss(Av, gv, geo.epsilon, corrected=True)
-        rho = geo.rho.value[:, None, None]
+        rho = geo.rho[:, None, None]
         scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
         res_sol = np.max(np.abs(gv + geo.epsilon * rho * h + ric - lam * gv),
                          axis=(1, 2)) / scale
@@ -164,7 +164,7 @@ def test_c06a_lorentzian_cylinder_constant(reports):
 def test_c06b_jordan_block_minimal_polynomial(geometries, name):
     imm, grid, entry = geometries[(name, ())]
     geo = GeometryBatch(imm, grid[::6])
-    Av = geo.shape_values()
+    Av = geo.A
     worst = 0.0
     for n in range(Av.shape[0]):
         mp = minimal_polynomial(Av[n], tol=1e-5)
@@ -217,12 +217,12 @@ def test_c06c_jordan_family_soliton_constant(reports):
         imm, merged = entry.build(a=a)
         grid = grid_points(entry.safe_box(merged), (5, 5, 5))
         geo = GeometryBatch(imm, grid)
-        gv, Av = geo.metric(), geo.shape_values()
+        gv, Av = geo.g, geo.A
         h = gv @ Av
         h = 0.5 * (h + np.swapaxes(h, -1, -2))
         lhs = (0.5 * lie_closed_form_batch(geo)
                + ricci_gauss(Av, gv, geo.epsilon) - (a ** 2 + 1) * gv)
-        rho_plus_a = geo.rho.value + a
+        rho_plus_a = geo.rho + a
         err = float(np.max(np.abs(lhs - rho_plus_a[:, None, None] * h)))
         ok &= geo.epsilon == 1.0 and err < entry.tau_identity
         detail.append(f"{name}(a={a:g}) identity error {err:.1e}")
@@ -355,10 +355,10 @@ def test_c12_normal_flip_covariance(reports):
         grid = grid_points(entry.safe_box(merged), (3, 3, 3))
         geo = GeometryBatch(imm, grid)
         geo_f = GeometryBatch(imm.with_orientation(-imm.orientation_sign), grid)
-        rho_neg = float(np.max(np.abs(geo.rho.value + geo_f.rho.value)))
-        a_neg = float(np.max(np.abs(geo.shape_values() + geo_f.shape_values())))
-        ric = ricci_gauss(geo.shape_values(), geo.metric(), geo.epsilon)
-        ric_f = ricci_gauss(geo_f.shape_values(), geo_f.metric(), geo_f.epsilon)
+        rho_neg = float(np.max(np.abs(geo.rho + geo_f.rho)))
+        a_neg = float(np.max(np.abs(geo.A + geo_f.A)))
+        ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
+        ric_f = ricci_gauss(geo_f.A, geo_f.g, geo_f.epsilon)
         ric_inv = float(np.max(np.abs(ric - ric_f)))
         from minksoliton.soliton import fit_lambda_from_geometry
         rep = fit_lambda_from_geometry(geo, tau=entry.tau_sol)

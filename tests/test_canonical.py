@@ -161,3 +161,24 @@ def test_consistency_residual_roundtrip():
     sol = solve_case(build_case_system(FormVariant.JORDAN_2, 1, a1=1.0, a2=1.0))
     assert consistency_residual(FormVariant.JORDAN_2, (1.0, 1.0), 1,
                                 sol.rho, sol.lam) < 1e-12
+
+
+def test_consistency_residual_rows_match_per_row_calls():
+    names = {FormVariant.DIAGONALIZABLE: ("a1", "a2", "a3"),
+             FormVariant.COMPLEX_PAIR: ("a1", "b1", "a2"),
+             FormVariant.JORDAN_2: ("a1", "a2"),
+             FormVariant.JORDAN_3: ("a1",)}
+    forms = list(names)
+    rng = np.random.default_rng(5)
+    for draw in range(20):
+        # nondiagonalizable forms exist only for epsilon = 1
+        eps, pool = (1, forms) if draw % 2 else (-1, forms[:1])
+        variants = [pool[k] for k in rng.integers(len(pool), size=12)]
+        params = rng.uniform(-2, 2, size=(12, 3))
+        rho = rng.uniform(-2, 2, size=12)
+        lam = rng.uniform(-3, 3)
+        per_row = [np.max(np.abs(build_case_system(
+            v, eps, **dict(zip(names[v], p))).residuals(lam, r)))
+            for v, p, r in zip(variants, params, rho)]
+        assert consistency_residual(variants, params, eps, rho, lam) \
+            == max(per_row)

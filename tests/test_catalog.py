@@ -15,7 +15,7 @@ def test_every_entry_satisfies_its_constraint():
         imm, params = entry.build()
         grid = grid_points(entry.safe_box(params), (4, 4, 4))
         geo = GeometryBatch(imm, grid)
-        res = entry.constraint(geo.point_values(), params)
+        res = entry.constraint(geo.x, params)
         assert np.max(res) < 1e-12, name
 
 
@@ -33,7 +33,7 @@ def test_every_shape_operator_is_self_adjoint():
         imm, params = entry.build()
         grid = grid_points(entry.safe_box(params), (3, 3, 3))
         geo = GeometryBatch(imm, grid)
-        gv, Av = geo.metric(), geo.shape_values()
+        gv, Av = geo.g, geo.A
         for n in range(grid_points(entry.safe_box(params), (3, 3, 3)).shape[0]):
             m = gv[n] @ Av[n]
             assert np.max(np.abs(m - m.T)) < 1e-9, name

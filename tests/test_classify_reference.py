@@ -172,8 +172,8 @@ def _self_adjoint_operators():
         imm, merged = entry.build()
         geo = GeometryBatch(imm, grid_points(entry.safe_box(merged), (4, 4, 4)))
         for sign in (1.0, -1.0):
-            As.extend(sign * geo.shape_values())
-            gs.extend(geo.metric())
+            As.extend(sign * geo.A)
+            gs.extend(geo.g)
     for A in (np.zeros((3, 3)), np.eye(3), np.diag([0.0, 0.0, 1.0]),
               np.diag([-0.0, 0.0, -1.0]), np.diag([0.5, 0.5 + 3e-4, 2.0]),
               np.diag([0.5, 0.5 + 5e-5, 2.0]), np.diag([1.0, 2.0, 3.0])):

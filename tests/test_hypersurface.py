@@ -4,7 +4,7 @@ structural classification on known charts."""
 import numpy as np
 import pytest
 
-from minksoliton import jets
+from minksoliton import catalog, jets
 from minksoliton import hypersurface as hs
 from minksoliton.catalog import (de_sitter_immersion,
                                  hyperbolic_cylinder_immersion,
@@ -148,14 +148,14 @@ def test_codazzi_universal_and_perturbation():
     noise = 1e-3
     delta = np.zeros((3, 3))
     delta[0, 1] = noise
-    Gv = geo.christoffel_values()
+    Gv = geo.Gamma
     nab = np.zeros((grid.shape[0], 3, 3, 3))
     for i in range(3):
         for k in range(3):
             for j in range(3):
-                d = geo.A[k][j].deriv(i + 1).value
+                d = geo.dA[:, i, k, j]
                 corr = np.zeros(grid.shape[0])
-                Apert = geo.shape_values() + delta
+                Apert = geo.A + delta
                 for l in range(3):
                     corr += (Gv[:, k, i, l] * Apert[:, l, j]
                              - Gv[:, l, i, j] * Apert[:, k, l])
@@ -307,6 +307,36 @@ def test_identity_suite_batches():
     geo = GeometryBatch(imm, grid)
     ids = identity_diagnostics(geo)
     assert max(ids.values()) < 1e-9
+
+
+def test_geometry_batch_holds_values_and_first_partials():
+    # d* arrays carry the chart derivative on axis 1: d*[:, m] = d_m value
+    partials = {"dg": "g", "dN": "N", "dA": "A", "dGamma": "Gamma",
+                "drho": "rho", "dxT": "xT", "df": "f"}
+    step = 1e-5
+    for name in ("hyperbolic_space", "generalized_umbilical"):
+        entry = catalog.get(name)
+        imm, merged = entry.build()
+        box = [(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
+               for lo, hi in entry.safe_box(merged)]
+        grid = grid_points(box, (2, 2, 2))
+        geo = GeometryBatch(imm, grid)
+        for attr, val in vars(geo).items():
+            assert not isinstance(val, (jets.Jet, list, tuple)), attr
+            if isinstance(val, np.ndarray):
+                assert val.dtype == np.float64, attr
+                assert val.flags.c_contiguous, attr
+                assert val.shape[0] == len(grid), attr
+        assert set(partials) | set(partials.values()) <= set(vars(geo))
+        for m in range(3):
+            shift = np.zeros(3)
+            shift[m] = step
+            up = GeometryBatch(imm, grid + shift)
+            down = GeometryBatch(imm, grid - shift)
+            for d, value in partials.items():
+                fd = (getattr(up, value) - getattr(down, value)) / (2 * step)
+                assert np.max(np.abs(getattr(geo, d)[:, m] - fd)) < 1e-6, \
+                    (name, d, m)
 
 
 def test_grid_points_validation():

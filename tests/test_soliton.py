@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from minksoliton import catalog, jets
-from minksoliton.hypersurface import GeometryBatch, Immersion, grid_points, sample
+from minksoliton.hypersurface import (GeometryBatch, Immersion, grid_points,
+                                      ricci_gauss)
 from minksoliton.soliton import (Verdict, fit_lambda, fit_lambda_from_geometry,
-                                 gradient_soliton_check, lemma1_check,
-                                 lie_derivative_closed_form,
-                                 lie_derivative_coordinate, potential_data,
+                                 gradient_check_batch, lemma1_batch,
+                                 lie_closed_form_batch, lie_coordinate_batch,
                                  route_agreement_batch, soliton_residual)
 
 ENTRY_GRIDS = {}
@@ -27,36 +27,34 @@ def entry_grid(name, counts=(3, 3, 3), **params):
 
 def test_lie_derivative_zero_field_on_de_sitter():
     imm, grid, _ = entry_grid("de_sitter")
-    lie = lie_derivative_coordinate(imm, grid[4])
+    lie = lie_coordinate_batch(GeometryBatch(imm, grid[4]))[0]
     assert np.max(np.abs(lie)) < 1e-12
 
 
 def test_lie_derivative_ruling_component():
     # x_T = w * d/dw on the Lorentzian cylinder: (L g)(dw, dw)/2 = 1
     imm, grid, _ = entry_grid("pseudospherical_cylinder")
-    p = [0.3, 1.0, 0.7]
-    lie = lie_derivative_coordinate(imm, p)
+    geo = GeometryBatch(imm, [0.3, 1.0, 0.7])
+    lie = lie_coordinate_batch(geo)[0]
     assert lie[2, 2] / 2.0 == pytest.approx(1.0, abs=1e-12)
-    s = sample(imm, p)
-    assert np.allclose(lie, lie_derivative_closed_form(s), atol=1e-11)
+    assert np.allclose(lie, lie_closed_form_batch(geo)[0], atol=1e-11)
 
 
 def test_lie_derivative_flat_plane_euler_field():
     def chart(u, v, w):
         return [u, v, w, jets.constant(1.0, u.shape)]
     imm = Immersion("plane", chart, ((-1, 1),) * 3)
-    p = [0.4, -0.2, 0.7]
-    lie = lie_derivative_coordinate(imm, p)
-    s = sample(imm, p)
-    assert np.allclose(lie / 2.0, s.metric, atol=1e-13)
+    geo = GeometryBatch(imm, [0.4, -0.2, 0.7])
+    lie = lie_coordinate_batch(geo)[0]
+    assert np.allclose(lie / 2.0, geo.g[0], atol=1e-13)
 
 
 def test_closed_form_zero_operator():
-    s = sample(Immersion(
+    geo = GeometryBatch(Immersion(
         "plane", lambda u, v, w: [u, v, w, jets.constant(0.5, u.shape)],
         ((-1, 1),) * 3), [0.1, 0.2, 0.3])
-    s.shape[:] = 0.0
-    assert np.allclose(lie_derivative_closed_form(s), 2.0 * s.metric)
+    geo.h[:] = 0.0  # the second fundamental form of a zero shape operator
+    assert np.allclose(lie_closed_form_batch(geo)[0], 2.0 * geo.g[0])
 
 
 def test_route_agreement_all_entries():
@@ -93,9 +91,7 @@ def test_fit_lambda_generalized_cylinder():
     assert rep.lambda_fit == pytest.approx(1.0, abs=1e-9)
     assert rep.lambda_spread < 1e-9
     geo = GeometryBatch(imm, grid)
-    from minksoliton.hypersurface import ricci_gauss
-    assert np.max(np.abs(ricci_gauss(geo.shape_values(), geo.metric(),
-                                     geo.epsilon))) < 1e-9
+    assert np.max(np.abs(ricci_gauss(geo.A, geo.g, geo.epsilon))) < 1e-9
 
 
 def test_fit_lambda_hyperbolic_cylinder_c2_not_a_soliton():
@@ -129,7 +125,7 @@ def test_generalized_umbilical_soliton_holds_on_central_slice():
 def test_position_field_identities_universal():
     for name in catalog.ENTRIES:
         imm, grid, entry = entry_grid(name)
-        first, second = lemma1_check(imm, grid)
+        first, second = lemma1_batch(GeometryBatch(imm, grid))
         assert first < entry.tau_identity, name
         assert second < entry.tau_identity, name
 
@@ -137,10 +133,8 @@ def test_position_field_identities_universal():
 def test_position_identity_pieces_vanish_on_de_sitter():
     imm, grid, _ = entry_grid("de_sitter")
     geo = GeometryBatch(imm, grid)
-    drho = np.stack([geo.rho.deriv(i + 1).value for i in range(3)], axis=-1)
-    assert np.max(np.abs(drho)) < 1e-11
-    AxT = np.einsum('nkl,nl->nk', geo.shape_values(),
-                    geo.tangent_position_values())
+    assert np.max(np.abs(geo.drho)) < 1e-11
+    AxT = np.einsum('nkl,nl->nk', geo.A, geo.xT)
     assert np.max(np.abs(AxT)) < 1e-11
 
 
@@ -148,33 +142,34 @@ def test_position_identity_plane_exact():
     def chart(u, v, w):
         return [u, v, w, jets.constant(1.0, u.shape)]
     imm = Immersion("plane", chart, ((-1, 1),) * 3)
-    first, second = lemma1_check(imm, grid_points(((-1, 1),) * 3, (3, 3, 3)))
+    first, second = lemma1_batch(
+        GeometryBatch(imm, grid_points(((-1, 1),) * 3, (3, 3, 3))))
     assert first < 1e-13 and second < 1e-13
 
 
 def test_gradient_check_universal():
     for name in catalog.ENTRIES:
         imm, grid, _ = entry_grid(name)
-        assert gradient_soliton_check(imm, grid) < 1e-7, name
+        assert gradient_check_batch(GeometryBatch(imm, grid)) < 1e-7, name
 
 
 def test_gradient_check_cylinder_field_is_ruling():
     imm, grid, _ = entry_grid("hyperbolic_cylinder")
     geo = GeometryBatch(imm, grid)
-    xT = geo.tangent_position_values()
+    xT = geo.xT
     # chart components (0, 0, w)
     assert np.max(np.abs(xT[:, 0])) < 1e-11
     assert np.max(np.abs(xT[:, 1])) < 1e-11
     assert np.allclose(xT[:, 2], grid[:, 2], atol=1e-11)
     f = 0.5 * (-1.0 + grid[:, 2] ** 2)  # <x,x>/2 on the unit-c chart
-    assert np.allclose(geo.f.value, f, atol=1e-11)
+    assert np.allclose(geo.f, f, atol=1e-11)
 
 
 def test_hyperbolic_space_gradient_constant_potential():
     imm, grid, _ = entry_grid("hyperbolic_space")
     geo = GeometryBatch(imm, grid)
-    assert np.allclose(geo.f.value, -0.5, atol=1e-12)
-    assert gradient_soliton_check(imm, grid) < 1e-11
+    assert np.allclose(geo.f, -0.5, atol=1e-12)
+    assert gradient_check_batch(geo) < 1e-11
 
 
 def test_negative_controls_fail_soliton_pass_identities():
@@ -206,11 +201,10 @@ def test_normal_flip_covariance():
         grid = grid_points(entry.safe_box(merged), (3, 3, 3))
         geo = GeometryBatch(imm, grid)
         geo_f = GeometryBatch(flipped, grid)
-        assert np.max(np.abs(geo.rho.value + geo_f.rho.value)) < 1e-9
-        assert np.max(np.abs(geo.shape_values() + geo_f.shape_values())) < 1e-9
-        from minksoliton.hypersurface import ricci_gauss
-        ric = ricci_gauss(geo.shape_values(), geo.metric(), geo.epsilon)
-        ric_f = ricci_gauss(geo_f.shape_values(), geo_f.metric(), geo_f.epsilon)
+        assert np.max(np.abs(geo.rho + geo_f.rho)) < 1e-9
+        assert np.max(np.abs(geo.A + geo_f.A)) < 1e-9
+        ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
+        ric_f = ricci_gauss(geo_f.A, geo_f.g, geo_f.epsilon)
         assert np.max(np.abs(ric - ric_f)) < 1e-9
         rep = fit_lambda_from_geometry(geo, tau=entry.tau_sol)
         rep_f = fit_lambda_from_geometry(geo_f, tau=entry.tau_sol)
@@ -227,13 +221,11 @@ def test_soliton_equation_matches_ricci_condition_for_random_lambda():
         imm, grid, _ = entry_grid(name)
         geo = GeometryBatch(imm, grid)
         lam = rng.uniform(-3.0, 3.0)
-        gv = geo.metric()
-        Av = geo.shape_values()
+        gv, Av = geo.g, geo.A
         h = gv @ Av
         h = 0.5 * (h + np.swapaxes(h, -1, -2))
-        from minksoliton.hypersurface import ricci_gauss
         ric = ricci_gauss(Av, gv, geo.epsilon, corrected=True)
-        rho = geo.rho.value[:, None, None]
+        rho = geo.rho[:, None, None]
         scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
         res_sol = np.max(np.abs((gv + geo.epsilon * rho * h) + ric - lam * gv),
                          axis=(1, 2)) / scale
@@ -241,11 +233,3 @@ def test_soliton_equation_matches_ricci_condition_for_random_lambda():
                                 + geo.epsilon * rho * h), axis=(1, 2)) / scale
         assert np.max(np.abs(res_sol - res_ric)) < 1e-9
 
-
-def test_potential_data_consistency():
-    imm, grid, _ = entry_grid("pseudospherical_cylinder")
-    s = sample(imm, grid[7])
-    pd = potential_data(s)
-    assert pd.support == pytest.approx(s.support)
-    f = 0.5 * (1.0 + grid[7][2] ** 2)
-    assert pd.potential_function_value == pytest.approx(f, abs=1e-12)
