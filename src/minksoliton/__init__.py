@@ -17,9 +17,7 @@ from .lorentz import (CausalCharacter, FormVariant, MinkVector,
                       mink_inner, solve_indefinite)
 from .jets import Jet, extract_derivative
 from .hypersurface import (HypersurfaceSample, Immersion, classify_structure,
-                           codazzi_residual, connection_forms, grid_points,
-                           ricci_gauss, ricci_intrinsic, sample,
-                           shape_operator)
+                           connection_forms, grid_points, ricci_gauss, sample)
 from .soliton import SolitonReport, Verdict, fit_lambda, soliton_residual
 from .frame_ode import (BFunction, FrameODESpec, FrameState,
                         build_generalized_cylinder_I,
@@ -37,9 +35,8 @@ __all__ = [
     "analyze_entry", "analyze_immersion", "build_case_system",
     "build_generalized_cylinder_I", "build_generalized_umbilical",
     "causal_character", "classify_shape_operator", "classify_structure",
-    "closed_frame_system", "codazzi_residual", "connection_forms",
-    "extract_derivative", "fit_lambda", "grid_points", "integrate_frame",
-    "minimal_polynomial", "mink_cross", "mink_inner", "ricci_gauss",
-    "ricci_intrinsic", "sample", "shape_operator", "solve_case",
+    "closed_frame_system", "connection_forms", "extract_derivative",
+    "fit_lambda", "grid_points", "integrate_frame", "minimal_polynomial",
+    "mink_cross", "mink_inner", "ricci_gauss", "sample", "solve_case",
     "solve_indefinite", "soliton_residual", "sweep",
 ]

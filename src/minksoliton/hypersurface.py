@@ -166,15 +166,17 @@ class GeometryBatch:
         self.x = _parts(x)[0]
         self.tangents = _parts(xi)[0]
 
+        # g to degree 2 gives dg; every other jet below is read to degree 1.
         g = [[_inner4(xi[i], xi[j]) for j in range(3)] for i in range(3)]
         self.g, self.dg = _parts(g)
-        det = _det3(g)
+        g1 = [[gij.truncate(1) for gij in row] for row in g]
+        det = _det3(g1)
         self.det = _parts(det)[0]
         g_scale = max(1.0, float(np.max(np.abs(self.g))))
         if np.min(np.abs(self.det)) < TAU_DEGENERATE * g_scale ** 3:
             raise DegenerateMetric(
                 f"induced metric of {imm.name!r} is singular on the batch")
-        ginv = _inv3(g, det)
+        ginv = _inv3(g1, det)
         self.ginv = _parts(ginv)[0]
 
         raw_n = _cross4(xi[0], xi[1], xi[2])
@@ -203,7 +205,7 @@ class GeometryBatch:
                 acc = acc + ginv[i][1] * rhs[1]
                 acc = acc + ginv[i][2] * rhs[2]
                 A[i][j] = acc
-        del dN  # 20-row jets: free them before the Christoffel block
+        del dN
         self.A, self.dA = _parts(A)
         self.H = _parts((A[0][0] + A[1][1] + A[2][2]) / 3.0)[0]
         gA = self.g @ self.A
@@ -226,6 +228,8 @@ class GeometryBatch:
         del dg
         self.Gamma, self.dGamma = _parts(Gamma)
 
+        x = [comp.truncate(1) for comp in x]
+        xi = [[comp.truncate(1) for comp in row] for row in xi]
         self.rho, self.drho = _parts(_inner4(x, N))
         proj = [_inner4(x, xi[k]) for k in range(3)]
         xT = []
@@ -340,21 +344,6 @@ def sample(imm, p):
         support=float(geo.rho[0]),
         tangent_position=geo.xT[0],
     )
-
-
-def shape_operator(imm, p):
-    geo = GeometryBatch(imm, np.asarray(p, dtype=float)[None, :])
-    return geo.A[0]
-
-
-def ricci_intrinsic(imm, p):
-    geo = GeometryBatch(imm, np.asarray(p, dtype=float)[None, :])
-    return ricci_intrinsic_batch(geo)[0]
-
-
-def codazzi_residual(imm, p):
-    geo = GeometryBatch(imm, np.asarray(p, dtype=float)[None, :])
-    return float(codazzi_residual_batch(geo)[0])
 
 
 # -- frames -------------------------------------------------------------------

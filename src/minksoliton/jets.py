@@ -8,12 +8,13 @@ charts deliver the first, second and third partials that the curvature
 pipeline consumes.
 
 Coefficients are stored coefficient-major, ``coeffs`` having shape
-``(20,) + batch_shape``, so a single jet expression evaluates a whole sample
-grid at once.  A product sums each output coefficient's pair terms from +0.0
-in pair-table order with numpy adds, block by block; there is no BLAS call,
-so a point gets the same bits in a batch of any size.  Division and sqrt run
-the same sums degree by degree (Griewank & Walther, Evaluating Derivatives,
-2nd ed., SIAM 2008, on truncated Taylor series).
+``(ROWS[order],) + batch_shape``: 1, 4, 10 or 20 rows for order 0-3, and an
+operation runs at the smaller order of its operands.  A product sums each
+output coefficient's pair terms from +0.0 in pair-table order with numpy
+adds, block by block, and no BLAS call, so a point gets the same bits in a
+batch of any size and at any order.  Division and sqrt run the same sums
+degree by degree (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+SIAM 2008, on truncated Taylor series).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import sys
 
 import numpy as np
 
-# A 21^3 analysis frees about 180 MiB of jet arrays at its end.  Keep up to
-# 512 MiB of freed heap in the process (a process-wide setting) rather than
-# fault every page in again in the next analysis, and take arrays under
+# A 21^3 analysis frees up to about 70 MiB of jet arrays at its end.  Keep up
+# to 512 MiB of freed heap in the process (a process-wide setting) rather
+# than fault every page in again in the next analysis, and take arrays under
 # 32 MiB from the heap.
 if sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt"):
     _mallopt = ctypes.CDLL(None).mallopt
@@ -60,6 +61,8 @@ MULTI_INDICES = _build_multi_indices()
 N_COEFFS = len(MULTI_INDICES)  # 20
 INDEX_OF = {mi: n for n, mi in enumerate(MULTI_INDICES)}
 _DEGREES = np.array([sum(mi) for mi in MULTI_INDICES])
+# Coefficients of a jet of order d: the multi-indices of degree <= d lead.
+ROWS = tuple(math.comb(N_VARS + d, N_VARS) for d in range(DEGREE + 1))
 
 
 def _build_pair_table():
@@ -115,7 +118,8 @@ def _pair_sum(x, y, plan):
     return acc.take(order, axis=0)
 
 
-_MUL_PLAN = _plan(np.arange(N_COEFFS), np.ones(len(_MUL_OUT), dtype=bool))
+_MUL_PLANS = [_plan(np.arange(ROWS[d]), _DEGREES[_MUL_OUT] <= d)
+              for d in range(DEGREE + 1)]
 # Division and sqrt recurrences, per output degree: the pairs whose first
 # (division) or both (sqrt) factors are not the constant term.
 _DIV_GROUPS = [(s, _plan(s, _DEGREES[_MUL_A] > 0))
@@ -125,13 +129,11 @@ _SQRT_GROUPS = [(s, _plan(s, (_DEGREES[_MUL_A] > 0) & (_DEGREES[_MUL_B] > 0)))
 
 # Per-variable derivative maps: coefficient at alpha of d/dx_v comes from
 # alpha + e_v, scaled by alpha_v + 1.  The product pairs (e_v, alpha) list
-# both slots.
+# alpha in coefficient order, so the first ROWS[d] entries give order d.
 _DERIV = []
 for v in range(N_VARS):
-    pick = _MUL_A == INDEX_OF[(1, 0, 0)] + v
-    src = _MUL_OUT[pick]
-    _DERIV.append((src, _MUL_B[pick],
-                   np.array([MULTI_INDICES[n][v] for n in src], dtype=float)))
+    src = _MUL_OUT[_MUL_A == INDEX_OF[(1, 0, 0)] + v]
+    _DERIV.append((src, np.array([MULTI_INDICES[n][v] for n in src], dtype=float)))
 
 
 def _align(a, b):
@@ -144,34 +146,44 @@ def _align(a, b):
 
 
 class Jet:
-    """Taylor expansion of one scalar to total degree 3 in three variables.
+    """Truncated Taylor expansion of one scalar in three variables.
 
-    ``coeffs`` has shape ``(20,) + batch_shape``.  ``order`` is the highest
-    total degree whose coefficients are trustworthy; differentiation lowers
-    it by one.
+    ``coeffs`` has shape ``(ROWS[order],) + batch_shape``: every coefficient
+    up to total degree ``order``, and none beyond.  Differentiation lowers
+    the order by one.
     """
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=DEGREE):
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = c = np.asarray(coeffs, dtype=float)
         self.order = order
+        if order not in range(DEGREE + 1) or c.shape[:1] != (ROWS[order],):
+            raise ValueError(f"jet of order {order}: {ROWS} rows by order, got {c.shape}")
 
     value = property(lambda self: self.coeffs[0], doc="Constant term, per point.")
     shape = property(lambda self: self.coeffs.shape[1:], doc="Batch shape.")
 
-    def copy(self):
-        return Jet(self.coeffs.copy(), self.order)
+    def truncate(self, order):
+        """This jet to degree ``order`` (at most its own), a view of its rows."""
+        order = min(order, self.order)
+        return Jet(self.coeffs[:ROWS[order]], order)
 
     # -- ring operations ---------------------------------------------------
 
     def _lift(self, other):
-        return other if isinstance(other, Jet) else constant(other, np.shape(other))
+        if isinstance(other, Jet):
+            return other
+        return constant(other, np.shape(other), self.order)
+
+    def _common(self, other):
+        """Both coefficient arrays at the smaller order, batch-aligned, and that order."""
+        d = min(self.order, other.order)
+        return (*_align(self.coeffs[:ROWS[d]], other.coeffs[:ROWS[d]]), d)
 
     def __add__(self, other):
-        other = self._lift(other)
-        a, b = _align(self.coeffs, other.coeffs)
-        return Jet(a + b, min(self.order, other.order))
+        a, b, d = self._common(self._lift(other))
+        return Jet(a + b, d)
 
     __radd__ = __add__
 
@@ -179,9 +191,8 @@ class Jet:
         return Jet(-self.coeffs, self.order)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        a, b = _align(self.coeffs, other.coeffs)
-        return Jet(a - b, min(self.order, other.order))
+        a, b, d = self._common(self._lift(other))
+        return Jet(a - b, d)
 
     def __rsub__(self, other):
         return self._lift(other) - self
@@ -190,8 +201,8 @@ class Jet:
         if not isinstance(other, Jet):
             a, b = _align(self.coeffs, np.asarray(other, dtype=float)[None])
             return Jet(a * b, self.order)
-        a, b = _align(self.coeffs, other.coeffs)
-        return Jet(_pair_sum(a, b, _MUL_PLAN), min(self.order, other.order))
+        a, b, d = self._common(other)
+        return Jet(_pair_sum(a, b, _MUL_PLANS[d]), d)
 
     __rmul__ = __mul__
 
@@ -215,16 +226,18 @@ class Jet:
         """Partial derivative with respect to variable ``index`` (1..3)."""
         if index not in (1, 2, 3):
             raise IndexOutOfRange(f"variable index must be 1..3, got {index}")
-        src, dst, fac = _DERIV[index - 1]
-        out = np.zeros_like(self.coeffs)
-        out[dst] = self.coeffs[src] * fac.reshape(fac.shape + (1,) * len(self.shape))
-        return Jet(out, max(self.order - 1, 0))
+        if not self.order:
+            raise IndexOutOfRange("a jet of order 0 carries no derivative")
+        src, fac = _DERIV[index - 1]
+        rows = ROWS[self.order - 1]
+        fac = fac[:rows].reshape((rows,) + (1,) * len(self.shape))
+        return Jet(self.coeffs[src[:rows]] * fac, self.order - 1)
 
 
-def constant(value, shape=()):
-    c = np.zeros((N_COEFFS,) + tuple(shape))
+def constant(value, shape=(), order=DEGREE):
+    c = np.zeros((ROWS[order],) + tuple(shape))
     c[0] = value
-    return Jet(c)
+    return Jet(c, order)
 
 
 def variable(index, value):
@@ -254,13 +267,13 @@ def _divide(num, den):
     b0 = den.coeffs[0]
     if np.any(b0 == 0.0):
         raise DomainError("division by a jet with zero constant term")
-    a, b = _align(num.coeffs, den.coeffs)
+    a, b, order = num._common(den)
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
     a, b = np.broadcast_to(a, out.shape), np.broadcast_to(b, out.shape)
     out[0] = a[0] / b0
-    for slots, plan in _DIV_GROUPS:
+    for slots, plan in _DIV_GROUPS[:order]:
         out[slots] = (a[slots] - _pair_sum(b, out, plan)) / b0
-    return Jet(out, min(num.order, den.order))
+    return Jet(out, order)
 
 
 def sqrt(jet):
@@ -271,7 +284,7 @@ def sqrt(jet):
     out = np.zeros_like(jet.coeffs)
     out[0] = np.sqrt(a0)
     twice = 2.0 * out[0]
-    for slots, plan in _SQRT_GROUPS:
+    for slots, plan in _SQRT_GROUPS[:jet.order]:
         out[slots] = (jet.coeffs[slots] - _pair_sum(out, out, plan)) / twice
     return Jet(out, jet.order)
 
@@ -328,9 +341,8 @@ def pow_real(jet, r):
 
 def _int_pow(jet, n):
     if n < 0:
-        return _divide(constant(1.0, jet.shape), _int_pow(jet, -n))
-    result = constant(1.0, jet.shape)
-    result.order = jet.order
+        return _divide(constant(1.0, jet.shape, jet.order), _int_pow(jet, -n))
+    result = constant(1.0, jet.shape, jet.order)
     base = jet
     while n:
         if n & 1:

@@ -172,7 +172,7 @@ def test_umbilical_minimal_polynomial(b):
     imm = fo.build_generalized_umbilical(spec_umbilical(a=a, b=b))
     imm = imm.with_orientation(-1.0)  # stated curvature sign is +a
     for p in ([0.3, 0.4, 0.25], [-0.5, 0.6, -0.3]):
-        A = hs.shape_operator(imm, p)
+        A = hs.GeometryBatch(imm, np.array(p)[None]).A[0]
         mp = minimal_polynomial(A, tol=1e-5)
         assert np.allclose(mp, [1.0, -2 * a, a * a], atol=1e-6)
         # the nilpotent coefficient is B(s) in the chart basis

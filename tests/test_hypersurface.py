@@ -12,10 +12,10 @@ from minksoliton.catalog import (de_sitter_immersion,
                                  pseudospherical_cylinder_immersion)
 from minksoliton.hypersurface import (DegenerateMetric, EmptyGrid,
                                       GeometryBatch, Immersion, InvalidFrame,
-                                      classify_structure, codazzi_residual,
-                                      connection_forms, grid_points,
-                                      identity_diagnostics, ricci_gauss,
-                                      ricci_intrinsic, sample, shape_operator)
+                                      classify_structure,
+                                      codazzi_residual_batch, connection_forms,
+                                      grid_points, identity_diagnostics,
+                                      ricci_gauss, sample)
 
 
 def plane_immersion(height=1.0, sign=1.0):
@@ -33,7 +33,8 @@ def test_plane_sample():
     assert s.support == pytest.approx(1.0)
     assert np.allclose(s.tangent_position, [0.3, -0.2, 0.9])
     assert np.max(np.abs(s.ricci_intrinsic)) < 1e-14
-    assert codazzi_residual(plane_immersion(), [0.1, 0.2, 0.3]) < 1e-14
+    geo = GeometryBatch(plane_immersion(), np.array([0.1, 0.2, 0.3])[None])
+    assert codazzi_residual_batch(geo)[0] < 1e-14
 
 
 def test_de_sitter_sample():
@@ -48,7 +49,7 @@ def test_de_sitter_sample():
 
 def test_hyperbolic_space_weingarten():
     imm = hyperbolic_space_immersion(2.0)
-    A = shape_operator(imm, [0.6, 1.0, 0.7])
+    A = GeometryBatch(imm, np.array([0.6, 1.0, 0.7])[None]).A[0]
     assert np.allclose(A, 2.0 * np.eye(3), atol=1e-11)
 
 
@@ -259,7 +260,7 @@ def test_connection_forms_pseudo_orthonormal_cylinder_frame():
     assert np.allclose(fr.vectors, np.eye(3))
     assert np.max(np.abs(fr.connection_forms)) < 1e-10
     # the shape operator in this frame is the canonical nilpotent block
-    A = hs.shape_operator(imm, [0.3, 0.2, -0.4])
+    A = GeometryBatch(imm, np.array([0.3, 0.2, -0.4])[None]).A[0]
     assert abs(A[1, 0]) == pytest.approx(1.0, abs=1e-10)
     A[1, 0] = 0.0
     assert np.max(np.abs(A)) < 1e-10

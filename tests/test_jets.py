@@ -62,6 +62,20 @@ def test_derivative_lowers_valid_order():
         jets.extract_derivative(d, (3, 0, 0))
 
 
+def test_jet_rejects_rows_that_do_not_match_its_order():
+    assert jets.ROWS == (1, 4, 10, 20)
+    for coeffs, order in ((np.zeros(5), 3), (np.zeros(20), 2), (np.zeros((4, 3)), 0),
+                          (np.zeros(()), 0), (np.zeros(20), 4), (np.zeros(1), -1)):
+        with pytest.raises(ValueError):
+            jets.Jet(coeffs, order)
+    assert jets.Jet(np.zeros((10, 3)), 2).shape == (3,)
+
+
+def test_order_zero_jet_has_no_derivative():
+    with pytest.raises(jets.IndexOutOfRange):
+        jets.variable(1, 0.5).truncate(0).deriv(1)
+
+
 # -- analytic functions --------------------------------------------------------
 
 def test_sin_maclaurin_coefficients():
@@ -378,3 +392,56 @@ def test_one_point_batch_matches_same_row_of_larger_batches():
                               (jets.sqrt(rb), jets.sqrt(jb))):
                 assert np.array_equal(one.coeffs[:, 0].view(np.int64),
                                       many.coeffs[:, 0].view(np.int64))
+
+
+# -- order-sized jets ---------------------------------------------------------------
+#
+# A jet of order d holds the first ROWS[d] coefficients, and every operation
+# runs at the smaller order of its operands.  Each kept coefficient sums the
+# same pairs in the same order as at full order, so it keeps its bits.
+
+def _leading_rows(jet, full, order):
+    """jet has order ``order``, its own row count, and the bits of the first
+    rows of the full-order result ``full``."""
+    rows = full.coeffs[:jets.ROWS[order]]
+    return (jet.order == order and jet.coeffs.shape[0] == jets.ROWS[jet.order]
+            and jet.coeffs.shape == rows.shape
+            and np.array_equal(jet.coeffs.view(np.int64), rows.view(np.int64)))
+
+
+@pytest.mark.parametrize("n", [3, 1100])
+@pytest.mark.parametrize("da", range(jets.DEGREE + 1))
+def test_order_sized_results_are_leading_rows_of_full_order(da, n):
+    rng = np.random.default_rng(10 * da + n)
+    a, b = _draw_coeffs(rng, n), _draw_coeffs(rng, n)
+    a[:, 0] *= rng.choice([-1.0, 1.0], size=n)
+    fa, fb = jets.Jet(a.T.copy()), jets.Jet(b.T.copy())
+    ja = fa.truncate(da)
+    assert ja.order == da and ja.coeffs.shape == (jets.ROWS[da], n)
+    assert _leading_rows(jets.sqrt(fb.truncate(da)), jets.sqrt(fb), da)
+    assert _leading_rows(jets.sin(ja), jets.sin(fa), da)
+    assert _leading_rows(-ja, -fa, da)
+    assert _leading_rows(ja * 2.5, fa * 2.5, da)
+    for db in range(jets.DEGREE + 1):
+        jb, d = fb.truncate(db), min(da, db)
+        for op in (lambda x, y: x * y, lambda x, y: x / y,
+                   lambda x, y: x + y, lambda x, y: x - y):
+            assert _leading_rows(op(ja, jb), op(fa, fb), d)
+            assert _leading_rows(op(jb, ja), op(fb, fa), d)
+    # one point against the batch: the broadcast path
+    one = jets.Jet(b[:1].T.copy())
+    assert _leading_rows(one.truncate(da) * ja, one * fa, da)
+    for v in (1, 2, 3):
+        if da:
+            assert _leading_rows(ja.deriv(v), fa.deriv(v), da - 1)
+        else:
+            with pytest.raises(jets.IndexOutOfRange):
+                ja.deriv(v)
+    for mi in jets.MULTI_INDICES:
+        if sum(mi) <= da:
+            got = jets.extract_derivative(ja, mi)
+            assert np.array_equal(got.view(np.int64),
+                                  jets.extract_derivative(fa, mi).view(np.int64))
+        else:
+            with pytest.raises(jets.IndexOutOfRange):
+                jets.extract_derivative(ja, mi)
