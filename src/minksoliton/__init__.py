@@ -11,14 +11,10 @@ forms, and reproduces the per-form solvability dichotomy of the soliton
 equations by exact elimination.
 """
 
-from .lorentz import (CausalCharacter, FormVariant, MinkVector,
-                      ShapeOperatorForm, causal_character,
-                      classify_shape_operator, minimal_polynomial, mink_cross,
-                      mink_inner, solve_indefinite)
+from .lorentz import FormVariant, ShapeOperatorForm, mink_inner
 from .jets import Jet, extract_derivative
-from .hypersurface import (HypersurfaceSample, Immersion, classify_structure,
-                           connection_forms, grid_points, ricci_gauss, sample)
-from .soliton import SolitonReport, Verdict, fit_lambda, soliton_residual
+from .hypersurface import Immersion, grid_points, ricci_gauss
+from .soliton import SolitonReport, Verdict
 from .frame_ode import (BFunction, FrameODESpec, FrameState,
                         build_generalized_cylinder_I,
                         build_generalized_umbilical, closed_frame_system,
@@ -29,14 +25,10 @@ from .analysis import analyze_entry, analyze_immersion
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFunction", "CaseSystem", "CausalCharacter", "FormVariant",
-    "FrameODESpec", "FrameState", "HypersurfaceSample", "Immersion", "Jet",
-    "MinkVector", "ShapeOperatorForm", "SolitonReport", "Verdict",
+    "BFunction", "CaseSystem", "FormVariant", "FrameODESpec", "FrameState",
+    "Immersion", "Jet", "ShapeOperatorForm", "SolitonReport", "Verdict",
     "analyze_entry", "analyze_immersion", "build_case_system",
     "build_generalized_cylinder_I", "build_generalized_umbilical",
-    "causal_character", "classify_shape_operator", "classify_structure",
-    "closed_frame_system", "connection_forms", "extract_derivative",
-    "fit_lambda", "grid_points", "integrate_frame", "minimal_polynomial",
-    "mink_cross", "mink_inner", "ricci_gauss", "sample", "solve_case",
-    "solve_indefinite", "soliton_residual", "sweep",
+    "closed_frame_system", "extract_derivative", "grid_points",
+    "integrate_frame", "mink_inner", "ricci_gauss", "solve_case", "sweep",
 ]

@@ -57,12 +57,12 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     return report
 
 
-def analyze_immersion(imm, grid, ricci_mode="both",
-                      tau_identity=1e-7, tau_sol=1e-6, geo=None):
-    """Analysis core shared by catalog entries and user-supplied charts."""
-    if geo is None:
-        geo = GeometryBatch(imm, grid)
-    return _analyze(imm, geo, ricci_mode, tau_identity, tau_sol)[0]
+def analyze_immersion(imm, grid, ricci_mode="both"):
+    """Analysis of a user-supplied chart, at a catalog entry's default
+    tolerances."""
+    return _analyze(imm, GeometryBatch(imm, grid), ricci_mode,
+                    catalog.CatalogEntry.tau_identity,
+                    catalog.CatalogEntry.tau_sol)[0]
 
 
 def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):

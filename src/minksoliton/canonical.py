@@ -83,14 +83,6 @@ class CaseSolution:
     witness: str = ""
     witness_value: Optional[float] = None
 
-    def lambda_at(self, rho):
-        if self.lam is not None:
-            return self.lam
-        if self.lam_affine is not None:
-            c0, c1 = self.lam_affine
-            return c0 + c1 * rho
-        raise ValueError("infeasible system has no soliton constant")
-
 
 _REQUIRED = {
     FormVariant.DIAGONALIZABLE: ("a1", "a2", "a3"),
@@ -112,19 +104,20 @@ def build_case_system(form, epsilon=1, **parameters):
     return CaseSystem(form, int(epsilon), params)
 
 
-def solve_case(system, tol=1e-12):
-    """Exact-elimination solvability of a case system.
+# Curvature parameters closer than this coincide.  Synthetic draws keep
+# distinct parameters at least 0.05 apart.
+TAU_COINCIDE = 1e-12
 
-    ``tol`` is the coincidence threshold for curvature parameters; keep it
-    tiny for synthetic draws and loosen it when feeding extracted geometry.
-    """
+
+def solve_case(system):
+    """Exact-elimination solvability of a case system."""
     p = system.parameters
     e = system.epsilon
     if system.form is FormVariant.DIAGONALIZABLE:
         a = [p["a1"], p["a2"], p["a3"]]
-        same12 = abs(a[0] - a[1]) <= tol
-        same13 = abs(a[0] - a[2]) <= tol
-        same23 = abs(a[1] - a[2]) <= tol
+        same12 = abs(a[0] - a[1]) <= TAU_COINCIDE
+        same13 = abs(a[0] - a[2]) <= TAU_COINCIDE
+        same23 = abs(a[1] - a[2]) <= TAU_COINCIDE
         if same12 and same13 and same23:
             c = (a[0] + a[1] + a[2]) / 3.0
             return CaseSolution(
@@ -162,7 +155,7 @@ def solve_case(system, tol=1e-12):
             witness="Ric(e1,e1) must equal both -1 and 0",
             witness_value=1.0)
     a1, a2 = p["a1"], p["a2"]
-    if abs(a1 - a2) <= tol:
+    if abs(a1 - a2) <= TAU_COINCIDE:
         c = 0.5 * (a1 + a2)
         return CaseSolution(solvable=True, branch="jordan2_equal",
                             lam=1.0 + c * c, rho=-c,
@@ -181,9 +174,6 @@ class SweepSummary:
     solvable_count: int = 0
     infeasible_count: int = 0
     misclassifications: int = 0
-
-    def to_rows(self):
-        return self.rows
 
 
 def _draw_parameters(form, rng, k):

@@ -84,7 +84,11 @@ def _parse_box(text):
         bits = part.split(":")
         if len(bits) != 2:
             raise UsageError(f"--box expects lo:hi,lo:hi,lo:hi, got {text!r}")
-        lo, hi = float(bits[0]), float(bits[1])
+        try:
+            lo, hi = float(bits[0]), float(bits[1])
+        except ValueError:
+            raise UsageError(
+                f"--box bounds must be numbers, got {part!r}") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise UsageError(f"--box bounds must be finite, got {part!r}")
         box.append((lo, hi))
@@ -229,19 +233,10 @@ def cmd_analyze(args):
 
 # -- case-sweep ----------------------------------------------------------------
 
-_FORM_NAMES = {
-    "diagonalizable": FormVariant.DIAGONALIZABLE,
-    "complex_pair": FormVariant.COMPLEX_PAIR,
-    "jordan2": FormVariant.JORDAN_2,
-    "jordan3": FormVariant.JORDAN_3,
-}
-
-
 def cmd_case_sweep(args):
-    if args.form not in _FORM_NAMES:
-        raise UsageError(f"unknown form {args.form!r}; "
-                         f"known: {sorted(_FORM_NAMES)}")
-    form = _FORM_NAMES[args.form]
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
+    form = FormVariant(args.form)
     eps_values = (1, -1) if args.epsilon == "both" else (int(args.epsilon),)
     if form is not FormVariant.DIAGONALIZABLE:
         eps_values = (1,)
@@ -337,7 +332,7 @@ def build_parser():
     ps = sub.add_parser("case-sweep",
                         help="randomized solvability sweep of one canonical form")
     ps.add_argument("--form", required=True,
-                    choices=sorted(_FORM_NAMES))
+                    choices=[v.value for v in FormVariant])
     ps.add_argument("--count", type=int, default=10000)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--epsilon", default="both", choices=["1", "-1", "both"])

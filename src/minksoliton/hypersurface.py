@@ -10,8 +10,7 @@ and the Ricci tensor by two independent routes:
 * an intrinsic oracle straight from the Christoffel symbols of the induced
   metric (sign convention: the round sphere has positive Ricci).
 
-Everything is computed for a whole batch of chart points at once; the
-single-point entry points wrap the batched core.
+Everything is computed for a whole batch of chart points at once.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .lorentz import (TAU_DEGENERATE, PSEUDO_ORTHONORMAL_GRAM, char_poly,
-                      classify_batch, mink_inner)
+from .lorentz import TAU_DEGENERATE, char_poly, mink_inner
 
 
 class DegenerateMetric(ArithmeticError):
@@ -36,10 +34,6 @@ class NullNormalDirection(ArithmeticError):
 
 class EmptyGrid(ValueError):
     """A grid operation received no sample points."""
-
-
-class InvalidFrame(ValueError):
-    """Supplied frame does not satisfy its declared Gram relations."""
 
 
 @dataclass
@@ -59,25 +53,6 @@ class Immersion:
 
     def with_orientation(self, sign):
         return Immersion(self.name, self.chart_map, self.domain, float(sign))
-
-
-@dataclass
-class HypersurfaceSample:
-    """All pointwise geometric data at one chart point."""
-
-    point: np.ndarray
-    tangent_basis: np.ndarray
-    metric: np.ndarray
-    normal: np.ndarray
-    epsilon: float
-    shape: np.ndarray
-    mean_curvature: float
-    ricci_extrinsic: np.ndarray
-    ricci_paper_form: np.ndarray
-    ricci_intrinsic: np.ndarray
-    christoffels: np.ndarray
-    support: float
-    tangent_position: np.ndarray
 
 
 def _inner4(a, b):
@@ -323,102 +298,7 @@ def identity_diagnostics(geo):
     }
 
 
-# -- single point API ---------------------------------------------------------
-
-def sample(imm, p):
-    """Full geometric sample at one chart point."""
-    geo = GeometryBatch(imm, np.asarray(p, dtype=float)[None, :])
-    ric_plain = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=False)
-    return HypersurfaceSample(
-        point=geo.x[0],
-        tangent_basis=geo.tangents[0],
-        metric=geo.g[0],
-        normal=geo.N[0],
-        epsilon=geo.epsilon,
-        shape=geo.A[0],
-        mean_curvature=float(geo.H[0]),
-        ricci_extrinsic=(geo.epsilon * ric_plain)[0],
-        ricci_paper_form=ric_plain[0],
-        ricci_intrinsic=ricci_intrinsic_batch(geo)[0],
-        christoffels=geo.Gamma[0],
-        support=float(geo.rho[0]),
-        tangent_position=geo.xT[0],
-    )
-
-
-# -- frames -------------------------------------------------------------------
-
-@dataclass
-class FrameAtPoint:
-    """An evaluated tangent frame with its connection coefficients."""
-
-    vectors: np.ndarray           # (3, 3) chart components, rows are e_i
-    kind: str                     # "orthonormal" or "pseudo_orthonormal"
-    connection_forms: np.ndarray  # (3, 3, 3) with [i, j, k] = omega_ij(e_k)
-
-
-def expected_gram(kind, epsilon):
-    if kind == "orthonormal":
-        return np.diag([-float(epsilon), 1.0, 1.0])
-    if kind == "pseudo_orthonormal":
-        return PSEUDO_ORTHONORMAL_GRAM.copy()
-    raise ValueError(f"unknown frame kind {kind!r}")
-
-
-def frame_at_point(imm, p, frame_field, kind):
-    """Evaluate a frame field at p and bundle it with its connection forms."""
-    pts = np.asarray(p, dtype=float)[None, :]
-    ju = jets.variable(1, pts[:, 0])
-    jv = jets.variable(2, pts[:, 1])
-    jw = jets.variable(3, pts[:, 2])
-    E = frame_field(ju, jv, jw)
-    vectors = np.array([[E[i][k].value[0] for k in range(3)] for i in range(3)])
-    omega = connection_forms(imm, p, frame_field, kind)
-    return FrameAtPoint(vectors=vectors, kind=kind, connection_forms=omega)
-
-
-def connection_forms(imm, p, frame_field, kind):
-    """omega_ij(e_k): coefficient of e_j in nabla_{e_k} e_i.
-
-    For an orthonormal frame this equals g(e_j,e_j) * g(nabla_{e_k} e_i, e_j);
-    for a pseudo-orthonormal frame the pairing runs through the inverse Gram
-    matrix.  ``frame_field`` maps the three chart jets to a 3x3 matrix of jets
-    whose rows are the frame vectors in chart components.
-    """
-    pts = np.asarray(p, dtype=float)[None, :]
-    geo = GeometryBatch(imm, pts)
-    ju = jets.variable(1, pts[:, 0])
-    jv = jets.variable(2, pts[:, 1])
-    jw = jets.variable(3, pts[:, 2])
-    Ev, dE = _parts(frame_field(ju, jv, jw))
-    Ev, dE = Ev[0], np.swapaxes(dE[0], 0, 1)  # dE[i, m, l] = d_m e_i^l
-    gv = geo.g[0]
-    gram = Ev @ gv @ Ev.T
-    target = expected_gram(kind, geo.epsilon)
-    if np.max(np.abs(gram - target)) > 1e-6:
-        raise InvalidFrame(
-            f"frame Gram matrix deviates from the {kind} convention by "
-            f"{np.max(np.abs(gram - target)):.3e}")
-
-    Gv = geo.Gamma[0]
-    # (nabla_m e_i)^l then contract with e_k^m
-    nab = np.empty((3, 3, 3))  # [i, m, l]
-    for i in range(3):
-        for m in range(3):
-            for l in range(3):
-                nab[i, m, l] = dE[i, m, l] + Gv[l, m, :] @ Ev[i, :]
-    gram_inv = np.linalg.inv(target)
-    omega = np.empty((3, 3, 3))
-    for i in range(3):
-        for k in range(3):
-            vec = Ev[k, :] @ nab[i, :, :]          # chart components
-            pairing = Ev @ gv @ vec                # g(nabla, e_m)
-            coeff = gram_inv @ pairing
-            omega[i, :, k] = coeff
-    return omega
-
-
-# -- grids and structural classification --------------------------------------
+# -- grids and structural verdicts --------------------------------------------
 
 def grid_points(box, counts):
     """Uniform grid over a box of three intervals; returns (n, 3) points."""
@@ -442,14 +322,7 @@ class StructureVerdicts:
 TAU_CLASS = 1e-6
 
 
-def classify_structure(imm, grid, tol=TAU_CLASS, geo=None):
-    """Grid-level structural verdicts with witness residuals."""
-    if geo is None:
-        geo = GeometryBatch(imm, grid)
-    return structure_verdicts(geo, classify_batch(geo.A), tol)
-
-
-def structure_verdicts(geo, forms, tol=TAU_CLASS):
+def structure_verdicts(geo, forms):
     """Structural verdicts of a geometry batch whose shape operators have
     the canonical forms ``forms`` (a lorentz.FormBatch)."""
     Av, Hv = geo.A, geo.H
@@ -478,10 +351,10 @@ def structure_verdicts(geo, forms, tol=TAU_CLASS):
 
     cmc_witness = float(np.max(np.abs(Hv - Hv.mean())))
     return StructureVerdicts(
-        totally_umbilical=umb < tol * scale,
-        isoparametric=iso_witness < tol * scale,
-        generalized_constant_ratio=gcr_witness < tol * scale,
-        constant_mean_curvature=cmc_witness < tol * scale,
+        totally_umbilical=umb < TAU_CLASS * scale,
+        isoparametric=iso_witness < TAU_CLASS * scale,
+        generalized_constant_ratio=gcr_witness < TAU_CLASS * scale,
+        constant_mean_curvature=cmc_witness < TAU_CLASS * scale,
         witnesses={
             "umbilical": umb,
             "isoparametric": iso_witness,

@@ -19,22 +19,10 @@ SIAM 2008, on truncated Taylor series).
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import math
-import sys
 
 import numpy as np
-
-# A 21^3 analysis frees up to about 70 MiB of jet arrays at its end.  Keep up
-# to 512 MiB of freed heap in the process (a process-wide setting) rather
-# than fault every page in again in the next analysis, and take arrays under
-# 32 MiB from the heap.
-if sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt"):
-    _mallopt = ctypes.CDLL(None).mallopt
-    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    _mallopt(-1, 512 << 20)  # M_TRIM_THRESHOLD
 
 N_VARS = 3
 DEGREE = 3

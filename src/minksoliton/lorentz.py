@@ -29,79 +29,11 @@ TAU_DEGENERATE = 1e-12
 METRIC_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
 
 
-class SingularMetric(np.linalg.LinAlgError):
-    """Raised when a tangent metric is numerically degenerate."""
-
-
-class AmbiguousClassification(ValueError):
-    """Eigenvalue separations straddle the clustering threshold."""
-
-
-class CausalCharacter(enum.Enum):
-    TIMELIKE = "timelike"
-    SPACELIKE = "spacelike"
-    NULL = "null"
-    ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class MinkVector:
-    """A point or vector of the ambient space, as 4 rectangular components."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           np.asarray(self.components, dtype=float))
-
-    def inner(self, other):
-        return mink_inner(self.components, getattr(other, "components", other))
-
-    def causal_character(self, tol=TAU_ALG):
-        return causal_character(self.components, tol)
-
-
 def mink_inner(u, v):
     """Index-1 inner product; accepts arrays with a trailing axis of length 4."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return (u * v * METRIC_SIGNS).sum(axis=-1)
-
-
-def causal_character(u, tol=TAU_ALG):
-    u = np.asarray(u, dtype=float)
-    if np.max(np.abs(u)) < tol:
-        return CausalCharacter.ZERO
-    s = mink_inner(u, u)
-    if abs(s) <= tol:
-        return CausalCharacter.NULL
-    return CausalCharacter.TIMELIKE if s < 0 else CausalCharacter.SPACELIKE
-
-
-def mink_cross(a, b, c):
-    """Vector Minkowski-orthogonal to a, b, c with <n, v> = det[v; a; b; c]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    rows = np.stack([a, b, c], axis=-2)
-    cof = np.empty(a.shape)
-    cols = [0, 1, 2, 3]
-    for mu in range(4):
-        keep = [col for col in cols if col != mu]
-        m = rows[..., keep]
-        det = (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-               - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-               + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
-        cof[..., mu] = ((-1.0) ** mu) * det
-    return cof * METRIC_SIGNS
-
-
-def solve_indefinite(g, rhs, tol=TAU_DEGENERATE):
-    """Solve g @ y = rhs for a symmetric (possibly indefinite) 3x3 metric."""
-    g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) < tol:
-        raise SingularMetric("tangent metric is numerically singular")
-    return np.linalg.solve(g, np.asarray(rhs, dtype=float))
 
 
 # -- cubic eigenstructure, row by row on stacks of 3x3 matrices -------------
@@ -324,23 +256,6 @@ def classify_batch(A, g=None, tol=TAU_RANK):
          np.stack([d, np.where(k2, d, s), s], axis=1)],
         np.stack([s0, s1, s2], axis=1))
     return FormBatch(variant, parameters, min_poly, ambiguous)
-
-
-def classify_shape_operator(A, g):
-    """Canonical form of one operator; raises AmbiguousClassification where
-    classify_batch flags the row."""
-    forms = classify_batch(np.asarray(A, dtype=float)[None],
-                           np.asarray(g, dtype=float)[None])
-    if forms.ambiguous[0]:
-        raise AmbiguousClassification("eigenvalue separation straddles the "
-                                      "cluster threshold; refine sampling")
-    return forms.form(0)
-
-
-def minimal_polynomial(A, tol=TAU_RANK):
-    """Coefficients (highest degree first) of the monic annihilator of least degree."""
-    mp = classify_batch(np.asarray(A, dtype=float)[None], tol=tol).min_poly[0]
-    return np.trim_zeros(mp, "f") + 0.0  # zeros read +0.0, whatever -lam's sign
 
 
 PSEUDO_ORTHONORMAL_GRAM = np.array([[0.0, -1.0, 0.0],

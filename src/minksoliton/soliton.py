@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypersurface import GeometryBatch, ricci_gauss
-
 TAU_SOL_CLOSED = 1e-6
 TAU_SOL_ODE = 1e-4
 
@@ -87,23 +85,6 @@ def route_agreement_batch(geo):
 
 # -- soliton equation ----------------------------------------------------------
 
-def _ricci_batch(geo, ricci_mode):
-    if ricci_mode not in RICCI_MODES:
-        raise ValueError(f"ricci_mode must be one of {RICCI_MODES}")
-    return ricci_gauss(geo.A, geo.g, geo.epsilon,
-                       corrected=(ricci_mode == "corrected"))
-
-
-def soliton_residual(imm, grid, lam, ricci_mode="corrected"):
-    """sup over the grid of |L/2 + Ric - lam*g| / |g|, component max-norms."""
-    geo = GeometryBatch(imm, grid)
-    lhs = 0.5 * lie_closed_form_batch(geo) + _ricci_batch(geo, ricci_mode)
-    gv = geo.g
-    res = np.max(np.abs(lhs - lam * gv), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
-    return float(np.max(res / scale))
-
-
 _TRI = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 
@@ -111,18 +92,6 @@ def _per_point_lambda(lhs, gv):
     num = sum(lhs[:, i, j] * gv[:, i, j] for i, j in _TRI)
     den = sum(gv[:, i, j] ** 2 for i, j in _TRI)
     return num / den
-
-
-def fit_lambda(imm, grid, ricci_mode="corrected", tau=TAU_SOL_CLOSED):
-    """Least-squares soliton constant with spread and residual gating."""
-    geo = GeometryBatch(imm, grid)
-    return fit_lambda_from_geometry(geo, ricci_mode, tau)
-
-
-def fit_lambda_from_geometry(geo, ricci_mode="corrected", tau=TAU_SOL_CLOSED):
-    report, _, _ = fit_lambda_pointwise(geo, _ricci_batch(geo, ricci_mode),
-                                        ricci_mode, tau, identity_checks(geo))
-    return report
 
 
 def identity_checks(geo):

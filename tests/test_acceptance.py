@@ -20,8 +20,9 @@ from minksoliton.canonical import sweep
 from minksoliton.hypersurface import (GeometryBatch, grid_points,
                                       identity_diagnostics, ricci_gauss,
                                       codazzi_residual_batch)
-from minksoliton.lorentz import FormVariant, minimal_polynomial
-from minksoliton.soliton import lie_closed_form_batch
+from minksoliton.lorentz import FormVariant, classify_batch
+from minksoliton.soliton import (fit_lambda_pointwise, identity_checks,
+                                 lie_closed_form_batch)
 
 CLOSED_FORM = ("hyperbolic_space", "de_sitter", "hyperbolic_cylinder",
                "pseudospherical_cylinder", "graph_lorentzian",
@@ -164,11 +165,9 @@ def test_c06a_lorentzian_cylinder_constant(reports):
 def test_c06b_jordan_block_minimal_polynomial(geometries, name):
     imm, grid, entry = geometries[(name, ())]
     geo = GeometryBatch(imm, grid[::6])
-    Av = geo.A
-    worst = 0.0
-    for n in range(Av.shape[0]):
-        mp = minimal_polynomial(Av[n], tol=1e-5)
-        worst = max(worst, float(np.max(np.abs(mp - np.array([1.0, -2.0, 1.0])))))
+    # (t - 1)^2, with a zero t^3 coefficient
+    mp = classify_batch(geo.A, tol=1e-5).min_poly
+    worst = float(np.max(np.abs(mp - np.array([0.0, 1.0, -2.0, 1.0]))))
     ok = worst < 1e-5
     _line("6b", ok, f"{name}: minimal polynomial is the square of (t - 1) "
           f"at rank tolerance 1e-5; worst coefficient error {worst:.1e}")
@@ -360,9 +359,10 @@ def test_c12_normal_flip_covariance(reports):
         ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
         ric_f = ricci_gauss(geo_f.A, geo_f.g, geo_f.epsilon)
         ric_inv = float(np.max(np.abs(ric - ric_f)))
-        from minksoliton.soliton import fit_lambda_from_geometry
-        rep = fit_lambda_from_geometry(geo, tau=entry.tau_sol)
-        rep_f = fit_lambda_from_geometry(geo_f, tau=entry.tau_sol)
+        rep = fit_lambda_pointwise(geo, ric, "corrected", entry.tau_sol,
+                                   identity_checks(geo))[0]
+        rep_f = fit_lambda_pointwise(geo_f, ric_f, "corrected", entry.tau_sol,
+                                     identity_checks(geo_f))[0]
         lam_inv = abs(rep.lambda_fit - rep_f.lambda_fit)
         this = (rho_neg < 1e-9 and a_neg < 1e-9 and ric_inv < 1e-9
                 and lam_inv < 1e-9 and rep.verdict is rep_f.verdict)

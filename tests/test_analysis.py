@@ -8,7 +8,8 @@ import pytest
 
 from minksoliton import analysis, catalog
 from minksoliton.catalog import de_sitter_immersion
-from minksoliton.hypersurface import grid_points, sample
+from minksoliton.hypersurface import (GeometryBatch, grid_points,
+                                      ricci_intrinsic_batch)
 
 
 def test_histogram_sums_to_grid_size():
@@ -53,8 +54,9 @@ def test_consistency_block_absent_for_non_solitons():
 def test_de_sitter_general_radius_constant_curvature():
     c = 1.5
     imm = de_sitter_immersion(c)
-    s = sample(imm, [0.3, 1.0, 0.8])
-    assert np.allclose(s.ricci_intrinsic, 2 * c * c * s.metric, atol=1e-10)
+    geo = GeometryBatch(imm, np.array([[0.3, 1.0, 0.8]]))
+    assert np.allclose(ricci_intrinsic_batch(geo)[0], 2 * c * c * geo.g[0],
+                       atol=1e-10)
     rep = analysis.analyze_entry("de_sitter", params={"c": c},
                                  grid_counts=(3, 3, 3))
     assert rep["soliton"]["lambda_fit"] == pytest.approx(2 * c * c, abs=1e-9)
@@ -134,3 +136,12 @@ def test_one_pass_per_analysis(monkeypatch):
     assert calls == {"GeometryBatch": 1, "ricci_intrinsic_batch": 1,
                      "route_agreement_batch": 1, "lemma1_batch": 1,
                      "gradient_check_batch": 1}
+
+
+def test_public_names_resolve():
+    import minksoliton
+    missing = [n for n in minksoliton.__all__ if not hasattr(minksoliton, n)]
+    assert missing == []
+    namespace = {}
+    exec("from minksoliton import *", namespace)
+    assert set(minksoliton.__all__) <= set(namespace)

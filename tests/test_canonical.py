@@ -35,8 +35,9 @@ def test_umbilical_branch_lambda_family():
             sol = solve_case(sys_)
             assert sol.solvable and sol.branch == "umbilical"
             assert sol.rho is None  # free
+            c0, c1 = sol.lam_affine  # lambda = c0 + c1 * rho
             for rho in (-1.7, 0.0, 2.2):
-                lam = sol.lambda_at(rho)
+                lam = c0 + c1 * rho
                 assert lam == pytest.approx(1 + eps * rho * c + 2 * c * c)
                 assert max(abs(x) for x in sys_.residuals(lam, rho)) < 1e-12
 

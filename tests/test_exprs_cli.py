@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minksoliton
 from minksoliton import exprs, jets
 from minksoliton.cli import main, round_floats
+from minksoliton.hypersurface import GeometryBatch
 
 
 # -- parser ----------------------------------------------------------------------
@@ -65,18 +67,16 @@ x3 = w
 x4 = u*u + v*v + w*w   # height
 """)
     imm = exprs.immersion_from_file(str(f), {})
-    from minksoliton.hypersurface import sample
-    s = sample(imm, [0.2, 0.1, -0.3])
-    assert s.point[3] == pytest.approx(0.04 + 0.01 + 0.09)
+    geo = GeometryBatch(imm, np.array([[0.2, 0.1, -0.3]]))
+    assert geo.x[0, 3] == pytest.approx(0.04 + 0.01 + 0.09)
 
 
 def test_chart_file_with_parameters(tmp_path):
     f = tmp_path / "scaled.txt"
     f.write_text("c*u\nc*v\nc*w\n1 + 0*u\n")
     imm = exprs.immersion_from_file(str(f), {"c": 2.0})
-    from minksoliton.hypersurface import sample
-    s = sample(imm, [0.5, 0.0, 0.0])
-    assert s.point[0] == pytest.approx(1.0)
+    geo = GeometryBatch(imm, np.array([[0.5, 0.0, 0.0]]))
+    assert geo.x[0, 0] == pytest.approx(1.0)
 
 
 def test_chart_file_undefined_name(tmp_path):
@@ -122,11 +122,22 @@ def test_cli_analyze_negative_control_exit_zero(capsys):
     assert data["identities"]["pass"] is True
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(capsys, tmp_path):
     assert main(["analyze", "--entry", "de_sitter", "--grid", "1,1,1"]) == 1
     assert main(["analyze", "--entry", "nonexistent_entry"]) == 1
     assert main(["analyze", "--entry", "de_sitter", "--param", "c=0"]) == 1
     capsys.readouterr()
+    # bad values get a message naming the flag, not an exception class
+    chart = tmp_path / "graph.txt"
+    chart.write_text("u\nv\nw\n2 + u*u\n")
+    for argv, flag in (
+            (["case-sweep", "--form", "jordan2", "--count", "0"], "--count"),
+            (["case-sweep", "--form", "jordan2", "--count", "-3"], "--count"),
+            (["analyze", "--entry", str(chart), "--box=a:1,0:1,0:1"],
+             "--box")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "Error" not in err, err
 
 
 def test_cli_text_report_shows_provenance(capsys):

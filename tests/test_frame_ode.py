@@ -6,7 +6,7 @@ import pytest
 from minksoliton import frame_ode as fo
 from minksoliton import hypersurface as hs
 from minksoliton import jets
-from minksoliton.lorentz import minimal_polynomial, mink_inner
+from minksoliton.lorentz import classify_batch, mink_inner
 
 
 def spec_umbilical(a=1.0, b=None, alpha0=None):
@@ -144,9 +144,9 @@ def test_builders_require_nonzero_b():
 
 def test_umbilical_unit_lorentzian_normal():
     imm = fo.build_generalized_umbilical(spec_umbilical())
-    s = hs.sample(imm, [0.2, 0.5, 0.3])
-    assert s.epsilon == 1.0
-    assert abs(mink_inner(s.normal, s.normal) - 1.0) < 1e-12
+    geo = hs.GeometryBatch(imm, np.array([[0.2, 0.5, 0.3]]))
+    assert geo.epsilon == 1.0
+    assert abs(mink_inner(geo.N[0], geo.N[0]) - 1.0) < 1e-12
 
 
 def test_umbilical_normal_matches_closed_form():
@@ -154,14 +154,15 @@ def test_umbilical_normal_matches_closed_form():
     spec = spec_umbilical(a=a)
     imm = fo.build_generalized_umbilical(spec)
     table = fo.FrameTable(spec)
-    for p in ([0.3, 0.4, 0.25], [-0.6, -0.7, 0.1], [0.0, 0.2, -0.5]):
-        smp = hs.sample(imm, p)
+    pts = np.array([[0.3, 0.4, 0.25], [-0.6, -0.7, 0.1], [0.0, 0.2, -0.5]])
+    geo = hs.GeometryBatch(imm, pts)
+    for p, normal in zip(pts, geo.N):
         F = table.values_at(np.array([p[0]]))[0]
         _, X, Y, Z, W = F
         u, v = p[1], p[2]
         closed = -a * u * Y - np.sqrt(1 - a * a * v * v) * Z - a * v * W
-        diff = min(np.max(np.abs(smp.normal - closed)),
-                   np.max(np.abs(smp.normal + closed)))
+        diff = min(np.max(np.abs(normal - closed)),
+                   np.max(np.abs(normal + closed)))
         assert diff < 1e-10
 
 
@@ -171,10 +172,12 @@ def test_umbilical_minimal_polynomial(b):
     a = 1.0
     imm = fo.build_generalized_umbilical(spec_umbilical(a=a, b=b))
     imm = imm.with_orientation(-1.0)  # stated curvature sign is +a
-    for p in ([0.3, 0.4, 0.25], [-0.5, 0.6, -0.3]):
-        A = hs.GeometryBatch(imm, np.array(p)[None]).A[0]
-        mp = minimal_polynomial(A, tol=1e-5)
-        assert np.allclose(mp, [1.0, -2 * a, a * a], atol=1e-6)
+    pts = np.array([[0.3, 0.4, 0.25], [-0.5, 0.6, -0.3]])
+    geo = hs.GeometryBatch(imm, pts)
+    min_polys = classify_batch(geo.A, tol=1e-5).min_poly
+    for p, A, mp in zip(pts, geo.A, min_polys):
+        # degree 2: the t^3 coefficient is zero
+        assert np.allclose(mp, [0.0, 1.0, -2 * a, a * a], atol=1e-6)
         # the nilpotent coefficient is B(s) in the chart basis
         bval = b.value(p[0])
         assert A[1, 0] == pytest.approx(-(-1.0) * bval, abs=1e-9)
@@ -183,7 +186,7 @@ def test_umbilical_minimal_polynomial(b):
 def test_umbilical_domain_error_near_v_boundary():
     imm = fo.build_generalized_umbilical(spec_umbilical())
     with pytest.raises(jets.DomainError):
-        hs.sample(imm, [0.1, 0.1, 1.01])
+        hs.GeometryBatch(imm, np.array([[0.1, 0.1, 1.01]]))
 
 
 def test_umbilical_identities_within_ode_budget():
@@ -211,12 +214,13 @@ def test_cylinder_normal_is_Z_and_nilpotent_operator():
     imm = fo.build_generalized_cylinder_I(spec)
     table = fo.FrameTable(spec)
     p = [0.4, 0.3, -0.5]
-    s = hs.sample(imm, p)
+    geo = hs.GeometryBatch(imm, np.array([p]))
     Z = table.values_at(np.array([p[0]]))[0][3]
-    assert min(np.max(np.abs(s.normal - Z)), np.max(np.abs(s.normal + Z))) < 1e-11
-    assert np.allclose(minimal_polynomial(s.shape, tol=1e-5), [1, 0, 0],
-                       atol=1e-8)
-    assert s.mean_curvature == pytest.approx(0.0, abs=1e-12)
+    N = geo.N[0]
+    assert min(np.max(np.abs(N - Z)), np.max(np.abs(N + Z))) < 1e-11
+    assert np.allclose(classify_batch(geo.A, tol=1e-5).min_poly[0],
+                       [0, 1, 0, 0], atol=1e-8)
+    assert geo.H[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cylinder_flat_metric_and_ricci_zero():

@@ -1,5 +1,5 @@
-"""Hypersurface geometry: samples, Ricci routes, Codazzi, frames, and
-structural classification on known charts."""
+"""Hypersurface geometry: one-point batches, Ricci routes, Codazzi,
+connection forms of frames, and structural verdicts on known charts."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,17 @@ from minksoliton.catalog import (de_sitter_immersion,
                                  hyperbolic_space_immersion,
                                  pseudospherical_cylinder_immersion)
 from minksoliton.hypersurface import (DegenerateMetric, EmptyGrid,
-                                      GeometryBatch, Immersion, InvalidFrame,
-                                      classify_structure,
-                                      codazzi_residual_batch, connection_forms,
-                                      grid_points, identity_diagnostics,
-                                      ricci_gauss, sample)
+                                      GeometryBatch, Immersion,
+                                      codazzi_residual_batch, grid_points,
+                                      identity_diagnostics, ricci_gauss,
+                                      ricci_intrinsic_batch,
+                                      structure_verdicts)
+from minksoliton.lorentz import PSEUDO_ORTHONORMAL_GRAM, classify_batch
+
+
+def at_point(imm, p):
+    """The geometry batch of the single chart point p."""
+    return GeometryBatch(imm, np.array(p, dtype=float)[None])
 
 
 def plane_immersion(height=1.0, sign=1.0):
@@ -26,39 +32,39 @@ def plane_immersion(height=1.0, sign=1.0):
 
 def test_plane_sample():
     # orientation chosen so the normal is +e4
-    s = sample(plane_immersion(sign=-1.0), [0.3, -0.2, 0.9])
-    assert np.allclose(s.normal, [0, 0, 0, 1], atol=1e-14)
-    assert s.epsilon == 1.0
-    assert np.max(np.abs(s.shape)) == 0.0
-    assert s.support == pytest.approx(1.0)
-    assert np.allclose(s.tangent_position, [0.3, -0.2, 0.9])
-    assert np.max(np.abs(s.ricci_intrinsic)) < 1e-14
-    geo = GeometryBatch(plane_immersion(), np.array([0.1, 0.2, 0.3])[None])
+    geo = at_point(plane_immersion(sign=-1.0), [0.3, -0.2, 0.9])
+    assert np.allclose(geo.N[0], [0, 0, 0, 1], atol=1e-14)
+    assert geo.epsilon == 1.0
+    assert np.max(np.abs(geo.A[0])) == 0.0
+    assert geo.rho[0] == pytest.approx(1.0)
+    assert np.allclose(geo.xT[0], [0.3, -0.2, 0.9])
+    assert np.max(np.abs(ricci_intrinsic_batch(geo)[0])) < 1e-14
+    geo = at_point(plane_immersion(), [0.1, 0.2, 0.3])
     assert codazzi_residual_batch(geo)[0] < 1e-14
 
 
 def test_de_sitter_sample():
     imm = de_sitter_immersion(1.0)
-    s = sample(imm, [0.4, 1.2, 0.5])
-    assert s.epsilon == 1.0
-    assert np.allclose(s.shape, np.eye(3), atol=1e-12)
-    assert s.mean_curvature == pytest.approx(1.0, abs=1e-12)
-    assert s.support == pytest.approx(-1.0, abs=1e-12)
-    assert np.max(np.abs(s.tangent_position)) < 1e-12
+    geo = at_point(imm, [0.4, 1.2, 0.5])
+    assert geo.epsilon == 1.0
+    assert np.allclose(geo.A[0], np.eye(3), atol=1e-12)
+    assert geo.H[0] == pytest.approx(1.0, abs=1e-12)
+    assert geo.rho[0] == pytest.approx(-1.0, abs=1e-12)
+    assert np.max(np.abs(geo.xT[0])) < 1e-12
 
 
 def test_hyperbolic_space_weingarten():
     imm = hyperbolic_space_immersion(2.0)
-    A = GeometryBatch(imm, np.array([0.6, 1.0, 0.7])[None]).A[0]
+    A = at_point(imm, [0.6, 1.0, 0.7]).A[0]
     assert np.allclose(A, 2.0 * np.eye(3), atol=1e-11)
 
 
 def test_hyperbolic_cylinder_principal_curvatures():
     imm = hyperbolic_cylinder_immersion(1.0)
-    s = sample(imm, [0.8, 0.5, 0.2])
-    eigs = np.sort(np.linalg.eigvals(s.shape).real)
+    geo = at_point(imm, [0.8, 0.5, 0.2])
+    eigs = np.sort(np.linalg.eigvals(geo.A[0]).real)
     assert np.allclose(eigs, [0.0, 1.0, 1.0], atol=1e-10)
-    assert s.epsilon == -1.0
+    assert geo.epsilon == -1.0
 
 
 def test_ricci_gauss_zero_operator():
@@ -84,20 +90,26 @@ def test_ricci_gauss_orthonormal_components():
 def test_de_sitter_constant_curvature_ricci():
     imm = de_sitter_immersion(1.0)
     p = [0.2, 1.3, 0.8]
-    s = sample(imm, p)
-    assert np.allclose(s.ricci_intrinsic, 2.0 * s.metric, atol=1e-12)
-    assert np.allclose(s.ricci_extrinsic, s.ricci_intrinsic, atol=1e-12)
+    geo = at_point(imm, p)
+    ric_int = ricci_intrinsic_batch(geo)[0]
+    ric_ext = ricci_gauss(geo.A, geo.g, geo.epsilon)[0]
+    ric_paper = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=False)[0]
+    assert np.allclose(ric_int, 2.0 * geo.g[0], atol=1e-12)
+    assert np.allclose(ric_ext, ric_int, atol=1e-12)
     # epsilon = +1: verbatim and corrected forms coincide
-    assert np.allclose(s.ricci_paper_form, s.ricci_extrinsic, atol=1e-14)
+    assert np.allclose(ric_paper, ric_ext, atol=1e-14)
 
 
 def test_hyperbolic_space_ricci_sign():
     # spacelike case: corrected = intrinsic = -2c^2 g, verbatim differs by -1
     imm = hyperbolic_space_immersion(1.0)
-    s = sample(imm, [0.5, 1.1, 0.9])
-    assert np.allclose(s.ricci_intrinsic, -2.0 * s.metric, atol=1e-11)
-    assert np.allclose(s.ricci_extrinsic, s.ricci_intrinsic, atol=1e-11)
-    assert np.allclose(s.ricci_paper_form, -s.ricci_intrinsic, atol=1e-11)
+    geo = at_point(imm, [0.5, 1.1, 0.9])
+    ric_int = ricci_intrinsic_batch(geo)[0]
+    ric_ext = ricci_gauss(geo.A, geo.g, geo.epsilon)[0]
+    ric_paper = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=False)[0]
+    assert np.allclose(ric_int, -2.0 * geo.g[0], atol=1e-11)
+    assert np.allclose(ric_ext, ric_int, atol=1e-11)
+    assert np.allclose(ric_paper, -ric_int, atol=1e-11)
 
 
 def test_product_metric_ricci_blocks():
@@ -105,9 +117,9 @@ def test_product_metric_ricci_blocks():
     for c in (1.0, 2.0):
         imm = hyperbolic_cylinder_immersion(c)
         p = [0.7, 0.6, 0.4]
-        s = sample(imm, p)
-        ric = s.ricci_intrinsic
-        g = s.metric
+        geo = at_point(imm, p)
+        ric = ricci_intrinsic_batch(geo)[0]
+        g = geo.g[0]
         assert ric[0, 0] == pytest.approx(-c * c * g[0, 0], abs=1e-10)
         assert ric[1, 1] == pytest.approx(-c * c * g[1, 1], abs=1e-10)
         assert abs(ric[2, 2]) < 1e-10
@@ -120,7 +132,7 @@ def test_degenerate_metric_raises():
         return [u, u, w, jets.constant(0.0, u.shape)]
     imm = Immersion("bad", chart, ((-1, 1),) * 3)
     with pytest.raises(DegenerateMetric):
-        sample(imm, [0.1, 0.2, 0.3])
+        at_point(imm, [0.1, 0.2, 0.3])
 
 
 def test_null_normal_raises():
@@ -131,11 +143,11 @@ def test_null_normal_raises():
     imm = Immersion("signature_crossing", chart, ((-1, 1),) * 3)
     with pytest.raises(hs.NullNormalDirection):
         # det g sits between the singular-metric and null-normal thresholds
-        sample(imm, [0.5 + 2.5e-12, 0.0, 0.0])
+        at_point(imm, [0.5 + 2.5e-12, 0.0, 0.0])
     with pytest.raises(hs.NullNormalDirection):
         GeometryBatch(imm, np.array([[0.6, 0.1, 0.1], [0.1, 0.1, 0.1]]))
     with pytest.raises(DegenerateMetric):
-        sample(imm, [0.5 + 1e-14, 0.0, 0.0])
+        at_point(imm, [0.5 + 1e-14, 0.0, 0.0])
 
 
 def test_codazzi_universal_and_perturbation():
@@ -167,6 +179,41 @@ def test_codazzi_universal_and_perturbation():
 
 # -- connection forms -----------------------------------------------------------
 
+def connection_forms(imm, p, frame_field, kind):
+    """omega_ij(e_k): coefficient of e_j in nabla_{e_k} e_i, at the point p.
+
+    ``frame_field`` maps the three chart jets to a 3x3 matrix of jets whose
+    rows are the frame vectors in chart components; ``kind`` is
+    "orthonormal" (Gram diag(-eps, 1, 1)) or "pseudo_orthonormal".  The
+    covariant derivative reads the Christoffel symbols of the geometry batch,
+    and the pairing runs through the inverse Gram matrix.
+    """
+    geo = at_point(imm, p)
+    chart = [jets.variable(m + 1, np.array([p[m]], dtype=float))
+             for m in range(3)]
+    E = frame_field(*chart)
+    Ev = np.array([[E[i][l].value[0] for l in range(3)] for i in range(3)])
+    # dE[i, m, l] = d_m e_i^l
+    dE = np.array([[[E[i][l].deriv(m + 1).value[0] for l in range(3)]
+                    for m in range(3)] for i in range(3)])
+    gv = geo.g[0]
+    if kind == "orthonormal":
+        target = np.diag([-geo.epsilon, 1.0, 1.0])
+    else:
+        target = PSEUDO_ORTHONORMAL_GRAM
+    assert np.max(np.abs(Ev @ gv @ Ev.T - target)) <= 1e-6, "not a frame"
+
+    # (nabla_m e_i)^l, then contract with e_k^m
+    nab = dE + np.einsum('lmj,ij->iml', geo.Gamma[0], Ev)
+    gram_inv = np.linalg.inv(target)
+    omega = np.empty((3, 3, 3))
+    for i in range(3):
+        for k in range(3):
+            vec = Ev[k, :] @ nab[i, :, :]          # chart components
+            omega[i, :, k] = gram_inv @ (Ev @ gv @ vec)
+    return omega
+
+
 def test_connection_forms_flat_plane_zero():
     imm = plane_immersion()
 
@@ -177,19 +224,6 @@ def test_connection_forms_flat_plane_zero():
 
     omega = connection_forms(imm, [0.1, -0.3, 0.2], frame_field, "orthonormal")
     assert np.max(np.abs(omega)) < 1e-13
-
-
-def test_connection_forms_invalid_frame():
-    imm = plane_immersion()
-
-    def bad_frame(u, v, w):
-        one = jets.constant(1.0, u.shape)
-        zero = jets.constant(0.0, u.shape)
-        two = jets.constant(2.0, u.shape)
-        return [[two, zero, zero], [zero, one, zero], [zero, zero, one]]
-
-    with pytest.raises(InvalidFrame):
-        connection_forms(imm, [0.0, 0.0, 0.0], bad_frame, "orthonormal")
 
 
 def _cylinder_adapted_frame():
@@ -254,24 +288,29 @@ def test_connection_forms_pseudo_orthonormal_cylinder_frame():
         zero = jets.constant(0.0, u.shape)
         return [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
 
-    fr = hs.frame_at_point(imm, [0.3, 0.2, -0.4], frame_field,
-                           "pseudo_orthonormal")
-    assert fr.kind == "pseudo_orthonormal"
-    assert np.allclose(fr.vectors, np.eye(3))
-    assert np.max(np.abs(fr.connection_forms)) < 1e-10
+    p = [0.3, 0.2, -0.4]
+    E = frame_field(*[jets.variable(m + 1, p[m]) for m in range(3)])
+    assert np.allclose([[e.value for e in row] for row in E], np.eye(3))
+    omega = connection_forms(imm, p, frame_field, "pseudo_orthonormal")
+    assert np.max(np.abs(omega)) < 1e-10
     # the shape operator in this frame is the canonical nilpotent block
-    A = GeometryBatch(imm, np.array([0.3, 0.2, -0.4])[None]).A[0]
+    A = at_point(imm, p).A[0]
     assert abs(A[1, 0]) == pytest.approx(1.0, abs=1e-10)
     A[1, 0] = 0.0
     assert np.max(np.abs(A)) < 1e-10
 
 
-# -- structural classification ----------------------------------------------------
+# -- structural verdicts ------------------------------------------------------------
+
+def verdicts(imm, grid):
+    geo = GeometryBatch(imm, grid)
+    return structure_verdicts(geo, classify_batch(geo.A))
+
 
 def test_classify_structure_hyperbolic_space():
     imm = hyperbolic_space_immersion(1.0)
     grid = grid_points(((0.3, 1.2), (0.4, 2.7), (0.2, 6.0)), (3, 3, 3))
-    v = classify_structure(imm, grid)
+    v = verdicts(imm, grid)
     assert v.totally_umbilical and v.isoparametric and v.constant_mean_curvature
     assert v.generalized_constant_ratio  # vacuous: x_T = 0 everywhere
 
@@ -279,7 +318,7 @@ def test_classify_structure_hyperbolic_space():
 def test_classify_structure_cylinders():
     imm = pseudospherical_cylinder_immersion(1.0)
     grid = grid_points(((-0.8, 0.8), (0.2, 6.0), (0.15, 1.1)), (3, 3, 3))
-    v = classify_structure(imm, grid)
+    v = verdicts(imm, grid)
     assert not v.totally_umbilical
     assert v.isoparametric
     assert v.generalized_constant_ratio
@@ -290,7 +329,7 @@ def test_classify_structure_graph_is_nothing():
     from minksoliton.catalog import graph_lorentzian_immersion
     imm = graph_lorentzian_immersion()
     grid = grid_points(((-0.4, 0.45), (-0.38, 0.42), (-0.45, 0.4)), (3, 3, 3))
-    v = classify_structure(imm, grid)
+    v = verdicts(imm, grid)
     assert not v.totally_umbilical
     assert not v.isoparametric
     assert not v.constant_mean_curvature
@@ -299,7 +338,7 @@ def test_classify_structure_graph_is_nothing():
 def test_empty_grid_raises():
     imm = de_sitter_immersion(1.0)
     with pytest.raises(EmptyGrid):
-        classify_structure(imm, np.zeros((0, 3)))
+        GeometryBatch(imm, np.zeros((0, 3)))
 
 
 def test_identity_suite_batches():
@@ -347,6 +386,6 @@ def test_grid_points_validation():
 
 def test_mean_curvature_is_exactly_trace_over_three():
     imm = hyperbolic_cylinder_immersion(1.3)
-    s = sample(imm, [0.7, 0.6, 0.4])
-    assert s.mean_curvature == (s.shape[0, 0] + s.shape[1, 1]
-                                + s.shape[2, 2]) / 3.0
+    geo = at_point(imm, [0.7, 0.6, 0.4])
+    A = geo.A[0]
+    assert geo.H[0] == (A[0, 0] + A[1, 1] + A[2, 2]) / 3.0

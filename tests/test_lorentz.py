@@ -7,12 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minksoliton import lorentz
-from minksoliton.lorentz import (AmbiguousClassification, CausalCharacter,
-                                 FormVariant, MinkVector, SingularMetric,
-                                 canonical_matrix, causal_character, char_poly,
-                                 classify_shape_operator, minimal_polynomial,
-                                 mink_cross, mink_inner, poly_apply,
-                                 solve_indefinite)
+from minksoliton.lorentz import (FormVariant, canonical_matrix, char_poly,
+                                 classify_batch, mink_inner, poly_apply)
+
+
+def minimal_polynomial(A):
+    """Minimal polynomial of one operator, from a one-row batch."""
+    return np.trim_zeros(classify_batch(A[None]).min_poly[0], "f")
+
+
+def classify_one(A, g):
+    """Canonical form of one operator, from a one-row batch."""
+    forms = classify_batch(A[None], g[None])
+    assert not forms.ambiguous[0]
+    return forms.form(0)
 
 
 def test_inner_signature_examples():
@@ -31,47 +39,6 @@ def test_inner_bilinear_symmetric(vals, s, t):
     lhs = mink_inner(s * u + t * v, v)
     rhs = s * mink_inner(u, v) + t * mink_inner(v, v)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-
-
-def test_causal_characters():
-    assert causal_character([1, 0, 0, 0]) is CausalCharacter.TIMELIKE
-    assert causal_character([1, 1, 0, 0]) is CausalCharacter.NULL
-    assert causal_character([0, 0, 3, 4]) is CausalCharacter.SPACELIKE
-    assert causal_character([0, 0, 0, 0]) is CausalCharacter.ZERO
-    assert MinkVector([2, 0, 0, 0]).causal_character() is CausalCharacter.TIMELIKE
-
-
-def test_mink_cross_orthogonality():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a, b, c = rng.normal(size=(3, 4))
-        n = mink_cross(a, b, c)
-        for vec in (a, b, c):
-            assert abs(mink_inner(n, vec)) < 1e-10 * max(1.0, np.abs(n).max())
-
-
-def test_solve_indefinite_examples():
-    assert np.allclose(solve_indefinite(np.eye(3), [1, 2, 3]), [1, 2, 3])
-    g = np.diag([-1.0, 1.0, 1.0])
-    assert np.allclose(solve_indefinite(g, [1, 0, 0]), [-1, 0, 0])
-
-
-def test_solve_indefinite_residual_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        m = rng.normal(size=(3, 3))
-        g = 0.5 * (m + m.T)
-        if abs(np.linalg.det(g)) < 1e-3:
-            continue
-        r = rng.normal(size=3)
-        y = solve_indefinite(g, r)
-        assert np.max(np.abs(g @ y - r)) < 1e-10 * max(1.0, np.abs(r).max())
-
-
-def test_solve_singular_raises():
-    g = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 0]])
-    with pytest.raises(SingularMetric):
-        solve_indefinite(g, [1, 1, 1])
 
 
 # -- minimal polynomial ----------------------------------------------------------
@@ -114,7 +81,7 @@ def test_minimal_polynomial_divides_characteristic():
 # -- classification ---------------------------------------------------------------
 
 def test_classify_identity_matrix():
-    form = classify_shape_operator(np.eye(3), np.eye(3))
+    form = classify_one(np.eye(3), np.eye(3))
     assert form.variant is FormVariant.DIAGONALIZABLE
     assert form.parameters == (1.0, 1.0, 1.0)
     assert np.allclose(form.minimal_polynomial, [1.0, -1.0])
@@ -123,7 +90,7 @@ def test_classify_identity_matrix():
 def test_classify_jordan2_equal_eigenvalue():
     for a in (1.0, -0.6, 2.5):
         A, g = canonical_matrix(FormVariant.JORDAN_2, (a, a))
-        form = classify_shape_operator(A, g)
+        form = classify_one(A, g)
         assert form.variant is FormVariant.JORDAN_2
         assert form.parameters == pytest.approx((a, a), abs=1e-12)
         # (t - a)^2
@@ -132,14 +99,14 @@ def test_classify_jordan2_equal_eigenvalue():
 
 def test_classify_complex_pair_recovers_parameters():
     A, g = canonical_matrix(FormVariant.COMPLEX_PAIR, (0.0, 1.0, 2.0))
-    form = classify_shape_operator(A, g)
+    form = classify_one(A, g)
     assert form.variant is FormVariant.COMPLEX_PAIR
     assert form.parameters == pytest.approx((0.0, 1.0, 2.0), abs=1e-10)
 
 
 def test_classify_jordan3():
     A, g = canonical_matrix(FormVariant.JORDAN_3, (0.7,))
-    form = classify_shape_operator(A, g)
+    form = classify_one(A, g)
     assert form.variant is FormVariant.JORDAN_3
     assert form.parameters == pytest.approx((0.7,), abs=1e-9)
 
@@ -147,13 +114,12 @@ def test_classify_jordan3():
 def test_classify_rejects_non_self_adjoint():
     A = np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
-        classify_shape_operator(A, np.eye(3))
+        classify_batch(A[None], np.eye(3)[None])
 
 
 def test_ambiguous_gap_raises():
     A = np.diag([0.5, 0.5 + 3e-4, 2.0])
-    with pytest.raises(AmbiguousClassification):
-        classify_shape_operator(A, np.eye(3))
+    assert classify_batch(A[None], np.eye(3)[None]).ambiguous[0]
 
 
 def _random_conjugation(rng):
@@ -217,7 +183,7 @@ def test_classify_materialize_roundtrip_1000(variant):
         S = _random_conjugation(rng)
         A2 = np.linalg.solve(S, A @ S)
         g2 = S.T @ g @ S
-        form = classify_shape_operator(A2, g2)
+        form = classify_one(A2, g2)
         assert form.variant is variant
         want = np.array(_canonical_multiset(variant, params))
         got = np.array(_canonical_multiset(variant, form.parameters))
@@ -245,13 +211,12 @@ def test_batch_equals_one_row_calls():
         for name in ("variant", "parameters", "min_poly", "ambiguous"):
             assert getattr(one, name)[0].tobytes() == \
                 getattr(forms, name)[i].tobytes()
-        assert minimal_polynomial(A).tobytes() == \
+        assert (np.trim_zeros(one.min_poly[0], "f") + 0.0).tobytes() == \
             (np.trim_zeros(forms.min_poly[i], "f") + 0.0).tobytes()
         if forms.ambiguous[i]:
-            with pytest.raises(AmbiguousClassification):
-                classify_shape_operator(A, g)
+            assert one.ambiguous[0]
             continue
-        form = classify_shape_operator(A, g)
+        form = one.form(0)
         assert form.variant is lorentz.VARIANTS[forms.variant[i]]
         assert form.parameters == forms.form(i).parameters
         assert form.minimal_polynomial.tobytes() == \

@@ -7,12 +7,28 @@ import pytest
 from minksoliton import catalog, jets
 from minksoliton.hypersurface import (GeometryBatch, Immersion, grid_points,
                                       ricci_gauss)
-from minksoliton.soliton import (Verdict, fit_lambda, fit_lambda_from_geometry,
-                                 gradient_check_batch, lemma1_batch,
+from minksoliton.soliton import (TAU_SOL_CLOSED, Verdict,
+                                 fit_lambda_pointwise, gradient_check_batch,
+                                 identity_checks, lemma1_batch,
                                  lie_closed_form_batch, lie_coordinate_batch,
-                                 route_agreement_batch, soliton_residual)
+                                 route_agreement_batch)
 
 ENTRY_GRIDS = {}
+
+
+def fit(geo, mode="corrected", tau=TAU_SOL_CLOSED):
+    """The SolitonReport of the lambda fit in one Ricci mode."""
+    ric = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=mode == "corrected")
+    return fit_lambda_pointwise(geo, ric, mode, tau, identity_checks(geo))[0]
+
+
+def residual(geo, lam):
+    """sup over the batch of |L/2 + Ric - lam*g| / |g|, component max-norms."""
+    ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
+    lhs = 0.5 * lie_closed_form_batch(geo) + ric
+    res = np.max(np.abs(lhs - lam * geo.g), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(geo.g), axis=(1, 2)))
+    return float(np.max(res / scale))
 
 
 def entry_grid(name, counts=(3, 3, 3), **params):
@@ -66,19 +82,19 @@ def test_route_agreement_all_entries():
 
 def test_soliton_residual_cylinder_lambda_one():
     imm, grid, _ = entry_grid("pseudospherical_cylinder")
-    assert soliton_residual(imm, grid, 1.0, "corrected") < 1e-7
+    assert residual(GeometryBatch(imm, grid), 1.0) < 1e-7
 
 
 def test_soliton_residual_graph_no_lambda_works():
     imm, grid, _ = entry_grid("graph_lorentzian")
-    best = min(soliton_residual(imm, grid, lam, "corrected")
-               for lam in np.linspace(-5.0, 5.0, 101))
+    geo = GeometryBatch(imm, grid)
+    best = min(residual(geo, lam) for lam in np.linspace(-5.0, 5.0, 101))
     assert best > 1e-2
 
 
 def test_fit_lambda_de_sitter():
     imm, grid, entry = entry_grid("de_sitter")
-    rep = fit_lambda(imm, grid, "corrected", tau=entry.tau_sol)
+    rep = fit(GeometryBatch(imm, grid), tau=entry.tau_sol)
     assert rep.lambda_fit == pytest.approx(2.0, abs=1e-9)
     assert rep.lambda_spread < 1e-9
     assert rep.verdict is Verdict.SHRINKING
@@ -87,27 +103,29 @@ def test_fit_lambda_de_sitter():
 
 def test_fit_lambda_generalized_cylinder():
     imm, grid, entry = entry_grid("generalized_cylinder_I")
-    rep = fit_lambda(imm, grid, "corrected", tau=entry.tau_sol)
+    geo = GeometryBatch(imm, grid)
+    rep = fit(geo, tau=entry.tau_sol)
     assert rep.lambda_fit == pytest.approx(1.0, abs=1e-9)
     assert rep.lambda_spread < 1e-9
-    geo = GeometryBatch(imm, grid)
     assert np.max(np.abs(ricci_gauss(geo.A, geo.g, geo.epsilon))) < 1e-9
 
 
 def test_fit_lambda_hyperbolic_cylinder_c2_not_a_soliton():
     imm, grid, entry = entry_grid("hyperbolic_cylinder", c=2.0)
+    geo = GeometryBatch(imm, grid)
     for mode in ("corrected", "paper_form"):
-        rep = fit_lambda(imm, grid, mode, tau=entry.tau_sol)
+        rep = fit(geo, mode, tau=entry.tau_sol)
         assert rep.verdict is Verdict.NOT_A_SOLITON
         assert rep.lambda_spread > entry.tau_sol
 
 
 def test_fit_lambda_hyperbolic_cylinder_c1_paper_form():
     imm, grid, entry = entry_grid("hyperbolic_cylinder")
-    rep = fit_lambda(imm, grid, "paper_form", tau=entry.tau_sol)
+    geo = GeometryBatch(imm, grid)
+    rep = fit(geo, "paper_form", tau=entry.tau_sol)
     assert rep.lambda_fit == pytest.approx(1.0, abs=1e-9)
     assert rep.verdict is Verdict.SHRINKING
-    rep_c = fit_lambda(imm, grid, "corrected", tau=entry.tau_sol)
+    rep_c = fit(geo, "corrected", tau=entry.tau_sol)
     assert rep_c.verdict is Verdict.NOT_A_SOLITON
 
 
@@ -117,9 +135,9 @@ def test_generalized_umbilical_soliton_holds_on_central_slice():
     imm, _, entry = entry_grid("generalized_umbilical")
     slice_grid = grid_points(((-1e-12, 1e-12), (-0.8, 0.8), (-0.6, 0.6)),
                              (2, 4, 4))
-    assert soliton_residual(imm, slice_grid, 2.0, "corrected") < 1e-9
+    assert residual(GeometryBatch(imm, slice_grid), 2.0) < 1e-9
     full_grid = grid_points(entry.safe_box(entry.defaults), (5, 4, 4))
-    assert soliton_residual(imm, full_grid, 2.0, "corrected") > 1e-2
+    assert residual(GeometryBatch(imm, full_grid), 2.0) > 1e-2
 
 
 def test_position_field_identities_universal():
@@ -175,7 +193,7 @@ def test_hyperbolic_space_gradient_constant_potential():
 def test_negative_controls_fail_soliton_pass_identities():
     for name in ("graph_lorentzian", "graph_spacelike"):
         imm, grid, entry = entry_grid(name)
-        rep = fit_lambda(imm, grid, "corrected", tau=entry.tau_sol)
+        rep = fit(GeometryBatch(imm, grid), tau=entry.tau_sol)
         assert rep.verdict is Verdict.NOT_A_SOLITON
         assert rep.lambda_spread > 1e-2
         first, second = rep.lemma1_residuals
@@ -188,8 +206,8 @@ def test_grid_refinement_stability_of_lambda():
         entry = catalog.get(name)
         imm, merged = entry.build()
         box = entry.safe_box(merged)
-        lam5 = fit_lambda(imm, grid_points(box, (5, 5, 5)), "corrected").lambda_fit
-        lam9 = fit_lambda(imm, grid_points(box, (9, 9, 9)), "corrected").lambda_fit
+        lam5 = fit(GeometryBatch(imm, grid_points(box, (5, 5, 5)))).lambda_fit
+        lam9 = fit(GeometryBatch(imm, grid_points(box, (9, 9, 9)))).lambda_fit
         assert abs(lam5 - lam9) < 1e-8
 
 
@@ -206,8 +224,8 @@ def test_normal_flip_covariance():
         ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
         ric_f = ricci_gauss(geo_f.A, geo_f.g, geo_f.epsilon)
         assert np.max(np.abs(ric - ric_f)) < 1e-9
-        rep = fit_lambda_from_geometry(geo, tau=entry.tau_sol)
-        rep_f = fit_lambda_from_geometry(geo_f, tau=entry.tau_sol)
+        rep = fit(geo, tau=entry.tau_sol)
+        rep_f = fit(geo_f, tau=entry.tau_sol)
         assert abs(rep.lambda_fit - rep_f.lambda_fit) < 1e-9
         assert rep.verdict is rep_f.verdict
 
