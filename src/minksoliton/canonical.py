@@ -18,12 +18,17 @@ touching any geometry:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .lorentz import FormVariant
+
+
+def _check_epsilon(form, epsilon):
+    if form is not FormVariant.DIAGONALIZABLE and epsilon != 1:
+        raise ValueError("nondiagonalizable forms are Lorentzian (epsilon=1)")
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,7 @@ class CaseSystem:
     parameters: dict
 
     def __post_init__(self):
-        if self.form is not FormVariant.DIAGONALIZABLE and self.epsilon != 1:
-            raise ValueError("nondiagonalizable forms are Lorentzian (epsilon=1)")
+        _check_epsilon(self.form, self.epsilon)
 
     def residuals(self, lam, rho):
         """Signed residuals of the component equations at (lambda, rho)."""
@@ -104,6 +108,21 @@ def build_case_system(form, epsilon=1, **parameters):
     return CaseSystem(form, int(epsilon), params)
 
 
+# The branches of the elimination, each with the reason it has or lacks a
+# solution.
+WITNESS = {
+    "umbilical": "all equations coincide; rho stays free with "
+                 "lambda = 1 + 2c^2 + eps*rho*c",
+    "two_distinct": "repeated curvature pinned to -eps*rho",
+    "three_distinct": "subtracting equation pairs forces two curvatures to "
+                      "equal -eps*rho, contradicting pairwise distinctness",
+    "complex_pair": "elimination yields (a1 - a2)^2 + b1^2 = 0 with b1 != 0",
+    "jordan3": "Ric(e1,e1) must equal both -1 and 0",
+    "jordan2_equal": "lambda = a1^2 + 1 with rho = -a1",
+    "jordan2_distinct": "elimination yields (a1 - a2)^2 = 0",
+}
+BRANCHES = tuple(WITNESS)
+
 # Curvature parameters closer than this coincide.  Synthetic draws keep
 # distinct parameters at least 0.05 apart.
 TAU_COINCIDE = 1e-12
@@ -123,8 +142,7 @@ def solve_case(system):
             return CaseSolution(
                 solvable=True, branch="umbilical",
                 lam_affine=(1.0 + 2.0 * c * c, e * c), rho=None,
-                witness="all equations coincide; rho stays free with "
-                        "lambda = 1 + 2c^2 + eps*rho*c")
+                witness=WITNESS["umbilical"])
         if same12 or same13 or same23:
             if same12:
                 d, s = 0.5 * (a[0] + a[1]), a[2]
@@ -135,115 +153,190 @@ def solve_case(system):
             return CaseSolution(
                 solvable=True, branch="two_distinct",
                 lam=1.0 + d * s, rho=-e * d,
-                witness="repeated curvature pinned to -eps*rho")
+                witness=WITNESS["two_distinct"])
         gap = min(abs(a[0] - a[1]), abs(a[0] - a[2]), abs(a[1] - a[2]))
         return CaseSolution(
             solvable=False, branch="three_distinct",
-            witness="subtracting equation pairs forces two curvatures to "
-                    "equal -eps*rho, contradicting pairwise distinctness",
+            witness=WITNESS["three_distinct"],
             witness_value=gap * gap)
     if system.form is FormVariant.COMPLEX_PAIR:
         a1, b1, a2 = p["a1"], p["b1"], p["a2"]
         w = (a1 - a2) ** 2 + b1 * b1
         return CaseSolution(
             solvable=False, branch="complex_pair",
-            witness="elimination yields (a1 - a2)^2 + b1^2 = 0 with b1 != 0",
+            witness=WITNESS["complex_pair"],
             witness_value=w)
     if system.form is FormVariant.JORDAN_3:
         return CaseSolution(
             solvable=False, branch="jordan3",
-            witness="Ric(e1,e1) must equal both -1 and 0",
+            witness=WITNESS["jordan3"],
             witness_value=1.0)
     a1, a2 = p["a1"], p["a2"]
     if abs(a1 - a2) <= TAU_COINCIDE:
         c = 0.5 * (a1 + a2)
         return CaseSolution(solvable=True, branch="jordan2_equal",
                             lam=1.0 + c * c, rho=-c,
-                            witness="lambda = a1^2 + 1 with rho = -a1")
+                            witness=WITNESS["jordan2_equal"])
     return CaseSolution(
         solvable=False, branch="jordan2_distinct",
-        witness="elimination yields (a1 - a2)^2 = 0",
+        witness=WITNESS["jordan2_distinct"],
         witness_value=(a1 - a2) ** 2)
 
 
-@dataclass
+# Ground-truth solvability of each kind of synthetic draw, and the kinds of
+# each form in the order their draws interleave (draw k has kind k % len).
+SOLVABLE_BY_KIND = {"umbilical": True, "two_equal": True, "distinct": False,
+                    "complex": False, "equal": True, "jordan3": False}
+KINDS = {
+    FormVariant.DIAGONALIZABLE: ("umbilical", "two_equal", "distinct"),
+    FormVariant.COMPLEX_PAIR: ("complex",),
+    FormVariant.JORDAN_2: ("equal", "distinct"),
+    FormVariant.JORDAN_3: ("jordan3",),
+}
+_BRANCH = {name: code for code, name in enumerate(BRANCHES)}
+
+
+@dataclass(frozen=True)
 class SweepSummary:
+    """One sweep as columns, one entry per draw in draw order.
+
+    ``params`` is (n, k) with columns named by ``names``; ``kind`` indexes
+    ``KINDS[form]`` and ``branch`` indexes ``BRANCHES``.  ``lam``, ``rho``
+    and the (n, 2) ``lam_affine`` hold NaN where ``solve_case`` gives None.
+    """
+
     form: FormVariant
     epsilon: int
-    rows: list = field(default_factory=list)
-    solvable_count: int = 0
-    infeasible_count: int = 0
-    misclassifications: int = 0
+    names: tuple
+    params: np.ndarray
+    kind: np.ndarray
+    solvable: np.ndarray
+    branch: np.ndarray
+    lam: np.ndarray
+    rho: np.ndarray
+    lam_affine: np.ndarray
+
+    @property
+    def solvable_count(self):
+        return int(np.count_nonzero(self.solvable))
+
+    @property
+    def infeasible_count(self):
+        return len(self.solvable) - self.solvable_count
+
+    @property
+    def misclassifications(self):
+        expected = np.array([SOLVABLE_BY_KIND[k] for k in KINDS[self.form]])
+        return int(np.count_nonzero(self.solvable != expected[self.kind]))
 
 
-def _draw_parameters(form, rng, k):
-    """One random parameter point plus its ground-truth solvability."""
+def _signed_uniform(rng, n):
+    """|x| uniform on [0.1, 2) with a fair random sign."""
+    u = rng.uniform(0.1, 2.0, n)
+    return np.where(rng.random(n) < 0.5, -u, u)
+
+
+def _uniform_away(rng, centre, gap):
+    """Uniform on [-2, 2), redrawn where within ``gap`` of ``centre``."""
+    x = rng.uniform(-2.0, 2.0, centre.shape)
+    redo = np.flatnonzero(np.abs(x - centre) < gap)
+    while redo.size:
+        x[redo] = rng.uniform(-2.0, 2.0, redo.size)
+        redo = redo[np.abs(x[redo] - centre[redo]) < gap]
+    return x
+
+
+def _spaced_triples(rng, n, gap):
+    """Sorted uniform triples on [-2, 2), redrawn until neighbours are at
+    least ``gap`` apart."""
+    a = np.sort(rng.uniform(-2.0, 2.0, (n, 3)), axis=1)
+    redo = np.flatnonzero(np.diff(a, axis=1).min(axis=1) < gap)
+    while redo.size:
+        a[redo] = np.sort(rng.uniform(-2.0, 2.0, (redo.size, 3)), axis=1)
+        redo = redo[np.diff(a[redo], axis=1).min(axis=1) < gap]
+    return a
+
+
+def _draw(form, rng, kind):
+    """Parameter columns for draws of the given kinds (codes into KINDS)."""
+    n = len(kind)
     if form is FormVariant.DIAGONALIZABLE:
-        kind = k % 3
-        if kind == 0:
-            c = _nonzero_uniform(rng, 0.1, 2.0)
-            return {"a1": c, "a2": c, "a3": c}, True, "umbilical"
-        if kind == 1:
-            d = _nonzero_uniform(rng, 0.1, 2.0)
-            s = d
-            while abs(s - d) < 0.1:
-                s = rng.uniform(-2.0, 2.0)
-            vals = [d, d, s]
-            rng.shuffle(vals)
-            return {"a1": vals[0], "a2": vals[1], "a3": vals[2]}, True, "two_equal"
-        while True:
-            a = sorted(rng.uniform(-2.0, 2.0, size=3))
-            if a[1] - a[0] >= 0.05 and a[2] - a[1] >= 0.05:
-                break
-        return {"a1": a[0], "a2": a[1], "a3": a[2]}, False, "distinct"
+        a = np.empty((n, 3))
+        rows = kind == 0
+        a[rows] = _signed_uniform(rng, np.count_nonzero(rows))[:, None]
+        rows = np.flatnonzero(kind == 1)
+        d = _signed_uniform(rng, rows.size)
+        a[rows] = d[:, None]
+        a[rows, rng.integers(0, 3, rows.size)] = _uniform_away(rng, d, 0.1)
+        rows = kind == 2
+        a[rows] = _spaced_triples(rng, np.count_nonzero(rows), 0.05)
+        return a
     if form is FormVariant.COMPLEX_PAIR:
-        return {"a1": rng.uniform(-2.0, 2.0),
-                "b1": _nonzero_uniform(rng, 0.1, 2.0),
-                "a2": rng.uniform(-2.0, 2.0)}, False, "complex"
-    if form is FormVariant.JORDAN_2:
-        a1 = rng.uniform(-2.0, 2.0)
-        if k % 2 == 0:
-            return {"a1": a1, "a2": a1}, True, "equal"
-        a2 = a1
-        while abs(a2 - a1) < 0.1:
-            a2 = rng.uniform(-2.0, 2.0)
-        return {"a1": a1, "a2": a2}, False, "distinct"
-    return {"a1": rng.uniform(-2.0, 2.0)}, False, "jordan3"
+        return np.stack([rng.uniform(-2.0, 2.0, n), _signed_uniform(rng, n),
+                         rng.uniform(-2.0, 2.0, n)], axis=1)
+    a1 = rng.uniform(-2.0, 2.0, n)
+    if form is FormVariant.JORDAN_3:
+        return a1[:, None]
+    a2 = a1.copy()
+    rows = kind == 1
+    a2[rows] = _uniform_away(rng, a1[rows], 0.1)
+    return np.stack([a1, a2], axis=1)
 
 
-def _nonzero_uniform(rng, lo, hi):
-    u = float(rng.uniform(lo, hi))
-    return u if rng.random() < 0.5 else -u
+def _solve_columns(form, e, p):
+    """``solve_case`` over rows of parameters: the same closed-form branches
+    and arithmetic, decided with masks."""
+    n = len(p)
+    lam, rho = np.full(n, np.nan), np.full(n, np.nan)
+    lam_affine = np.full((n, 2), np.nan)
+    if form is FormVariant.DIAGONALIZABLE:
+        a0, a1, a2 = p.T
+        same12 = np.abs(a0 - a1) <= TAU_COINCIDE
+        same13 = np.abs(a0 - a2) <= TAU_COINCIDE
+        same23 = np.abs(a1 - a2) <= TAU_COINCIDE
+        umb = same12 & same13 & same23
+        two = (same12 | same13 | same23) & ~umb
+        c = (a0[umb] + a1[umb] + a2[umb]) / 3.0
+        lam_affine[umb, 0] = 1.0 + 2.0 * c * c
+        lam_affine[umb, 1] = e * c
+        d = np.where(same12, 0.5 * (a0 + a1),
+                     np.where(same13, 0.5 * (a0 + a2), 0.5 * (a1 + a2)))[two]
+        s = np.where(same12, a2, np.where(same13, a1, a0))[two]
+        lam[two] = 1.0 + d * s
+        rho[two] = -e * d
+        branch = np.where(umb, _BRANCH["umbilical"],
+                          np.where(two, _BRANCH["two_distinct"],
+                                   _BRANCH["three_distinct"]))
+    elif form is FormVariant.COMPLEX_PAIR:
+        branch = np.full(n, _BRANCH["complex_pair"])
+    elif form is FormVariant.JORDAN_3:
+        branch = np.full(n, _BRANCH["jordan3"])
+    else:
+        eq = np.abs(p[:, 0] - p[:, 1]) <= TAU_COINCIDE
+        c = 0.5 * (p[eq, 0] + p[eq, 1])
+        lam[eq] = 1.0 + c * c
+        rho[eq] = -c
+        branch = np.where(eq, _BRANCH["jordan2_equal"],
+                          _BRANCH["jordan2_distinct"])
+    # the solvable branches are the ones that give lambda
+    solvable = ~np.isnan(lam) | ~np.isnan(lam_affine[:, 0])
+    return solvable, branch, lam, rho, lam_affine
 
 
 def sweep(form, n_draws=10000, seed=0, epsilon=1):
-    """Randomized sweep of one form; counts dichotomy misclassifications."""
+    """Randomized sweep of one form as columns in draw order.
+
+    Draw k has kind ``k % len(KINDS[form])``; each parameter column is drawn
+    for all draws of a kind at once, rejecting and redrawing only the draws
+    that fall too close to a coincidence.
+    """
     form = FormVariant(form) if not isinstance(form, FormVariant) else form
+    _check_epsilon(form, epsilon)
     rng = np.random.default_rng(seed)
-    summary = SweepSummary(form=form, epsilon=int(epsilon))
-    for k in range(int(n_draws)):
-        params, expected, kind = _draw_parameters(form, rng, k)
-        system = build_case_system(form, epsilon=epsilon, **params)
-        sol = solve_case(system)
-        if sol.solvable:
-            summary.solvable_count += 1
-        else:
-            summary.infeasible_count += 1
-        if sol.solvable != expected:
-            summary.misclassifications += 1
-        row = dict(params)
-        row.update({
-            "kind": kind,
-            "solvable": sol.solvable,
-            "branch": sol.branch,
-            "lambda": sol.lam if sol.lam is not None else (
-                f"{sol.lam_affine[0]:.12g}{sol.lam_affine[1]:+.12g}*rho"
-                if sol.lam_affine else ""),
-            "rho": sol.rho if sol.rho is not None else "free" if sol.solvable else "",
-            "witness": sol.witness if not sol.solvable else "",
-        })
-        summary.rows.append(row)
-    return summary
+    kind = np.arange(int(n_draws)) % len(KINDS[form])
+    params = _draw(form, rng, kind)
+    return SweepSummary(form, int(epsilon), _REQUIRED[form], params, kind,
+                        *_solve_columns(form, int(epsilon), params))
 
 
 def consistency_residual(form_variant, parameters, epsilon, rho, lam):

@@ -21,6 +21,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, canonical, catalog, exprs
 from .lorentz import FormVariant
 
@@ -49,7 +51,10 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_params(items):
+def _parse_params(items, defaults=None):
+    """``--param`` values as floats.  Given a catalog entry's ``defaults``,
+    a name whose default is text keeps a value that is not a number, and
+    so does a name the entry lacks, for the entry to report."""
     out = {}
     for item in items or []:
         if "=" not in item:
@@ -59,6 +64,9 @@ def _parse_params(items):
         try:
             out[k] = value = float(v)
         except ValueError:
+            if defaults is None or not isinstance(defaults.get(k, ""), str):
+                raise UsageError(
+                    f"--param {k} must be a number, got {v!r}") from None
             out[k] = v.strip()
         else:
             if not math.isfinite(value):
@@ -180,7 +188,6 @@ def _text_report(report):
 
 
 def cmd_analyze(args):
-    params = _parse_params(args.param)
     grid_counts = _parse_grid(args.grid)
     mode = args.ricci_mode
 
@@ -188,6 +195,7 @@ def cmd_analyze(args):
     if is_file and args.entry not in catalog.ENTRIES:
         if not os.path.exists(args.entry):
             raise UsageError(f"chart file {args.entry!r} does not exist")
+        params = _parse_params(args.param)
         box = _parse_box(args.box) if args.box else None
         try:
             imm = exprs.immersion_from_file(args.entry, params, box)
@@ -205,6 +213,8 @@ def cmd_analyze(args):
         if args.entry not in catalog.ENTRIES:
             raise UsageError(f"unknown catalog entry {args.entry!r}; "
                              f"try 'list'")
+        params = _parse_params(args.param,
+                               catalog.ENTRIES[args.entry].defaults)
         try:
             report = analysis.analyze_entry(
                 args.entry, params, grid_counts, ricci_mode=mode,
@@ -233,53 +243,113 @@ def cmd_analyze(args):
 
 # -- case-sweep ----------------------------------------------------------------
 
+_PARAM_KEYS = ("a1", "a2", "a3", "b1")
+
+
+def _csv_cell(value):
+    """``value`` as ``csv.writer`` writes it between other fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
+
+
+def _csv_numbers(x):
+    return list(map("{:.12g}".format, x.tolist()))
+
+
+def _json_numbers(x):
+    """What ``dump_json`` writes for each float.
+
+    For normal floats below 1e11 in magnitude the 12-digit text already is
+    the shortest repr of its value, but for the ".0" that repr puts on an
+    integral value.
+    """
+    cells = _csv_numbers(x)
+    size = np.abs(x)
+    if not np.all((size < 1e11) & ((size >= 1e-300) | (size == 0.0))):
+        return list(map(json.dumps, map(float, cells)))
+    return [c if "." in c or "e" in c else c + ".0" for c in cells]
+
+
+def _pick(cells, codes):
+    return np.array(cells, dtype=object)[codes]
+
+
+def _sweep_columns(summary, numbers, text):
+    """The case-sweep rows of one sweep as columns of encoded cells.
+
+    ``numbers`` encodes an array of floats and ``text`` any other value.
+    Kind, branch and witness cells are encoded once per sweep; lambda and
+    rho are formatted only on the rows that have them.
+    """
+    names = summary.names
+    cols = [numbers(summary.params[:, names.index(k)])
+            for k in _PARAM_KEYS if k in names]
+    n = len(summary.solvable)
+    cols.append([text(summary.epsilon)] * n)
+    cols.append(_pick([text(k) for k in canonical.KINDS[summary.form]],
+                      summary.kind))
+    cols.append(_pick([text(False), text(True)], summary.solvable.astype(int)))
+    cols.append(_pick([text(b) for b in canonical.BRANCHES], summary.branch))
+    lam = np.full(n, text(""), dtype=object)
+    rows = ~np.isnan(summary.lam)
+    lam[rows] = numbers(summary.lam[rows])
+    rows = ~np.isnan(summary.lam_affine[:, 0])
+    # formatted floats need no quoting or escaping, so the encoded format
+    # gives the encoded string
+    affine = text("%.12g%+.12g*rho")
+    lam[rows] = [affine % (c0, c1)
+                 for c0, c1 in summary.lam_affine[rows].tolist()]
+    cols.append(lam)
+    rho = _pick([text(""), text("free")], summary.solvable.astype(int))
+    rows = ~np.isnan(summary.rho)
+    rho[rows] = numbers(summary.rho[rows])
+    cols.append(rho)
+    witness = [text(canonical.WITNESS[b]) for b in canonical.BRANCHES]
+    cols.append(_pick(witness + [text("")], np.where(
+        summary.solvable, len(witness), summary.branch)))
+    return cols
+
+
 def cmd_case_sweep(args):
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     form = FormVariant(args.form)
     eps_values = (1, -1) if args.epsilon == "both" else (int(args.epsilon),)
     if form is not FormVariant.DIAGONALIZABLE:
         eps_values = (1,)
-    all_rows = []
-    summaries = []
-    for eps in eps_values:
-        summary = canonical.sweep(form, args.count, seed=args.seed,
-                                  epsilon=eps)
-        summaries.append(summary)
-        for row in summary.rows:
-            row = dict(row)
-            row["epsilon"] = eps
-            all_rows.append(row)
+    summaries = [canonical.sweep(form, args.count, seed=args.seed,
+                                 epsilon=eps) for eps in eps_values]
+    mis = sum(s.misclassifications for s in summaries)
 
-    param_keys = [k for k in ("a1", "a2", "a3", "b1") if k in all_rows[0]]
-    header = param_keys + ["epsilon", "kind", "solvable", "branch",
-                           "lambda", "rho", "witness"]
+    header = [k for k in _PARAM_KEYS if k in summaries[0].names] + [
+        "epsilon", "kind", "solvable", "branch", "lambda", "rho", "witness"]
     if args.format == "json":
-        payload = {
+        row = ("    {\n" + ",\n".join(f"      {json.dumps(k)}: %s"
+                                      for k in header) + "\n    }")
+        rows = [row % cells for s in summaries for cells in
+                zip(*_sweep_columns(s, _json_numbers, json.dumps))]
+        head = {
             "form": args.form,
             "count": args.count,
             "seed": args.seed,
-            "misclassifications": sum(s.misclassifications
-                                      for s in summaries),
+            "misclassifications": mis,
             "solvable": sum(s.solvable_count for s in summaries),
             "infeasible": sum(s.infeasible_count for s in summaries),
-            "rows": [
-                {k: row.get(k) for k in header} for row in all_rows
-            ],
         }
-        text = dump_json(payload)
+        # the layout of dump_json(dict(head, rows=...)), rows encoded above
+        text = ("{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"
+                                for k, v in head.items())
+                + '  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in all_rows:
-            writer.writerow([
-                f"{row[k]:.12g}" if isinstance(row.get(k), float) else row.get(k)
-                for k in header
-            ])
-        text = buf.getvalue()
+        lines = [",".join(map(_csv_cell, header))]
+        for s in summaries:
+            lines += map(",".join, zip(*_sweep_columns(s, _csv_numbers,
+                                                       _csv_cell)))
+        text = "\n".join(lines) + "\n"
     _write_output(text, args.out)
-    mis = sum(s.misclassifications for s in summaries)
     if mis:
         sys.stderr.write(f"warning: {mis} draws disagree with the expected "
                          "branch structure\n")

@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from minksoliton.canonical import (build_case_system, consistency_residual,
-                                   solve_case, sweep)
+from minksoliton.canonical import (KINDS, build_case_system,
+                                   consistency_residual, solve_case, sweep)
 from minksoliton.lorentz import FormVariant
 
 
@@ -142,19 +142,14 @@ def test_sweep_dichotomy_and_speed():
 
 def test_sweep_two_equal_rows_follow_branch_formulas():
     s = sweep(FormVariant.DIAGONALIZABLE, 300, seed=4, epsilon=-1)
-    checked = 0
-    for row in s.rows:
-        if row["kind"] != "two_equal":
-            continue
-        vals = sorted([row["a1"], row["a2"], row["a3"]])
-        if abs(vals[0] - vals[1]) < 1e-12:
-            d, simple = vals[0], vals[2]
-        else:
-            d, simple = vals[2], vals[0]
-        assert row["rho"] == pytest.approx(d)       # -eps*d with eps = -1
-        assert row["lambda"] == pytest.approx(1 + d * simple)
-        checked += 1
-    assert checked > 50
+    rows = np.array(KINDS[s.form])[s.kind] == "two_equal"
+    vals = np.sort(s.params[rows], axis=1)
+    low_pair = np.abs(vals[:, 0] - vals[:, 1]) < 1e-12
+    d = np.where(low_pair, vals[:, 0], vals[:, 2])
+    simple = np.where(low_pair, vals[:, 2], vals[:, 0])
+    assert s.rho[rows] == pytest.approx(d)       # -eps*d with eps = -1
+    assert s.lam[rows] == pytest.approx(1 + d * simple)
+    assert np.count_nonzero(rows) > 50
 
 
 def test_consistency_residual_roundtrip():

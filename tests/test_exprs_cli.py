@@ -133,11 +133,30 @@ def test_cli_usage_errors(capsys, tmp_path):
     for argv, flag in (
             (["case-sweep", "--form", "jordan2", "--count", "0"], "--count"),
             (["case-sweep", "--form", "jordan2", "--count", "-3"], "--count"),
+            (["case-sweep", "--form", "jordan2", "--seed", "-1"], "--seed"),
             (["analyze", "--entry", str(chart), "--box=a:1,0:1,0:1"],
              "--box")):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert flag in err and "Error" not in err, err
+
+
+def test_cli_param_value_must_be_a_number(capsys, tmp_path):
+    assert main(["analyze", "--entry", "de_sitter", "--param", "c=abc"]) == 1
+    err = capsys.readouterr().err
+    assert "--param c" in err and "abc" in err and "Error" not in err, err
+    chart = tmp_path / "graph.txt"
+    chart.write_text("u\nv\nw\n2 + k*u*u\n")
+    assert main(["analyze", "--entry", str(chart), "--param", "k=two"]) == 1
+    assert "--param k" in capsys.readouterr().err
+    assert main(["analyze", "--entry", "de_sitter", "--param", "zz=abc"]) == 1
+    assert "unknown parameters" in capsys.readouterr().err
+    # a name whose default is text takes text
+    assert main(["analyze", "--entry", "generalized_cylinder_I", "--grid",
+                 "3,3,3", "--param", "b_kind=constant", "--format",
+                 "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["b_kind"] == \
+        "constant"
 
 
 def test_cli_text_report_shows_provenance(capsys):
