@@ -17,8 +17,7 @@ from .hypersurface import Immersion, grid_points, ricci_gauss
 from .soliton import SolitonReport, Verdict
 from .frame_ode import (BFunction, FrameODESpec, FrameState,
                         build_generalized_cylinder_I,
-                        build_generalized_umbilical, closed_frame_system,
-                        integrate_frame)
+                        build_generalized_umbilical, integrate_frame)
 from .canonical import CaseSystem, build_case_system, solve_case, sweep
 from .analysis import analyze_entry, analyze_immersion
 
@@ -29,6 +28,6 @@ __all__ = [
     "Immersion", "Jet", "ShapeOperatorForm", "SolitonReport", "Verdict",
     "analyze_entry", "analyze_immersion", "build_case_system",
     "build_generalized_cylinder_I", "build_generalized_umbilical",
-    "closed_frame_system", "extract_derivative", "grid_points",
+    "extract_derivative", "grid_points",
     "integrate_frame", "mink_inner", "ricci_gauss", "solve_case", "sweep",
 ]

@@ -55,18 +55,23 @@ class WindowExceeded(ValueError):
 
 @dataclass(frozen=True)
 class BFunction:
-    """Scalar coefficient B(s) with the derivatives the jet lift needs."""
+    """Scalar coefficient B(s) with the derivatives the jet lift needs.
+
+    The callables take floats or arrays.  ``params`` holds the exact
+    parameters of a named family (``label`` rounds them) for the table cache.
+    """
 
     value: Callable[[float], float]
     d1: Callable[[float], float]
     d2: Callable[[float], float]
     label: str = "B"
+    params: tuple | None = None
 
     @classmethod
     def constant(cls, c):
         c = float(c)
         return cls(lambda s: c + 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s,
-                   label=f"{c:g}")
+                   label=f"{c:g}", params=("constant", c))
 
     @classmethod
     def offset_sin(cls, offset=2.0, amplitude=1.0):
@@ -74,7 +79,7 @@ class BFunction:
         return cls(lambda s: o + amp * np.sin(s),
                    lambda s: amp * np.cos(s),
                    lambda s: -amp * np.sin(s),
-                   label=f"{o:g}+{amp:g}*sin(s)")
+                   label=f"{o:g}+{amp:g}*sin(s)", params=("offset_sin", o, amp))
 
 
 @dataclass
@@ -120,9 +125,8 @@ class FrameODESpec:
     def require_b_nonzero(self):
         """The ruled constructions need B bounded away from zero."""
         lo, hi = self.window
-        probe = np.linspace(lo, hi, 101)
-        vals = np.array([self.b.value(s) for s in probe])
-        if np.min(np.abs(vals)) < 1e-9 or vals.max() * vals.min() < 0.0:
+        vals = np.asarray(self.b.value(np.linspace(lo, hi, 101)))
+        if not (np.min(np.abs(vals)) >= 1e-9 and vals.max() * vals.min() > 0.0):
             raise ValueError("B(s) must be bounded away from zero on the window")
 
     def initial_state(self):
@@ -130,43 +134,23 @@ class FrameODESpec:
                           s=0.0)
 
     def coefficient_matrix(self, s, order=0):
-        """d^order/ds^order of the 5x5 system matrix acting on (alpha,X,Y,Z,W)."""
-        K = np.zeros((5, 5))
+        """d^order/ds^order of the 5x5 system matrix on (alpha,X,Y,Z,W), per s."""
+        s = np.asarray(s, dtype=float)
+        K = np.zeros(s.shape + (5, 5))
         if order == 0:
             b = self.b.value(s)
-            K[0, 1] = 1.0
-            K[1, 3] = -b
-            K[2, 3] = -self.a
-            K[3, 1] = -self.a
-            K[3, 2] = -b
-        elif order == 1:
-            db = self.b.d1(s)
-            K[1, 3] = -db
-            K[3, 2] = -db
-        elif order == 2:
-            d2b = self.b.d2(s)
-            K[1, 3] = -d2b
-            K[3, 2] = -d2b
+            K[..., 0, 1] = 1.0
+            K[..., 1, 3] = -b
+            K[..., 2, 3] = -self.a
+            K[..., 3, 1] = -self.a
+            K[..., 3, 2] = -b
+        elif order in (1, 2):
+            db = (self.b.d1 if order == 1 else self.b.d2)(s)
+            K[..., 1, 3] = -db
+            K[..., 3, 2] = -db
         else:
             raise ValueError("coefficient matrix available to order 2 only")
         return K
-
-
-def closed_frame_system(spec):
-    """Right-hand side of the full first-order system on (alpha, X, Y, Z, W)."""
-
-    def rhs(s, state):
-        return spec.coefficient_matrix(s) @ state
-
-    return rhs
-
-
-def _rk4_step(rhs, s, state, h):
-    k1 = rhs(s, state)
-    k2 = rhs(s + 0.5 * h, state + 0.5 * h * k1)
-    k3 = rhs(s + 0.5 * h, state + 0.5 * h * k2)
-    k4 = rhs(s + h, state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _state_array(spec):
@@ -174,9 +158,40 @@ def _state_array(spec):
     return np.vstack([init.alpha[None, :], init.frame_matrix()])
 
 
-def _gram_residual_of(state):
-    F = state[1:]
-    return float(np.max(np.abs(F @ MINK @ F.T - GRAM_TARGET)))
+def _rk4(spec, starts, steps):
+    """Classical RK4 along chains that all leave the initial state.
+
+    ``starts`` and ``steps`` are (n, c): step k of chain j runs from
+    ``starts[k, j]`` over ``steps[k, j]``.  The chains advance together as
+    one stack; each keeps the arithmetic of a scalar RK4 step, so its states
+    do not depend on the other chains.  Returns the (n + 1, c, 5, 4) states.
+    """
+    K0, K1, K2 = spec.coefficient_matrix(
+        np.stack([starts, starts + 0.5 * steps, starts + steps]))
+    h = steps[:, :, None, None]
+    half, sixth = 0.5 * h, h / 6.0
+    states = np.empty((len(h) + 1, h.shape[1], 5, 4))
+    states[0] = _state_array(spec)
+    for k in range(len(h)):
+        cur = states[k]
+        k1 = K0[k] @ cur
+        k2 = K1[k] @ (cur + half[k] * k1)
+        k3 = K1[k] @ (cur + half[k] * k2)
+        k4 = K2[k] @ (cur + h[k] * k3)
+        states[k + 1] = cur + sixth[k] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return states
+
+
+def _checked_drift(states, tau_frame):
+    """Largest Gram residual over stacked (..., 5, 4) states, held to tau."""
+    F = states[..., 1:, :]
+    gram = F @ MINK @ np.swapaxes(F, -1, -2)
+    drift = float(np.max(np.abs(gram - GRAM_TARGET)))
+    if not drift <= tau_frame:  # NaN fails closed
+        raise StepTooLarge(
+            f"Gram drift {drift:.3e} exceeds tolerance {tau_frame:.1e}; "
+            "reduce the step")
+    return drift
 
 
 def integrate_frame(spec, s, step=None):
@@ -187,22 +202,15 @@ def integrate_frame(spec, s, step=None):
     lo, hi = spec.window
     if s < lo - 1e-12 or s > hi + 1e-12:
         raise WindowExceeded(f"s={s} outside window [{lo}, {hi}]")
-    rhs = closed_frame_system(spec)
-    state = _state_array(spec)
     n = max(int(math.ceil(abs(s) / step - 1e-12)), 0)
-    h = math.copysign(step, s) if s != 0.0 else step
-    cur = 0.0
-    drift = _gram_residual_of(state)
-    for k in range(n):
-        hk = h if (k < n - 1) else (s - cur)
-        state = _rk4_step(rhs, cur, state, hk)
-        cur += hk
-        drift = max(drift, _gram_residual_of(state))
-    if drift > spec.tau_frame:
-        raise StepTooLarge(
-            f"Gram drift {drift:.3e} exceeds tolerance {spec.tau_frame:.1e}; "
-            "reduce the step")
-    fs = FrameState(state[0], state[1], state[2], state[3], state[4], s=float(s))
+    steps = np.full(n, math.copysign(step, s) if s != 0.0 else step)
+    starts = np.zeros(n)
+    np.cumsum(steps[:-1], out=starts[1:])
+    if n:
+        steps[-1] = s - starts[-1]  # partial last step, up to s
+    states = _rk4(spec, starts[:, None], steps[:, None])[:, 0]
+    drift = _checked_drift(states, spec.tau_frame)
+    fs = FrameState(*states[-1], s=float(s))
     return fs, drift
 
 
@@ -213,28 +221,16 @@ class FrameTable:
         self.spec = spec
         lo, hi = spec.window
         step = spec.step
-        rhs = closed_frame_system(spec)
         n_fwd = int(round(hi / step)) if hi > 0 else 0
         n_bwd = int(round(-lo / step)) if lo < 0 else 0
-        states = {0: _state_array(spec)}
-        drift = _gram_residual_of(states[0])
-        cur = states[0]
-        for k in range(n_fwd):
-            cur = _rk4_step(rhs, k * step, cur, step)
-            states[k + 1] = cur
-            drift = max(drift, _gram_residual_of(cur))
-        cur = states[0]
-        for k in range(n_bwd):
-            cur = _rk4_step(rhs, -k * step, cur, -step)
-            states[-(k + 1)] = cur
-            drift = max(drift, _gram_residual_of(cur))
-        self.s_grid = np.array([k * step for k in range(-n_bwd, n_fwd + 1)])
-        self.states = np.stack([states[k] for k in range(-n_bwd, n_fwd + 1)])
-        self.max_drift = drift
-        if drift > spec.tau_frame:
-            raise StepTooLarge(
-                f"Gram drift {drift:.3e} exceeds tolerance "
-                f"{spec.tau_frame:.1e}")
+        # forward and backward chains as one stack, run to the longer length;
+        # starts are integer multiples of step, as in a scalar k * step loop
+        k = np.arange(max(n_fwd, n_bwd))[:, None] * np.array([1, -1])
+        chains = _rk4(spec, k * step, np.broadcast_to([step, -step], k.shape))
+        self.s_grid = np.arange(-n_bwd, n_fwd + 1) * step
+        self.states = np.concatenate([chains[n_bwd:0:-1, 1],
+                                      chains[:n_fwd + 1, 0]])
+        self.max_drift = _checked_drift(self.states, spec.tau_frame)
 
     def values_at(self, s):
         """Frame states at parameters s (batched) via local quintic Lagrange."""
@@ -276,7 +272,7 @@ class FrameTable:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         F0 = self.values_at(s)
         distinct, back = np.unique(s, return_inverse=True)
-        K0, K1, K2 = (np.stack([self.spec.coefficient_matrix(t, k) for t in distinct])[back]
+        K0, K1, K2 = (self.spec.coefficient_matrix(distinct, k)[back]
                       for k in range(3))
         F1 = K0 @ F0
         F2 = K1 @ F0 + K0 @ F1
@@ -295,7 +291,10 @@ _TABLE_CACHE = {}
 
 
 def _table_for(spec):
-    key = (spec.a, spec.b.label, tuple(spec.alpha0), spec.window, spec.step)
+    # exact B parameters (the label rounds them); a table holds for its tau
+    b = spec.b if spec.b.params is None else spec.b.params
+    key = (spec.a, b, tuple(spec.alpha0), spec.window, spec.step,
+           spec.tau_frame)
     tab = _TABLE_CACHE.get(key)
     if tab is None:
         tab = FrameTable(spec)

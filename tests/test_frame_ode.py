@@ -1,5 +1,8 @@
 """Null-curve frame integration and the ruled hypersurfaces built on it."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -92,12 +95,135 @@ def test_step_too_large_raises():
     spec = fo.FrameODESpec(a=2.0, b=fo.BFunction.constant(3.0), tau_frame=1e-9)
     with pytest.raises(fo.StepTooLarge):
         fo.integrate_frame(spec, 1.0, 0.25)
+    with pytest.raises(fo.StepTooLarge):
+        fo.FrameTable(dataclasses.replace(spec, step=0.25))
+    with pytest.raises(fo.StepTooLarge):  # a NaN drift fails closed
+        fo.FrameTable(dataclasses.replace(spec, b=fo.BFunction.constant(np.nan)))
 
 
 def test_window_exceeded_raises():
     spec = spec_umbilical()
     with pytest.raises(fo.WindowExceeded):
         fo.integrate_frame(spec, 1.5)
+
+
+# -- bit-for-bit reference: the scalar per-step RK4 loop ------------------------
+#
+# The table and integrate_frame advance every chain through one stacked RK4
+# kernel.  Below is the scalar loop it replaced, one 5x5 system matrix and
+# one Gram residual per step; the kernel must reproduce it byte for byte.
+
+def ref_coefficient_matrix(spec, s):
+    b = spec.b.value(s)
+    K = np.zeros((5, 5))
+    K[0, 1] = 1.0
+    K[1, 3] = -b
+    K[2, 3] = -spec.a
+    K[3, 1] = -spec.a
+    K[3, 2] = -b
+    return K
+
+
+def ref_rk4_step(spec, s, state, h):
+    k1 = ref_coefficient_matrix(spec, s) @ state
+    k2 = ref_coefficient_matrix(spec, s + 0.5 * h) @ (state + 0.5 * h * k1)
+    k3 = ref_coefficient_matrix(spec, s + 0.5 * h) @ (state + 0.5 * h * k2)
+    k4 = ref_coefficient_matrix(spec, s + h) @ (state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ref_gram_residual(state):
+    F = state[1:]
+    return float(np.max(np.abs(F @ fo.MINK @ F.T - fo.GRAM_TARGET)))
+
+
+def ref_initial_state(spec):
+    return np.vstack([spec.alpha0[None, :], fo.DEFAULT_INITIAL_FRAME])
+
+
+def ref_table(spec):
+    lo, hi = spec.window
+    step = spec.step
+    n_fwd = int(round(hi / step)) if hi > 0 else 0
+    n_bwd = int(round(-lo / step)) if lo < 0 else 0
+    states = {0: ref_initial_state(spec)}
+    drift = ref_gram_residual(states[0])
+    cur = states[0]
+    for k in range(n_fwd):
+        cur = ref_rk4_step(spec, k * step, cur, step)
+        states[k + 1] = cur
+        drift = max(drift, ref_gram_residual(cur))
+    cur = states[0]
+    for k in range(n_bwd):
+        cur = ref_rk4_step(spec, -k * step, cur, -step)
+        states[-(k + 1)] = cur
+        drift = max(drift, ref_gram_residual(cur))
+    s_grid = np.array([k * step for k in range(-n_bwd, n_fwd + 1)])
+    return s_grid, np.stack([states[k] for k in range(-n_bwd, n_fwd + 1)]), drift
+
+
+def ref_integrate(spec, s, step):
+    state = ref_initial_state(spec)
+    n = max(int(math.ceil(abs(s) / step - 1e-12)), 0)
+    h = math.copysign(step, s) if s != 0.0 else step
+    cur = 0.0
+    drift = ref_gram_residual(state)
+    for k in range(n):
+        hk = h if (k < n - 1) else (s - cur)
+        state = ref_rk4_step(spec, cur, state, hk)
+        cur += hk
+        drift = max(drift, ref_gram_residual(state))
+    return state, drift
+
+
+REFERENCE_B = {"constant": fo.BFunction.constant(1.3),
+               "offset_sin": fo.BFunction.offset_sin(0.5, 0.3)}
+
+
+@pytest.mark.parametrize("window", [(-1.0, 1.0), (-0.3, 1.0), (0.0, 0.7),
+                                    (-0.9, 0.0)])
+@pytest.mark.parametrize("a", [0.0, -1.7])
+@pytest.mark.parametrize("b_kind", sorted(REFERENCE_B))
+def test_table_matches_scalar_loop_bit_for_bit(b_kind, a, window):
+    spec = fo.FrameODESpec(a=a, b=REFERENCE_B[b_kind], window=window,
+                           alpha0=np.array([0.1, 0.2, -0.3, 0.4]))
+    table = fo.FrameTable(spec)
+    s_grid, states, drift = ref_table(spec)
+    assert table.s_grid.tobytes() == s_grid.tobytes()
+    assert table.states.tobytes() == states.tobytes()
+    assert table.max_drift == drift
+
+
+@pytest.mark.parametrize("b_kind", sorted(REFERENCE_B))
+def test_integrate_frame_matches_scalar_loop_bit_for_bit(b_kind):
+    spec = fo.FrameODESpec(a=1.0, b=REFERENCE_B[b_kind], tau_frame=1.0)
+    for s in (0.0, 1e-13, 0.3137, -0.777, 1.0, -1.0):
+        for step in (1e-3, 0.0123, 0.25):
+            state, drift = fo.integrate_frame(spec, s, step)
+            ref_state, ref_drift = ref_integrate(spec, s, step)
+            got = np.vstack([state.alpha[None, :], state.frame_matrix()])
+            assert got.tobytes() == ref_state.tobytes()
+            assert drift == ref_drift
+
+
+def test_table_cache_keys_on_exact_b_and_tolerance(monkeypatch):
+    monkeypatch.setattr(fo, "_TABLE_CACHE", {})
+    # labels round B to 6 digits; the tables must still differ
+    specs = [spec_umbilical(b=fo.BFunction.constant(c))
+             for c in (1.0000001, 1.0000004)]
+    assert specs[0].b.label == specs[1].b.label
+    tables = [fo._table_for(spec) for spec in specs]
+    assert tables[0] is not tables[1]
+    for spec, table in zip(specs, tables):
+        assert table.states.tobytes() == fo.FrameTable(spec).states.tobytes()
+    assert fo._table_for(spec_umbilical(b=fo.BFunction.constant(1.0000001))) \
+        is tables[0]
+    # a table cached under a loose tolerance does not pass a tight one
+    loose = fo.FrameODESpec(a=2.0, b=fo.BFunction.constant(3.0), step=0.25,
+                            tau_frame=1.0)
+    fo.build_generalized_umbilical(loose)
+    with pytest.raises(fo.StepTooLarge):
+        fo.build_generalized_umbilical(dataclasses.replace(loose, tau_frame=1e-9))
 
 
 def test_table_interpolation_matches_direct_integration():
@@ -140,6 +266,9 @@ def test_builders_require_nonzero_b():
     with pytest.raises(ValueError):
         fo.build_generalized_cylinder_I(
             fo.FrameODESpec(a=0.0, b=fo.BFunction.offset_sin(0.5, 1.0)))
+    with pytest.raises(ValueError):
+        fo.build_generalized_cylinder_I(
+            fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(np.nan)))
 
 
 def test_umbilical_unit_lorentzian_normal():
