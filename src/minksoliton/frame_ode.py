@@ -288,6 +288,9 @@ class FrameTable:
 
 
 _TABLE_CACHE = {}
+# Tables kept, oldest evicted first; a default table is about 0.3 MiB, and
+# the catalog's default parameters need three.
+_TABLE_CACHE_SIZE = 32
 
 
 def _table_for(spec):
@@ -298,6 +301,8 @@ def _table_for(spec):
     tab = _TABLE_CACHE.get(key)
     if tab is None:
         tab = FrameTable(spec)
+        if len(_TABLE_CACHE) >= _TABLE_CACHE_SIZE:
+            del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
         _TABLE_CACHE[key] = tab
     return tab
 

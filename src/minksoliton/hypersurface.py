@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .lorentz import TAU_DEGENERATE, char_poly, mink_inner
+from .lorentz import TAU_DEGENERATE, mink_inner
 
 
 class DegenerateMetric(ArithmeticError):
@@ -97,17 +97,28 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def _parts(tree):
-    """Values (n, *S) and first chart partials (n, 3, *S), C-contiguous, of
-    a jet or a nested list of jets of shape S; the partials are coefficient
-    rows 1-3."""
-    shape, flat = (), [tree]
-    while isinstance(flat[0], (list, tuple)):
-        shape += (len(flat[0]),)
-        flat = [leaf for node in flat for leaf in node]
-    rows = np.stack([jet.coeffs[:4] for jet in flat], axis=-1)
-    rows = rows.reshape(rows.shape[:2] + shape)
-    return rows[0].copy(), np.ascontiguousarray(np.moveaxis(rows[1:], 0, 1))
+_BLOCK = 1024  # points per block: an order-3 product's 84 pair rows stay in L2
+
+
+def _check_metric(name, g, det):
+    g_scale = max(1.0, float(np.max(np.abs(g))))
+    if np.min(np.abs(det)) < TAU_DEGENERATE * g_scale ** 3:
+        raise DegenerateMetric(
+            f"induced metric of {name!r} is singular on the batch")
+
+
+def _check_normal(name, raw_n, nn):
+    """The sign of the squares nn of normals raw_n (n, 4), one across the
+    batch and away from zero on the scale of raw_n."""
+    n_scale = max(float(np.max(np.abs(raw_n))), 1e-300) ** 2
+    if np.min(np.abs(nn)) < 1e-10 * n_scale:
+        raise NullNormalDirection(
+            f"normal direction of {name!r} is lightlike on the batch")
+    signs = np.sign(nn)
+    if signs.max() != signs.min():
+        raise NullNormalDirection(
+            f"normal causal type of {name!r} changes across the batch")
+    return float(signs.flat[0])
 
 
 class GeometryBatch:
@@ -122,8 +133,15 @@ class GeometryBatch:
     support function ``rho``, the tangential position field ``xT`` and the
     potential ``f`` = <x, x>/2.  First chart partials carry the derivative
     index on axis 1: ``dg``, ``dN``, ``dA``, ``dGamma``, ``drho``, ``dxT``
-    and ``df`` (so dg[:, m, i, j] = d_m g_ij).  The degree-3 jets they are
-    computed from live only during construction.
+    and ``df`` (so dg[:, m, i, j] = d_m g_ij).
+
+    The degree-3 jets they are computed from live one block of _BLOCK
+    points at a time: each block writes its rows of the arrays, which are
+    allocated once.  Jet arithmetic is pointwise, so a point gets the same
+    bits in any block.  The metric and normal gates run on each block and
+    then on the whole batch.  A block that raises stops the loop, and the
+    batch is rerun as one block, so every input raises what a one-block
+    build raises.
     """
 
     def __init__(self, imm, pts):
@@ -131,44 +149,69 @@ class GeometryBatch:
         if pts.shape[0] == 0:
             raise EmptyGrid("no sample points supplied")
         self.points = np.ascontiguousarray(pts)
-        ju = jets.variable(1, pts[:, 0])
-        jv = jets.variable(2, pts[:, 1])
-        jw = jets.variable(3, pts[:, 2])
-        x = list(imm.chart_map(ju, jv, jw))
+        n = len(pts)
+        normals = np.empty((n, 5))  # raw normal and its square, per point
+        try:
+            for lo in range(0, n, _BLOCK):
+                self._block(imm, slice(lo, lo + _BLOCK), normals)
+        except Exception:
+            if n <= _BLOCK:
+                raise
+            # The first error over the whole batch may come from an earlier
+            # step in a later block: raise what one block raises.
+            self._block(imm, slice(0, n), normals)
+        # each block passed the gates on its own scales; so must the batch
+        _check_metric(imm.name, self.g, self.det)
+        self.epsilon = _check_normal(imm.name, normals[:, :4], normals[:, 4])
+        gA = self.g @ self.A
+        self.h = 0.5 * (gA + np.swapaxes(gA, -1, -2))
+
+    def _put(self, rows, tree, name, dname=None):
+        """Write the values of a jet, or of a nested list of jets, into
+        array ``name`` at ``rows``, and with ``dname`` their first chart
+        partials (coefficient rows 1-3) into array ``dname``."""
+        shape, flat = (), [tree]
+        while isinstance(flat[0], (list, tuple)):
+            shape += (len(flat[0]),)
+            flat = [leaf for node in flat for leaf in node]
+        coeffs = np.stack([jet.coeffs[:4 if dname else 1] for jet in flat], axis=-1)
+        coeffs = coeffs.reshape(coeffs.shape[:2] + shape)
+        parts = {name: coeffs[0]}
+        if dname:
+            parts[dname] = np.moveaxis(coeffs[1:], 0, 1)
+        for attr, part in parts.items():
+            if attr not in vars(self):
+                setattr(self, attr, np.empty((len(self.points),) + part.shape[1:]))
+            getattr(self, attr)[rows] = part
+
+    def _block(self, imm, rows, normals):
+        """Fill the arrays and ``normals`` at ``rows`` from their jets."""
+        pts = self.points[rows]
+        x = list(imm.chart_map(*(jets.variable(i + 1, pts[:, i]) for i in range(3))))
         if len(x) != 4:
             raise ValueError("chart map must return four components")
         xi = [[comp.deriv(i + 1) for comp in x] for i in range(3)]
-        self.x = _parts(x)[0]
-        self.tangents = _parts(xi)[0]
+        self._put(rows, x, "x")
+        self._put(rows, xi, "tangents")
 
         # g to degree 2 gives dg; every other jet below is read to degree 1.
         g = [[_inner4(xi[i], xi[j]) for j in range(3)] for i in range(3)]
-        self.g, self.dg = _parts(g)
+        self._put(rows, g, "g", "dg")
         g1 = [[gij.truncate(1) for gij in row] for row in g]
         det = _det3(g1)
-        self.det = _parts(det)[0]
-        g_scale = max(1.0, float(np.max(np.abs(self.g))))
-        if np.min(np.abs(self.det)) < TAU_DEGENERATE * g_scale ** 3:
-            raise DegenerateMetric(
-                f"induced metric of {imm.name!r} is singular on the batch")
+        self._put(rows, det, "det")
+        _check_metric(imm.name, self.g[rows], self.det[rows])
         ginv = _inv3(g1, det)
-        self.ginv = _parts(ginv)[0]
+        self._put(rows, ginv, "ginv")
 
         raw_n = _cross4(xi[0], xi[1], xi[2])
         nn = _inner4(raw_n, raw_n)
-        n_scale = max(float(np.max(np.abs([c.value for c in raw_n]))), 1e-300) ** 2
-        if np.min(np.abs(nn.value)) < 1e-10 * n_scale:
-            raise NullNormalDirection(
-                f"normal direction of {imm.name!r} is lightlike on the batch")
-        signs = np.sign(nn.value)
-        if signs.max() != signs.min():
-            raise NullNormalDirection(
-                f"normal causal type of {imm.name!r} changes across the batch")
-        self.epsilon = float(signs.flat[0])
-        norm = jets.sqrt(nn * self.epsilon)
+        normals[rows] = np.stack([c.value for c in raw_n + [nn]], axis=-1)
+        epsilon = _check_normal(imm.name, normals[rows, :4], normals[rows, 4])
+        norm = jets.sqrt(nn * epsilon)
         sign = float(imm.orientation_sign)
         N = [comp * sign / norm for comp in raw_n]
-        self.N, self.dN = _parts(N)
+        self._put(rows, N, "N", "dN")
 
         # Weingarten: dN/du^j = -A^i_j (dx/du^i); solve through the metric.
         dN = [[comp.deriv(j + 1) for comp in N] for j in range(3)]
@@ -180,11 +223,8 @@ class GeometryBatch:
                 acc = acc + ginv[i][1] * rhs[1]
                 acc = acc + ginv[i][2] * rhs[2]
                 A[i][j] = acc
-        del dN
-        self.A, self.dA = _parts(A)
-        self.H = _parts((A[0][0] + A[1][1] + A[2][2]) / 3.0)[0]
-        gA = self.g @ self.A
-        self.h = 0.5 * (gA + np.swapaxes(gA, -1, -2))
+        self._put(rows, A, "A", "dA")
+        self._put(rows, (A[0][0] + A[1][1] + A[2][2]) / 3.0, "H")
 
         dg = [[[g[i][j].deriv(m + 1) for j in range(3)] for i in range(3)]
               for m in range(3)]
@@ -200,12 +240,11 @@ class GeometryBatch:
                     val = acc * 0.5
                     Gamma[k][i][j] = val
                     Gamma[k][j][i] = val
-        del dg
-        self.Gamma, self.dGamma = _parts(Gamma)
+        self._put(rows, Gamma, "Gamma", "dGamma")
 
         x = [comp.truncate(1) for comp in x]
         xi = [[comp.truncate(1) for comp in row] for row in xi]
-        self.rho, self.drho = _parts(_inner4(x, N))
+        self._put(rows, _inner4(x, N), "rho", "drho")
         proj = [_inner4(x, xi[k]) for k in range(3)]
         xT = []
         for i in range(3):
@@ -213,8 +252,8 @@ class GeometryBatch:
             acc = acc + ginv[i][1] * proj[1]
             acc = acc + ginv[i][2] * proj[2]
             xT.append(acc)
-        self.xT, self.dxT = _parts(xT)
-        self.f, self.df = _parts(_inner4(x, x) * 0.5)
+        self._put(rows, xT, "xT", "dxT")
+        self._put(rows, _inner4(x, x) * 0.5, "f", "df")
 
     def n_points(self):
         return self.points.shape[0]
@@ -324,12 +363,13 @@ TAU_CLASS = 1e-6
 
 def structure_verdicts(geo, forms):
     """Structural verdicts of a geometry batch whose shape operators have
-    the canonical forms ``forms`` (a lorentz.FormBatch)."""
+    the canonical forms and characteristic polynomials ``forms`` (a
+    lorentz.FormBatch)."""
     Av, Hv = geo.A, geo.H
     scale = max(1.0, float(np.max(np.abs(Av))))
 
     umb = float(np.max(np.abs(Av - Hv[:, None, None] * np.eye(3))))
-    char_spread = float(np.max(np.ptp(char_poly(Av), axis=0)))
+    char_spread = float(np.max(np.ptp(forms.char_poly, axis=0)))
     if np.ptp(np.argmax(forms.min_poly != 0.0, axis=1)) == 0:  # one degree
         mp_spread = float(np.max(np.ptp(forms.min_poly, axis=0)))
     else:

@@ -11,10 +11,11 @@ Coefficients are stored coefficient-major, ``coeffs`` having shape
 ``(ROWS[order],) + batch_shape``: 1, 4, 10 or 20 rows for order 0-3, and an
 operation runs at the smaller order of its operands.  A product sums each
 output coefficient's pair terms from +0.0 in pair-table order with numpy
-adds, block by block, and no BLAS call, so a point gets the same bits in a
-batch of any size and at any order.  Division and sqrt run the same sums
-degree by degree (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
-SIAM 2008, on truncated Taylor series).
+adds and no BLAS call, so a point gets the same bits in a batch of any
+size and at any order; ``hypersurface.GeometryBatch`` therefore runs its
+jets over blocks of points that fit in cache.  Division and sqrt run the
+same sums degree by degree (Griewank & Walther, Evaluating Derivatives,
+2nd ed., SIAM 2008, on truncated Taylor series).
 """
 
 from __future__ import annotations
@@ -87,17 +88,11 @@ def _plan(slots, keep):
     return _MUL_A[flat], _MUL_B[flat], width, adds, np.array(order)
 
 
-_BLOCK = 1024  # points per block: a block's 84 pair products stay in L2
-
-
 def _pair_sum(x, y, plan):
     """Per slot of ``plan``: the sum from +0.0 of x[a] * y[b] over its pairs."""
     ia, ib, width, adds, order = plan
     if not width:
         return 0.0
-    if x.shape == y.shape and x.ndim > 1 and x.shape[-1] > _BLOCK:
-        return np.concatenate([_pair_sum(x[..., j:j + _BLOCK], y[..., j:j + _BLOCK], plan)
-                               for j in range(0, x.shape[-1], _BLOCK)], axis=-1)
     prod = x.take(ia, axis=0)
     prod = np.multiply(prod, y.take(ib, axis=0), out=prod if x.shape == y.shape else None)
     acc = prod[:width] + 0.0

@@ -167,12 +167,14 @@ class ShapeOperatorForm:
 class FormBatch:
     """Canonical forms of n operators: variant codes into VARIANTS,
     parameters (n, 3) of which the first N_PARAMETERS[code] count, minimal
-    polynomials (n, 4) as coefficients of t^3 .. t^0, and ambiguity flags."""
+    and characteristic polynomials (n, 4) as coefficients of t^3 .. t^0,
+    and ambiguity flags."""
 
     variant: np.ndarray
     parameters: np.ndarray
     min_poly: np.ndarray
     ambiguous: np.ndarray
+    char_poly: np.ndarray
 
     def form(self, i):
         code = self.variant[i]
@@ -255,7 +257,7 @@ def classify_batch(A, g=None, tol=TAU_RANK):
         [np.stack([re, im, reals[:, 0]], axis=1), lam[:, None],
          np.stack([d, np.where(k2, d, s), s], axis=1)],
         np.stack([s0, s1, s2], axis=1))
-    return FormBatch(variant, parameters, min_poly, ambiguous)
+    return FormBatch(variant, parameters, min_poly, ambiguous, cp)
 
 
 PSEUDO_ORTHONORMAL_GRAM = np.array([[0.0, -1.0, 0.0],

@@ -2,11 +2,13 @@
 and expectation bookkeeping."""
 
 import dataclasses
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from minksoliton import analysis, catalog
+from minksoliton import analysis, catalog, lorentz
 from minksoliton.catalog import de_sitter_immersion
 from minksoliton.hypersurface import (GeometryBatch, grid_points,
                                       ricci_intrinsic_batch)
@@ -124,18 +126,38 @@ def test_one_pass_per_analysis(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for module, name in ((analysis, "GeometryBatch"),
-                         (analysis, "ricci_intrinsic_batch"),
-                         (soliton, "route_agreement_batch"),
-                         (soliton, "lemma1_batch"),
-                         (soliton, "gradient_check_batch")):
+    targets = [(analysis, "GeometryBatch"),
+               (analysis, "ricci_intrinsic_batch"),
+               (soliton, "route_agreement_batch"),
+               (soliton, "lemma1_batch"),
+               (soliton, "gradient_check_batch")]
+    # char_poly, under every name a package module binds it to
+    targets += [(module, "char_poly") for name, module in sys.modules.items()
+                if name.startswith("minksoliton.")
+                and getattr(module, "char_poly", None) is lorentz.char_poly]
+    for module, name in targets:
         monkeypatch.setattr(module, name, counted(module, name))
     rep = analysis.analyze_entry("de_sitter", params={"c": 1.5},
                                  grid_counts=(3, 3, 3))
     analysis.pointwise_table(rep)
     assert calls == {"GeometryBatch": 1, "ricci_intrinsic_batch": 1,
                      "route_agreement_batch": 1, "lemma1_batch": 1,
-                     "gradient_check_batch": 1}
+                     "gradient_check_batch": 1, "char_poly": 1}
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_space",
+                                  "generalized_umbilical_varB"])
+def test_analysis_peak_memory_at_21_cubed(name):
+    # the arrays a 21^3 analysis keeps take about 18 MiB; the jets they are
+    # built from must not add a copy of them per intermediate
+    analysis.analyze_entry(name)  # imports and the frame table, untraced
+    tracemalloc.start()
+    try:
+        analysis.analyze_entry(name, grid_counts=(21, 21, 21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak / 2**20
 
 
 def test_public_names_resolve():

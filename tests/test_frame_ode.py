@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from minksoliton import catalog
 from minksoliton import frame_ode as fo
 from minksoliton import hypersurface as hs
 from minksoliton import jets
@@ -224,6 +225,30 @@ def test_table_cache_keys_on_exact_b_and_tolerance(monkeypatch):
     fo.build_generalized_umbilical(loose)
     with pytest.raises(fo.StepTooLarge):
         fo.build_generalized_umbilical(dataclasses.replace(loose, tau_frame=1e-9))
+
+
+def test_table_cache_is_bounded_and_still_hits(monkeypatch):
+    monkeypatch.setattr(fo, "_TABLE_CACHE", {})
+    for k in range(100):
+        catalog.generalized_umbilical_immersion(b_const=1.0 + 0.01 * k)
+        assert len(fo._TABLE_CACHE) <= fo._TABLE_CACHE_SIZE
+    assert len(fo._TABLE_CACHE) == fo._TABLE_CACHE_SIZE
+    # the newest tables survive; every default table still hits once built
+    builds = []
+    init = fo.FrameTable.__init__
+    monkeypatch.setattr(fo.FrameTable, "__init__",
+                        lambda self, spec: builds.append(spec) or init(self, spec))
+    catalog.generalized_umbilical_immersion(b_const=1.0 + 0.01 * 99)
+    assert builds == []
+    frame_entries = ("generalized_umbilical", "generalized_umbilical_varB",
+                     "generalized_cylinder_I")
+    for name in frame_entries:
+        catalog.get(name).build()
+    assert len(builds) == len(frame_entries)
+    for name in frame_entries:
+        catalog.get(name).build()
+    assert len(builds) == len(frame_entries)
+    assert len(fo._TABLE_CACHE) <= fo._TABLE_CACHE_SIZE
 
 
 def test_table_interpolation_matches_direct_integration():

@@ -1,5 +1,6 @@
 """Hypersurface geometry: one-point batches, Ricci routes, Codazzi,
-connection forms of frames, and structural verdicts on known charts."""
+connection forms of frames, structural verdicts on known charts, and
+batches built in blocks of points."""
 
 import numpy as np
 import pytest
@@ -135,12 +136,16 @@ def test_degenerate_metric_raises():
         at_point(imm, [0.1, 0.2, 0.3])
 
 
-def test_null_normal_raises():
+def signature_crossing():
     # graph over the Lorentzian plane: the normal crosses the light cone
-    # along u^2 - v^2 - w^2 = 1/4
+    # along u^2 - v^2 - w^2 = 1/4, where g degenerates
     def chart(u, v, w):
         return [u, v, w, u * u + v * v + w * w]
-    imm = Immersion("signature_crossing", chart, ((-1, 1),) * 3)
+    return Immersion("signature_crossing", chart, ((-1, 1),) * 3)
+
+
+def test_null_normal_raises():
+    imm = signature_crossing()
     with pytest.raises(hs.NullNormalDirection):
         # det g sits between the singular-metric and null-normal thresholds
         at_point(imm, [0.5 + 2.5e-12, 0.0, 0.0])
@@ -389,3 +394,117 @@ def test_mean_curvature_is_exactly_trace_over_three():
     geo = at_point(imm, [0.7, 0.6, 0.4])
     A = geo.A[0]
     assert geo.H[0] == (A[0, 0] + A[1, 1] + A[2, 2]) / 3.0
+
+
+# -- blocks of points ------------------------------------------------------------
+
+GEOMETRY_ARRAYS = ("points", "x", "tangents", "g", "dg", "det", "ginv", "N",
+                   "dN", "A", "dA", "H", "h", "Gamma", "dGamma", "rho",
+                   "drho", "xT", "dxT", "f", "df")
+
+CHART_FILE = """\
+x1 = sqrt(1 + u^2 + v^2 + w^2) + 0.05 * sin(3 * u) * cos(2 * w)
+x2 = u
+x3 = v * cosh(0.3 * w)
+x4 = w + 0.1 * u * v / (2 + sinh(v))
+"""
+
+
+def _block_immersions(tmp_path):
+    from minksoliton import exprs
+    out = []
+    for name in ("hyperbolic_space", "generalized_umbilical_varB"):
+        entry = catalog.get(name)
+        imm, merged = entry.build()
+        out.append((imm, entry.safe_box(merged)))
+    path = tmp_path / "chart.txt"
+    path.write_text(CHART_FILE)
+    imm = exprs.immersion_from_file(str(path), {})
+    out.append((imm, imm.domain))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3 * 1024 + 5])
+def test_blocked_build_equals_one_block_bit_for_bit(n, tmp_path, monkeypatch):
+    assert hs._BLOCK == 1024
+    rng = np.random.default_rng(n)
+    for imm, box in _block_immersions(tmp_path):
+        lo, hi = np.array(box, dtype=float).T
+        pts = lo + (hi - lo) * rng.random((n, 3))
+        blocked = GeometryBatch(imm, pts)
+        with monkeypatch.context() as m:
+            m.setattr(hs, "_BLOCK", n)
+            whole = GeometryBatch(imm, pts)
+        assert set(vars(blocked)) == set(GEOMETRY_ARRAYS) | {"epsilon"}
+        assert blocked.epsilon == whole.epsilon
+        for attr in GEOMETRY_ARRAYS:
+            got, want = getattr(blocked, attr), getattr(whole, attr)
+            assert got.flags.c_contiguous, (imm.name, attr)
+            assert got.shape == want.shape, (imm.name, attr)
+            assert got.tobytes() == want.tobytes(), (imm.name, attr, n)
+
+
+LIGHTLIKE_POINT = [0.5 + 2.5e-12, 0.0, 0.0]
+DEGENERATE_POINT = [0.5 + 1e-14, 0.0, 0.0]
+
+
+def _build_error(imm, pts):
+    with pytest.raises(ArithmeticError) as err:
+        GeometryBatch(imm, pts)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("degenerate_in_block_3", DegenerateMetric),
+    ("lightlike_in_block_1_degenerate_in_block_3", DegenerateMetric),
+    ("lightlike_in_block_2", hs.NullNormalDirection),
+    ("causal_type_per_block", hs.NullNormalDirection),
+    ("metric_scale_from_block_2", DegenerateMetric),
+])
+def test_gates_judge_the_whole_batch_across_blocks(case, expected, monkeypatch):
+    imm = signature_crossing()
+    n = 3 * 1024 + 5
+    pts = np.random.default_rng(7).uniform(-0.05, 0.05, (n, 3))
+    if case == "degenerate_in_block_3":
+        pts[2050] = DEGENERATE_POINT
+    elif case == "lightlike_in_block_1_degenerate_in_block_3":
+        pts[3] = LIGHTLIKE_POINT
+        pts[3000] = DEGENERATE_POINT
+    elif case == "lightlike_in_block_2":
+        pts[1500] = LIGHTLIKE_POINT
+    elif case == "causal_type_per_block":
+        pts[1024:2048, 0] += 0.7  # past the light cone: the other causal type
+    else:
+        # det g = -2e-6 at this point passes the gates on block 1's scale,
+        # but not on the scale g_vv = 401 of block 2
+        pts[7] = [0.5 - 2.5e-7, 0.0, 0.0]
+        pts[1024:2048, 1] += 10.0
+    error = _build_error(imm, pts)
+    with monkeypatch.context() as m:
+        m.setattr(hs, "_BLOCK", n)
+        assert _build_error(imm, pts) == error
+    assert error[0] is expected
+    if case == "lightlike_in_block_2":
+        assert "lightlike" in error[1]
+    if case == "causal_type_per_block":
+        assert "changes across the batch" in error[1]
+    if case in ("causal_type_per_block", "metric_scale_from_block_2"):
+        # each block alone passes the gates
+        for lo in range(0, n, 1024):
+            GeometryBatch(imm, pts[lo:lo + 1024])
+
+
+def test_blocked_build_raises_the_one_block_error(monkeypatch):
+    # block 1 fails a sqrt; block 2 fails a division, which comes first
+    def chart(u, v, w):
+        return [2.0 + 0.0 / (u - 0.5) + jets.sqrt(v + 1.0), u, v, w]
+    imm = Immersion("two_faults", chart, ((-1, 1),) * 3)
+    n = 2000
+    pts = np.random.default_rng(0).uniform(0.0, 0.1, (n, 3))
+    pts[5, 1] = -2.0
+    pts[1500, 0] = 0.5
+    error = _build_error(imm, pts)
+    assert error == (jets.DomainError, "division by a jet with zero constant term")
+    with monkeypatch.context() as m:
+        m.setattr(hs, "_BLOCK", n)
+        assert _build_error(imm, pts) == error
