@@ -1,16 +1,25 @@
-"""Catalog reports stay byte-identical to the committed golden files.
+"""Reports stay byte-identical to the committed golden files.
 
-The files in tests/golden/ are CLI reports of every catalog entry: JSON at
-5^3 and 11^3 grid points and CSV at 5^3.  A refactor of the engine must
-reproduce them byte for byte.
+The files in tests/golden/ are:
+
+* CLI reports of every catalog entry: JSON at 5^3 and 11^3 grid points and
+  CSV at 5^3, all with both Ricci modes;
+* the expectation tables of every catalog entry at 5^3 under each single
+  Ricci mode, as ``dump_json`` writes them;
+* ``case-sweep`` output of each canonical form, CSV and JSON, for
+  ``--count 60 --seed 11`` and the default ``--epsilon``.
+
+A refactor of the engine must reproduce them byte for byte.
 """
 
 from pathlib import Path
 
 import pytest
 
-from minksoliton import catalog
-from minksoliton.cli import main
+from minksoliton import analysis, catalog
+from minksoliton.cli import dump_json, main
+from minksoliton.lorentz import FormVariant
+from minksoliton.soliton import RICCI_MODES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,3 +34,22 @@ def test_report_matches_golden(tmp_path, name, n, fmt):
                  "--format", fmt, "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"{name}_{n}.{fmt}").read_bytes()
+
+
+def test_single_mode_expectations_match_golden():
+    table = {name: {mode: analysis.analyze_entry(
+        name, grid_counts=(5, 5, 5), ricci_mode=mode)["expectations"]
+        for mode in RICCI_MODES} for name in catalog.ENTRIES}
+    assert dump_json(table).encode() == \
+        (GOLDEN / "expectations_single_mode_5.json").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("form", [v.value for v in FormVariant])
+def test_case_sweep_matches_golden(tmp_path, form, fmt):
+    out = tmp_path / f"sweep.{fmt}"
+    code = main(["case-sweep", "--form", form, "--count", "60", "--seed", "11",
+                 "--format", fmt, "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == \
+        (GOLDEN / f"case_sweep_{form}.{fmt}").read_bytes()
