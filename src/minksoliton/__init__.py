@@ -12,22 +12,20 @@ equations by exact elimination.
 """
 
 from .lorentz import FormVariant, ShapeOperatorForm, mink_inner
-from .jets import Jet, extract_derivative
+from .jets import Jet
 from .hypersurface import Immersion, grid_points, ricci_gauss
 from .soliton import SolitonReport, Verdict
-from .frame_ode import (BFunction, FrameODESpec, FrameState,
-                        build_generalized_cylinder_I,
-                        build_generalized_umbilical, integrate_frame)
-from .canonical import CaseSystem, build_case_system, solve_case, sweep
+from .frame_ode import (BFunction, FrameODESpec, build_generalized_cylinder_I,
+                        build_generalized_umbilical)
+from .canonical import CaseSystem, sweep
 from .analysis import analyze_entry, analyze_immersion
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFunction", "CaseSystem", "FormVariant", "FrameODESpec", "FrameState",
-    "Immersion", "Jet", "ShapeOperatorForm", "SolitonReport", "Verdict",
-    "analyze_entry", "analyze_immersion", "build_case_system",
-    "build_generalized_cylinder_I", "build_generalized_umbilical",
-    "extract_derivative", "grid_points",
-    "integrate_frame", "mink_inner", "ricci_gauss", "solve_case", "sweep",
+    "BFunction", "CaseSystem", "FormVariant", "FrameODESpec", "Immersion",
+    "Jet", "ShapeOperatorForm", "SolitonReport", "Verdict", "analyze_entry",
+    "analyze_immersion", "build_generalized_cylinder_I",
+    "build_generalized_umbilical", "grid_points", "mink_inner", "ricci_gauss",
+    "sweep",
 ]

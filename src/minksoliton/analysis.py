@@ -15,7 +15,8 @@ from .hypersurface import (GeometryBatch, codazzi_residual_batch, grid_points,
                            identity_diagnostics, ricci_gauss,
                            ricci_intrinsic_batch, structure_verdicts)
 from .lorentz import VARIANTS, classify_batch
-from .soliton import RICCI_MODES, fit_lambda_pointwise, identity_checks
+from .soliton import (RICCI_MODES, fit_lambda_pointwise, identity_checks,
+                      lie_closed_form_batch)
 
 
 class Report(dict):
@@ -37,7 +38,8 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     report, ric = _analyze(imm, geo, ricci_mode,
                            entry.tau_identity, entry.tau_sol)
     report["entry"] = name
-    report["parameters"] = {k: _to_plain(v) for k, v in merged.items()}
+    report["parameters"] = {k: v.item() if isinstance(v, np.generic) else v
+                            for k, v in merged.items()}
     report["grid"] = {
         "counts": list(grid_counts),
         "box": [list(map(float, iv)) for iv in entry.safe_box(merged)],
@@ -53,7 +55,7 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
         c = merged["c"]
         ids["ricci_intrinsic_vs_2c2_g"] = float(
             np.max(np.abs(ric["intrinsic"] - 2.0 * c * c * geo.g)))
-    report["expectations"] = _expectation_table(entry, merged, report)
+    report["expectations"] = entry.expectation_table(merged, report)
     return report
 
 
@@ -70,15 +72,15 @@ def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
     was built from, keyed by Ricci mode and "intrinsic"."""
     if ricci_mode != "both" and ricci_mode not in RICCI_MODES:
         raise ValueError(f"ricci_mode must be 'both' or one of {RICCI_MODES}")
-    Av, gv = geo.A, geo.g
-    ric = {mode: ricci_gauss(Av, gv, geo.epsilon, mode == "corrected")
-           for mode in RICCI_MODES}
+    # the two modes differ by the factor epsilon = +-1, which is exact
+    paper = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=False)
+    ric = {"corrected": geo.epsilon * paper, "paper_form": paper}
     ric["intrinsic"] = ric_int = ricci_intrinsic_batch(geo)
 
     identities = identity_diagnostics(geo)
     codazzi = codazzi_residual_batch(geo)
     identities["codazzi_residual"] = float(np.max(codazzi))
-    scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
+    scale = geo.metric_scale
     identities["gauss_vs_intrinsic"] = float(np.max(np.max(
         np.abs(ric["corrected"] - ric_int), axis=(1, 2)) / scale))
     identities["plain_vs_intrinsic"] = float(np.max(np.max(
@@ -89,12 +91,14 @@ def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
             np.median(ric["paper_form"][live] / ric_int[live]))
     else:
         identities["plain_vs_intrinsic_factor"] = 1.0
-    checks = identity_checks(geo)
+    lie = lie_closed_form_batch(geo)
+    checks = identity_checks(geo, lie)
     gradient, lemma1, route = checks
     identities["route_agreement"] = route
 
     # Both fits always run: the pointwise columns carry both lambdas.
-    fits = {mode: fit_lambda_pointwise(geo, ric[mode], mode, tau_sol, checks)
+    fits = {mode: fit_lambda_pointwise(geo, lie, ric[mode], mode, tau_sol,
+                                       checks)
             for mode in RICCI_MODES}
     modes = RICCI_MODES if ricci_mode == "both" else (ricci_mode,)
     reports = {mode: fits[mode][0] for mode in modes}
@@ -112,7 +116,7 @@ def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
     identities["tau"] = tau_identity
     identities["epsilon"] = geo.epsilon
 
-    forms = classify_batch(Av, gv)
+    forms = classify_batch(geo.A, geo.g)
     soliton_block = reports[headline_mode].to_dict()
     soliton_block["headline_mode"] = headline_mode
     for mode, rep in reports.items():
@@ -183,95 +187,6 @@ def _consistency_block(geo, reports, forms):
         forms.parameters[rows], int(geo.epsilon), geo.rho[rows], lam)
     return {"convention": "paper_form", "lambda": lam,
             "max_residual": worst, "points_checked": len(rows)}
-
-
-def _expectation_table(entry, params, report):
-    table = []
-    for exp in entry.expectations(params):
-        computed = _computed_value(exp.key, report)
-        agrees = _agreement(exp, computed, entry)
-        table.append({
-            "key": exp.key,
-            "claimed": catalog._jsonable(exp.claimed),
-            "computed": _to_plain(computed),
-            "source": exp.source,
-            "agrees": agrees,
-            "note": exp.note,
-        })
-    return table
-
-
-def _computed_value(key, report):
-    sol = report["soliton"]
-    cls = report["classification"]
-    ids = report["identities"]
-    if key == "epsilon":
-        return ids["epsilon"]
-    if key == "lambda_fit":
-        return sol.get("corrected", sol)["lambda_fit"]
-    if key == "lambda_fit_paper_form":
-        return sol.get("paper_form", {}).get("lambda_fit")
-    if key == "lambda_claimed":
-        return sol.get("corrected", sol)["lambda_fit"]
-    if key == "verdict":
-        return sol.get("corrected", sol)["verdict"]
-    if key == "verdict_paper_form":
-        return sol.get("paper_form", {}).get("verdict")
-    if key == "gcr":
-        return cls["structure"]["generalized_constant_ratio"]
-    if key == "principal_curvatures":
-        detail = cls["center_form"]
-        if detail and detail["variant"] == "diagonalizable":
-            return tuple(sorted(detail["parameters"], reverse=True))
-        return None
-    if key == "min_poly_degree":
-        detail = cls["center_form"]
-        return len(detail["minimal_polynomial"]) - 1 if detail else None
-    if key == "min_poly_root":
-        detail = cls["center_form"]
-        return detail["parameters"][0] if detail else None
-    if key in ("ricci_sup", "ricci_intrinsic_vs_2c2_g", "tangent_position_sup"):
-        return ids.get(key)
-    if key == "lambda_spread_exceeds":
-        return sol.get("corrected", sol)["lambda_spread"]
-    return None
-
-
-def _agreement(exp, computed, entry):
-    if computed is None:
-        return None
-    tol = max(entry.tau_sol, 1e-6)
-    claimed = exp.claimed
-    if exp.key == "lambda_spread_exceeds":
-        return bool(computed > claimed)
-    if isinstance(claimed, str):
-        return claimed == computed
-    if isinstance(claimed, bool):
-        return bool(claimed) == bool(computed)
-    if isinstance(claimed, tuple):
-        if exp.key == "lambda_claimed":
-            return any(abs(c - computed) <= tol for c in claimed)
-        comp = tuple(computed) if isinstance(computed, (tuple, list)) else None
-        if comp is None or len(comp) != len(claimed):
-            return False
-        cl = sorted(claimed)
-        return max(abs(a - b) for a, b in zip(cl, sorted(comp))) <= 1e-4
-    try:
-        return abs(float(claimed) - float(computed)) <= tol
-    except (TypeError, ValueError):
-        return None
-
-
-def _to_plain(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, tuple):
-        return [_to_plain(v) for v in value]
-    return value
 
 
 POINTWISE_COLUMNS = ("u1", "u2", "u3", "epsilon", "mean_curvature", "support",

@@ -19,7 +19,6 @@ touching any geometry:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -77,35 +76,13 @@ class CaseSystem:
         raise ValueError(f"unknown form {self.form!r}")
 
 
-@dataclass(frozen=True)
-class CaseSolution:
-    solvable: bool
-    branch: str
-    lam: Optional[float] = None
-    rho: Optional[float] = None           # None with solvable=True: rho is free
-    lam_affine: Optional[tuple] = None    # lambda = c0 + c1 * rho when rho free
-    witness: str = ""
-    witness_value: Optional[float] = None
-
-
+# The parameters of each form's case system, in the order of the form.
 _REQUIRED = {
     FormVariant.DIAGONALIZABLE: ("a1", "a2", "a3"),
     FormVariant.COMPLEX_PAIR: ("a1", "b1", "a2"),
     FormVariant.JORDAN_2: ("a1", "a2"),
     FormVariant.JORDAN_3: ("a1",),
 }
-
-
-def build_case_system(form, epsilon=1, **parameters):
-    form = FormVariant(form) if not isinstance(form, FormVariant) else form
-    required = _REQUIRED[form]
-    missing = [k for k in required if k not in parameters]
-    if missing:
-        raise TypeError(f"{form.value} system needs parameters {sorted(missing)}")
-    params = {k: float(parameters[k]) for k in required}
-    if form is FormVariant.COMPLEX_PAIR and params["b1"] == 0.0:
-        raise ValueError("complex-pair form requires b1 != 0")
-    return CaseSystem(form, int(epsilon), params)
 
 
 # The branches of the elimination, each with the reason it has or lacks a
@@ -128,61 +105,6 @@ BRANCHES = tuple(WITNESS)
 TAU_COINCIDE = 1e-12
 
 
-def solve_case(system):
-    """Exact-elimination solvability of a case system."""
-    p = system.parameters
-    e = system.epsilon
-    if system.form is FormVariant.DIAGONALIZABLE:
-        a = [p["a1"], p["a2"], p["a3"]]
-        same12 = abs(a[0] - a[1]) <= TAU_COINCIDE
-        same13 = abs(a[0] - a[2]) <= TAU_COINCIDE
-        same23 = abs(a[1] - a[2]) <= TAU_COINCIDE
-        if same12 and same13 and same23:
-            c = (a[0] + a[1] + a[2]) / 3.0
-            return CaseSolution(
-                solvable=True, branch="umbilical",
-                lam_affine=(1.0 + 2.0 * c * c, e * c), rho=None,
-                witness=WITNESS["umbilical"])
-        if same12 or same13 or same23:
-            if same12:
-                d, s = 0.5 * (a[0] + a[1]), a[2]
-            elif same13:
-                d, s = 0.5 * (a[0] + a[2]), a[1]
-            else:
-                d, s = 0.5 * (a[1] + a[2]), a[0]
-            return CaseSolution(
-                solvable=True, branch="two_distinct",
-                lam=1.0 + d * s, rho=-e * d,
-                witness=WITNESS["two_distinct"])
-        gap = min(abs(a[0] - a[1]), abs(a[0] - a[2]), abs(a[1] - a[2]))
-        return CaseSolution(
-            solvable=False, branch="three_distinct",
-            witness=WITNESS["three_distinct"],
-            witness_value=gap * gap)
-    if system.form is FormVariant.COMPLEX_PAIR:
-        a1, b1, a2 = p["a1"], p["b1"], p["a2"]
-        w = (a1 - a2) ** 2 + b1 * b1
-        return CaseSolution(
-            solvable=False, branch="complex_pair",
-            witness=WITNESS["complex_pair"],
-            witness_value=w)
-    if system.form is FormVariant.JORDAN_3:
-        return CaseSolution(
-            solvable=False, branch="jordan3",
-            witness=WITNESS["jordan3"],
-            witness_value=1.0)
-    a1, a2 = p["a1"], p["a2"]
-    if abs(a1 - a2) <= TAU_COINCIDE:
-        c = 0.5 * (a1 + a2)
-        return CaseSolution(solvable=True, branch="jordan2_equal",
-                            lam=1.0 + c * c, rho=-c,
-                            witness=WITNESS["jordan2_equal"])
-    return CaseSolution(
-        solvable=False, branch="jordan2_distinct",
-        witness=WITNESS["jordan2_distinct"],
-        witness_value=(a1 - a2) ** 2)
-
-
 # Ground-truth solvability of each kind of synthetic draw, and the kinds of
 # each form in the order their draws interleave (draw k has kind k % len).
 SOLVABLE_BY_KIND = {"umbilical": True, "two_equal": True, "distinct": False,
@@ -202,7 +124,8 @@ class SweepSummary:
 
     ``params`` is (n, k) with columns named by ``names``; ``kind`` indexes
     ``KINDS[form]`` and ``branch`` indexes ``BRANCHES``.  ``lam``, ``rho``
-    and the (n, 2) ``lam_affine`` hold NaN where ``solve_case`` gives None.
+    and the (n, 2) ``lam_affine`` (lambda = c0 + c1 * rho where rho is free)
+    hold NaN where the branch does not determine them.
     """
 
     form: FormVariant
@@ -284,8 +207,8 @@ def _draw(form, rng, kind):
 
 
 def _solve_columns(form, e, p):
-    """``solve_case`` over rows of parameters: the same closed-form branches
-    and arithmetic, decided with masks."""
+    """Exact elimination over rows of parameters, each branch decided with
+    a mask: (solvable, branch, lam, rho, lam_affine) as in SweepSummary."""
     n = len(p)
     lam, rho = np.full(n, np.nan), np.full(n, np.nan)
     lam_affine = np.full((n, 2), np.nan)

@@ -26,10 +26,25 @@ from .soliton import TAU_SOL_CLOSED, TAU_SOL_ODE
 
 @dataclass(frozen=True)
 class Expectation:
+    """A claimed value under a key of EXPECTATION_KEYS, which reads the
+    computed value off an analysis report and compares the two; a key
+    outside the table is informational and has no computed value."""
+
     key: str
     claimed: object
     source: str  # "claimed" | "derived" | "exact"
     note: str = ""
+
+    def computed(self, report):
+        """The value of the key in ``report``, or None."""
+        read = EXPECTATION_KEYS.get(self.key)
+        return read[0](report) if read else None
+
+    def agrees(self, computed, tol):
+        """Whether ``computed`` bears out the claim, or None without a value."""
+        if computed is None:
+            return None
+        return EXPECTATION_KEYS[self.key][1](self.claimed, computed, tol)
 
 
 @dataclass
@@ -54,6 +69,17 @@ class CatalogEntry:
         params.update(overrides)
         imm = self.builder(**params)
         return imm.with_orientation(self.orientation_sign), params
+
+    def expectation_table(self, params, report):
+        """Claimed against computed, one row per expectation of ``params``."""
+        tol = max(self.tau_sol, 1e-6)
+        rows = []
+        for exp in self.expectations(params):
+            computed = exp.computed(report)
+            rows.append({"key": exp.key, "claimed": _jsonable(exp.claimed),
+                         "computed": _jsonable(computed), "source": exp.source,
+                         "agrees": exp.agrees(computed, tol), "note": exp.note})
+        return rows
 
 
 def _nonzero(c, what):
@@ -194,6 +220,70 @@ def _graph_constraint(axis, offset):
 
 
 # -- expectations ---------------------------------------------------------------
+
+def _fit(field):
+    """Reads ``field`` of the corrected fit, or of the headline fit in a
+    report without one."""
+    return lambda r: r["soliton"].get("corrected", r["soliton"])[field]
+
+
+def _paper_fit(field):
+    return lambda r: r["soliton"].get("paper_form", {}).get(field)
+
+
+def _center(read):
+    """Reads ``read(form)`` of the center point's form; None if ambiguous."""
+    return lambda r: (read(r["classification"]["center_form"])
+                      if r["classification"]["center_form"] else None)
+
+
+def _diagonal(form):
+    if form["variant"] == "diagonalizable":
+        return tuple(sorted(form["parameters"], reverse=True))
+    return None
+
+
+def _close(claimed, computed, tol):
+    return abs(float(claimed) - float(computed)) <= tol
+
+
+def _close_to_any(claimed, computed, tol):
+    options = claimed if isinstance(claimed, tuple) else (claimed,)
+    return any(abs(c - computed) <= tol for c in options)
+
+
+def _same_multiset(claimed, computed, tol):
+    if len(computed) != len(claimed):
+        return False
+    pairs = zip(sorted(claimed), sorted(computed))
+    return max(abs(a - b) for a, b in pairs) <= 1e-4
+
+
+def _equal(claimed, computed, tol):
+    return bool(claimed == computed)
+
+
+# key -> (value read off a report, test of the claim against that value)
+EXPECTATION_KEYS = {
+    "lambda_fit": (_fit("lambda_fit"), _close),
+    "lambda_fit_paper_form": (_paper_fit("lambda_fit"), _close),
+    "lambda_claimed": (_fit("lambda_fit"), _close_to_any),
+    "lambda_spread_exceeds": (_fit("lambda_spread"),
+                              lambda claimed, computed, tol: computed > claimed),
+    "verdict": (_fit("verdict"), _equal),
+    "verdict_paper_form": (_paper_fit("verdict"), _equal),
+    "gcr": (lambda r: r["classification"]["structure"][
+        "generalized_constant_ratio"], _equal),
+    "principal_curvatures": (_center(_diagonal), _same_multiset),
+    "min_poly_degree": (_center(lambda f: len(f["minimal_polynomial"]) - 1),
+                        _close),
+    "min_poly_root": (_center(lambda f: f["parameters"][0]), _close),
+    # values of the report's identities block under the same key
+    **{key: (lambda r, key=key: r["identities"].get(key), _close)
+       for key in ("epsilon", "ricci_sup", "ricci_intrinsic_vs_2c2_g",
+                   "tangent_position_sup")},
+}
+
 
 def _umbilical_expectations(params):
     c = params["c"]

@@ -21,6 +21,7 @@ import re
 import numpy as np
 
 from . import jets
+from .hypersurface import Immersion
 
 FUNCTIONS = {
     "sin": (jets.sin, np.sin),
@@ -202,9 +203,7 @@ def parse_chart_file(text):
 
 
 def chart_from_expressions(exprs, parameters):
-    """An Immersion chart map evaluating the four expressions on jets."""
-    from .hypersurface import Immersion  # local import to avoid a cycle
-
+    """A chart map evaluating the four expressions on jets."""
     wanted = set().union(*(e.names() for e in exprs))
     known = {"u", "v", "w"} | set(parameters)
     missing = wanted - known
@@ -227,8 +226,6 @@ def chart_from_expressions(exprs, parameters):
 
 
 def immersion_from_file(path, parameters=None, box=None, name=None):
-    from .hypersurface import Immersion
-
     with open(path, "r", encoding="utf-8") as fh:
         exprs = parse_chart_file(fh.read())
     parameters = dict(parameters or {})

@@ -19,7 +19,6 @@ roundoff through divided differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -83,26 +82,6 @@ class BFunction:
 
 
 @dataclass
-class FrameState:
-    """Curve point and frame at one parameter value."""
-
-    alpha: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
-    W: np.ndarray
-    s: float = 0.0
-
-    def frame_matrix(self):
-        return np.stack([self.X, self.Y, self.Z, self.W])
-
-    def gram_residual(self):
-        F = self.frame_matrix()
-        gram = F @ MINK @ F.T
-        return float(np.max(np.abs(gram - GRAM_TARGET)))
-
-
-@dataclass
 class FrameODESpec:
     """Data of one null-curve frame system.
 
@@ -129,10 +108,6 @@ class FrameODESpec:
         if not (np.min(np.abs(vals)) >= 1e-9 and vals.max() * vals.min() > 0.0):
             raise ValueError("B(s) must be bounded away from zero on the window")
 
-    def initial_state(self):
-        return FrameState(self.alpha0.copy(), *DEFAULT_INITIAL_FRAME.copy(),
-                          s=0.0)
-
     def coefficient_matrix(self, s, order=0):
         """d^order/ds^order of the 5x5 system matrix on (alpha,X,Y,Z,W), per s."""
         s = np.asarray(s, dtype=float)
@@ -153,11 +128,6 @@ class FrameODESpec:
         return K
 
 
-def _state_array(spec):
-    init = spec.initial_state()
-    return np.vstack([init.alpha[None, :], init.frame_matrix()])
-
-
 def _rk4(spec, starts, steps):
     """Classical RK4 along chains that all leave the initial state.
 
@@ -171,7 +141,7 @@ def _rk4(spec, starts, steps):
     h = steps[:, :, None, None]
     half, sixth = 0.5 * h, h / 6.0
     states = np.empty((len(h) + 1, h.shape[1], 5, 4))
-    states[0] = _state_array(spec)
+    states[0] = np.vstack([spec.alpha0, DEFAULT_INITIAL_FRAME])
     for k in range(len(h)):
         cur = states[k]
         k1 = K0[k] @ cur
@@ -192,26 +162,6 @@ def _checked_drift(states, tau_frame):
             f"Gram drift {drift:.3e} exceeds tolerance {tau_frame:.1e}; "
             "reduce the step")
     return drift
-
-
-def integrate_frame(spec, s, step=None):
-    """Integrate from 0 to s with a fixed step; returns (FrameState, drift)."""
-    step = spec.step if step is None else float(step)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    lo, hi = spec.window
-    if s < lo - 1e-12 or s > hi + 1e-12:
-        raise WindowExceeded(f"s={s} outside window [{lo}, {hi}]")
-    n = max(int(math.ceil(abs(s) / step - 1e-12)), 0)
-    steps = np.full(n, math.copysign(step, s) if s != 0.0 else step)
-    starts = np.zeros(n)
-    np.cumsum(steps[:-1], out=starts[1:])
-    if n:
-        steps[-1] = s - starts[-1]  # partial last step, up to s
-    states = _rk4(spec, starts[:, None], steps[:, None])[:, 0]
-    drift = _checked_drift(states, spec.tau_frame)
-    fs = FrameState(*states[-1], s=float(s))
-    return fs, drift
 
 
 class FrameTable:

@@ -101,6 +101,9 @@ _BLOCK = 1024  # points per block: an order-3 product's 84 pair rows stay in L2
 
 
 def _check_metric(name, g, det):
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(det))):
+        raise DegenerateMetric(
+            f"induced metric of {name!r} is not finite on the batch")
     g_scale = max(1.0, float(np.max(np.abs(g))))
     if np.min(np.abs(det)) < TAU_DEGENERATE * g_scale ** 3:
         raise DegenerateMetric(
@@ -110,6 +113,9 @@ def _check_metric(name, g, det):
 def _check_normal(name, raw_n, nn):
     """The sign of the squares nn of normals raw_n (n, 4), one across the
     batch and away from zero on the scale of raw_n."""
+    if not (np.all(np.isfinite(raw_n)) and np.all(np.isfinite(nn))):
+        raise NullNormalDirection(
+            f"normal direction of {name!r} is not finite on the batch")
     n_scale = max(float(np.max(np.abs(raw_n))), 1e-300) ** 2
     if np.min(np.abs(nn)) < 1e-10 * n_scale:
         raise NullNormalDirection(
@@ -133,7 +139,9 @@ class GeometryBatch:
     support function ``rho``, the tangential position field ``xT`` and the
     potential ``f`` = <x, x>/2.  First chart partials carry the derivative
     index on axis 1: ``dg``, ``dN``, ``dA``, ``dGamma``, ``drho``, ``dxT``
-    and ``df`` (so dg[:, m, i, j] = d_m g_ij).
+    and ``df`` (so dg[:, m, i, j] = d_m g_ij).  ``metric_scale`` (n,) is
+    max(1, max_ij |g_ij|) per point, the scale that tensor residuals are
+    measured against.
 
     The degree-3 jets they are computed from live one block of _BLOCK
     points at a time: each block writes its rows of the arrays, which are
@@ -165,6 +173,7 @@ class GeometryBatch:
         self.epsilon = _check_normal(imm.name, normals[:, :4], normals[:, 4])
         gA = self.g @ self.A
         self.h = 0.5 * (gA + np.swapaxes(gA, -1, -2))
+        self.metric_scale = np.maximum(1.0, np.max(np.abs(self.g), axis=(1, 2)))
 
     def _put(self, rows, tree, name, dname=None):
         """Write the values of a jet, or of a nested list of jets, into

@@ -234,18 +234,6 @@ def variable(index, value):
     return Jet(c)
 
 
-def extract_derivative(jet, multi_index):
-    """True partial derivative d^(i+j+k) f / du^i dv^j dw^k at the base point."""
-    i, j, k = multi_index
-    if min(i, j, k) < 0 or i + j + k > DEGREE:
-        raise IndexOutOfRange(f"multi-index {multi_index} exceeds degree {DEGREE}")
-    if i + j + k > jet.order:
-        raise IndexOutOfRange(
-            f"jet only carries valid coefficients to order {jet.order}")
-    scale = math.factorial(i) * math.factorial(j) * math.factorial(k)
-    return scale * jet.coeffs[INDEX_OF[(i, j, k)]]
-
-
 def _divide(num, den):
     b0 = den.coeffs[0]
     if np.any(b0 == 0.0):
@@ -303,11 +291,6 @@ def sinh(jet):
 def cosh(jet):
     s, c = np.sinh(jet.value), np.cosh(jet.value)
     return _compose(jet, c, s, c, s)
-
-
-def exp(jet):
-    e = np.exp(jet.value)
-    return _compose(jet, e, e, e, e)
 
 
 def pow_real(jet, r):

@@ -259,32 +259,3 @@ def classify_batch(A, g=None, tol=TAU_RANK):
         np.stack([s0, s1, s2], axis=1))
     return FormBatch(variant, parameters, min_poly, ambiguous, cp)
 
-
-PSEUDO_ORTHONORMAL_GRAM = np.array([[0.0, -1.0, 0.0],
-                                    [-1.0, 0.0, 0.0],
-                                    [0.0, 0.0, 1.0]])
-
-
-def canonical_matrix(variant, parameters, epsilon=1):
-    """Materialize (A, g) for a canonical form in its stated frame.
-
-    Diagonalizable and complex-pair forms live in an orthonormal frame with
-    g = diag(-epsilon, 1, 1); the Jordan forms live in the pseudo-orthonormal
-    frame with g(e1, e2) = -1, g(e3, e3) = 1.
-    """
-    if variant is FormVariant.DIAGONALIZABLE:
-        a1, a2, a3 = parameters
-        return np.diag([a1, a2, a3]), np.diag([-float(epsilon), 1.0, 1.0])
-    if variant is FormVariant.COMPLEX_PAIR:
-        a1, b1, a2 = parameters
-        A = np.array([[a1, b1, 0.0], [-b1, a1, 0.0], [0.0, 0.0, a2]])
-        return A, np.diag([-1.0, 1.0, 1.0])
-    if variant is FormVariant.JORDAN_2:
-        a1, a2 = parameters
-        A = np.array([[a1, 0.0, 0.0], [1.0, a1, 0.0], [0.0, 0.0, a2]])
-        return A, PSEUDO_ORTHONORMAL_GRAM.copy()
-    if variant is FormVariant.JORDAN_3:
-        (a1,) = parameters
-        A = np.array([[a1, 0.0, 0.0], [0.0, a1, 1.0], [-1.0, 0.0, a1]])
-        return A, PSEUDO_ORTHONORMAL_GRAM.copy()
-    raise ValueError(f"unknown canonical form variant {variant!r}")

@@ -77,10 +77,10 @@ def lie_closed_form_batch(geo):
     return 2.0 * (geo.g + geo.epsilon * geo.rho[:, None, None] * geo.h)
 
 
-def route_agreement_batch(geo):
-    diff = lie_coordinate_batch(geo) - lie_closed_form_batch(geo)
-    scale = np.maximum(1.0, np.max(np.abs(geo.g), axis=(1, 2)))
-    return float(np.max(np.max(np.abs(diff), axis=(1, 2)) / scale))
+def route_agreement_batch(geo, lie):
+    """Sup of |coordinate route - closed form ``lie``| / metric scale."""
+    diff = lie_coordinate_batch(geo) - lie
+    return float(np.max(np.max(np.abs(diff), axis=(1, 2)) / geo.metric_scale))
 
 
 # -- soliton equation ----------------------------------------------------------
@@ -94,21 +94,24 @@ def _per_point_lambda(lhs, gv):
     return num / den
 
 
-def identity_checks(geo):
-    """Mode-independent checks: (gradient, Lemma 1 residuals, route agreement)."""
-    return gradient_check_batch(geo), lemma1_batch(geo), route_agreement_batch(geo)
+def identity_checks(geo, lie):
+    """Mode-independent checks, with ``lie`` = lie_closed_form_batch(geo):
+    (gradient, Lemma 1 residuals, route agreement)."""
+    return (gradient_check_batch(geo), lemma1_batch(geo),
+            route_agreement_batch(geo, lie))
 
 
-def fit_lambda_pointwise(geo, ric, ricci_mode, tau, checks):
+def fit_lambda_pointwise(geo, lie, ric, ricci_mode, tau, checks):
     """Fit lambda against the Ricci tensor ``ric`` of ``ricci_mode``, with
-    ``checks`` = identity_checks(geo): the SolitonReport, per-point lambda
-    and per-point residual."""
-    lhs = 0.5 * lie_closed_form_batch(geo) + ric
+    ``lie`` = lie_closed_form_batch(geo) and ``checks`` =
+    identity_checks(geo, lie): the SolitonReport, per-point lambda and
+    per-point residual."""
+    lhs = 0.5 * lie + ric
     gv = geo.g
     lam_pt = _per_point_lambda(lhs, gv)
     lam = float(lam_pt.mean())
     spread = float(np.max(np.abs(lam_pt - lam)))
-    scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
+    scale = geo.metric_scale
     res_pt = np.max(np.abs(lhs - lam * gv), axis=(1, 2)) / scale
     residual = float(np.max(res_pt))
 

@@ -10,6 +10,7 @@ that proof, the resulting not_a_soliton verdict, and that the quoted
 constant is reported as disagreeing.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -305,21 +306,24 @@ def test_c09_geometry_algebra_consistency(reports):
 
 
 def test_c10_frame_ode_quality():
+    # the default window runs one chain to s = 1 and one to s = -1
     spec = frame_ode.FrameODESpec(a=1.0, b=frame_ode.BFunction.constant(1.0))
-    drifts = [frame_ode.integrate_frame(spec, s, 1e-3)[1] for s in (1.0, -1.0)]
+    drift = frame_ode.FrameTable(spec).max_drift
     spec2 = frame_ode.FrameODESpec(a=1.0, b=frame_ode.BFunction.offset_sin(),
-                                   tau_frame=1.0)
-    ref = frame_ode.integrate_frame(spec2, 1.0, 1e-4)[0]
-    ref_m = np.vstack([ref.alpha[None, :], ref.frame_matrix()])
+                                   window=(0.0, 1.0), tau_frame=1.0)
+
+    def end_state(h):
+        table = frame_ode.FrameTable(dataclasses.replace(spec2, step=h))
+        return table.states[-1]
+
+    ref = end_state(1e-4)
 
     def sol_err(h):
-        st, _ = frame_ode.integrate_frame(spec2, 1.0, h)
-        return np.max(np.abs(np.vstack([st.alpha[None, :],
-                                        st.frame_matrix()]) - ref_m))
+        return np.max(np.abs(end_state(h) - ref))
 
     order = float(np.log2(sol_err(0.1) / sol_err(0.05)))
-    ok = max(drifts) < 1e-9 and abs(order - 4.0) < 0.3
-    _line(10, ok, f"Gram drift {max(drifts):.1e} at step 1e-3 over |s|<=1; "
+    ok = drift < 1e-9 and abs(order - 4.0) < 0.3
+    _line(10, ok, f"Gram drift {drift:.1e} at step 1e-3 over |s|<=1; "
           f"observed convergence order {order:.2f}")
     assert ok
 
@@ -344,6 +348,12 @@ def test_c11_falsifiability(reports):
     assert ok
 
 
+def _corrected_fit(geo, ric, tau):
+    lie = lie_closed_form_batch(geo)
+    return fit_lambda_pointwise(geo, lie, ric, "corrected", tau,
+                                identity_checks(geo, lie))[0]
+
+
 def test_c12_normal_flip_covariance(reports):
     ok = True
     detail = []
@@ -359,10 +369,8 @@ def test_c12_normal_flip_covariance(reports):
         ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
         ric_f = ricci_gauss(geo_f.A, geo_f.g, geo_f.epsilon)
         ric_inv = float(np.max(np.abs(ric - ric_f)))
-        rep = fit_lambda_pointwise(geo, ric, "corrected", entry.tau_sol,
-                                   identity_checks(geo))[0]
-        rep_f = fit_lambda_pointwise(geo_f, ric_f, "corrected", entry.tau_sol,
-                                     identity_checks(geo_f))[0]
+        rep, rep_f = (_corrected_fit(g, r, entry.tau_sol)
+                      for g, r in ((geo, ric), (geo_f, ric_f)))
         lam_inv = abs(rep.lambda_fit - rep_f.lambda_fit)
         this = (rho_neg < 1e-9 and a_neg < 1e-9 and ric_inv < 1e-9
                 and lam_inv < 1e-9 and rep.verdict is rep_f.verdict)

@@ -115,7 +115,7 @@ def test_identity_gate_fails_closed_on_nan(monkeypatch, capsys):
 
 
 def test_one_pass_per_analysis(monkeypatch):
-    from minksoliton import soliton
+    from minksoliton import hypersurface, soliton
     calls = {}
 
     def counted(module, name):
@@ -131,16 +131,20 @@ def test_one_pass_per_analysis(monkeypatch):
                (soliton, "route_agreement_batch"),
                (soliton, "lemma1_batch"),
                (soliton, "gradient_check_batch")]
-    # char_poly, under every name a package module binds it to
-    targets += [(module, "char_poly") for name, module in sys.modules.items()
-                if name.startswith("minksoliton.")
-                and getattr(module, "char_poly", None) is lorentz.char_poly]
+    # these under every name a package module binds them to
+    for fn in (lorentz.char_poly, hypersurface.ricci_gauss,
+               soliton.lie_closed_form_batch):
+        targets += [(module, fn.__name__)
+                    for name, module in sys.modules.items()
+                    if name.startswith("minksoliton.")
+                    and getattr(module, fn.__name__, None) is fn]
     for module, name in targets:
         monkeypatch.setattr(module, name, counted(module, name))
     rep = analysis.analyze_entry("de_sitter", params={"c": 1.5},
                                  grid_counts=(3, 3, 3))
     analysis.pointwise_table(rep)
     assert calls == {"GeometryBatch": 1, "ricci_intrinsic_batch": 1,
+                     "ricci_gauss": 1, "lie_closed_form_batch": 1,
                      "route_agreement_batch": 1, "lemma1_batch": 1,
                      "gradient_check_batch": 1, "char_poly": 1}
 
@@ -162,6 +166,12 @@ def test_analysis_peak_memory_at_21_cubed(name):
 
 def test_public_names_resolve():
     import minksoliton
+    assert set(minksoliton.__all__) == {
+        "BFunction", "CaseSystem", "FormVariant", "FrameODESpec", "Immersion",
+        "Jet", "ShapeOperatorForm", "SolitonReport", "Verdict",
+        "analyze_entry", "analyze_immersion", "build_generalized_cylinder_I",
+        "build_generalized_umbilical", "grid_points", "mink_inner",
+        "ricci_gauss", "sweep"}
     missing = [n for n in minksoliton.__all__ if not hasattr(minksoliton, n)]
     assert missing == []
     namespace = {}

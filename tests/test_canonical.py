@@ -4,9 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from scalar_reference import build_case_system, solve_case
 
-from minksoliton.canonical import (KINDS, build_case_system,
-                                   consistency_residual, solve_case, sweep)
+from minksoliton.canonical import KINDS, consistency_residual, sweep
 from minksoliton.lorentz import FormVariant
 
 

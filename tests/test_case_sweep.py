@@ -1,9 +1,10 @@
 """The column-wise case sweep against the scalar reference.
 
-Every row of ``canonical.sweep`` must match ``solve_case`` on the same
-parameters exactly, the draws must keep their distributions' contracts, and
-the ``case-sweep`` CLI must print the bytes that ``csv.writer`` and
-``dump_json`` give for row dicts built from ``solve_case``.
+Every row of ``canonical.sweep`` must match ``scalar_reference.solve_case``
+on the same parameters exactly, the draws must keep their distributions'
+contracts, and the ``case-sweep`` CLI must print the bytes that
+``csv.writer`` and ``dump_json`` give for row dicts built from
+``solve_case``.
 """
 
 import csv
@@ -13,9 +14,9 @@ import math
 
 import numpy as np
 import pytest
+from scalar_reference import build_case_system, solve_case
 
-from minksoliton.canonical import (BRANCHES, KINDS, SOLVABLE_BY_KIND,
-                                   build_case_system, solve_case, sweep)
+from minksoliton.canonical import BRANCHES, KINDS, SOLVABLE_BY_KIND, sweep
 from minksoliton.cli import _json_numbers, dump_json, main, round_floats
 from minksoliton.lorentz import FormVariant
 

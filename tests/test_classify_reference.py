@@ -11,12 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from scalar_reference import canonical_matrix
 from test_lorentz import _draw_parameters, _random_conjugation
 
 from minksoliton import catalog, lorentz
 from minksoliton.hypersurface import GeometryBatch, grid_points
-from minksoliton.lorentz import (TAU_CLUSTER, TAU_RANK, FormVariant,
-                                 canonical_matrix)
+from minksoliton.lorentz import TAU_CLUSTER, TAU_RANK, FormVariant
 
 
 def ref_char_poly(A):

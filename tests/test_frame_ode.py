@@ -19,9 +19,17 @@ def spec_umbilical(a=1.0, b=None, alpha0=None):
         alpha0=np.array([0.0, 0.0, -1.0 / a, 0.0]) if alpha0 is None else alpha0)
 
 
+def end_state(spec, s, step=None):
+    """The table's state at s, integrated over the window from 0 to s."""
+    window = (min(s, 0.0), max(s, 0.0))
+    step = spec.step if step is None else step
+    table = fo.FrameTable(dataclasses.replace(spec, window=window, step=step))
+    return table.states[0 if s < 0 else -1], table.max_drift
+
+
 def test_initial_frame_gram_exact():
-    state = fo.FrameODESpec(a=1.0, b=fo.BFunction.constant(1.0)).initial_state()
-    assert state.gram_residual() == 0.0
+    F = fo.DEFAULT_INITIAL_FRAME
+    assert np.max(np.abs(F @ fo.MINK @ F.T - fo.GRAM_TARGET)) == 0.0
 
 
 def test_system_matrix_preserves_gram_algebraically():
@@ -38,32 +46,33 @@ def test_system_matrix_preserves_gram_algebraically():
 
 def test_degenerate_zero_system_keeps_frame_constant():
     spec = fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(0.0))
-    state, drift = fo.integrate_frame(spec, 0.9, 1e-2)
+    state, drift = end_state(spec, 0.9, 1e-2)
     assert drift < 1e-15
-    assert np.allclose(state.frame_matrix(), fo.DEFAULT_INITIAL_FRAME)
+    assert np.allclose(state[1:], fo.DEFAULT_INITIAL_FRAME)
     # alpha still moves along the constant X
-    assert np.allclose(state.alpha, 0.9 * fo.DEFAULT_INITIAL_FRAME[0])
+    assert np.allclose(state[0], 0.9 * fo.DEFAULT_INITIAL_FRAME[0])
 
 
 def test_integrate_zero_gives_initial_state():
     spec = spec_umbilical()
-    state, drift = fo.integrate_frame(spec, 0.0)
+    state, drift = end_state(spec, 0.0)
     assert drift == 0.0
-    assert np.allclose(state.alpha, spec.alpha0)
-    assert np.allclose(state.frame_matrix(), fo.DEFAULT_INITIAL_FRAME)
+    assert np.allclose(state[0], spec.alpha0)
+    assert np.allclose(state[1:], fo.DEFAULT_INITIAL_FRAME)
 
 
 def test_drift_small_at_default_step():
     spec = spec_umbilical()
-    _, drift = fo.integrate_frame(spec, 1.0, 1e-3)
-    assert drift < 1e-9
+    for s in (1.0, -1.0):
+        _, drift = end_state(spec, s, 1e-3)
+        assert drift < 1e-9
 
 
 def test_x_minus_y_constant_when_a_equals_b():
     spec = spec_umbilical(a=1.0, b=fo.BFunction.constant(1.0))
-    state, _ = fo.integrate_frame(spec, 1.0, 1e-3)
+    state, _ = end_state(spec, 1.0, 1e-3)
     diff0 = fo.DEFAULT_INITIAL_FRAME[0] - fo.DEFAULT_INITIAL_FRAME[1]
-    assert np.max(np.abs((state.X - state.Y) - diff0)) < 1e-12
+    assert np.max(np.abs((state[1] - state[2]) - diff0)) < 1e-12
 
 
 def test_rk4_convergence_order():
@@ -74,20 +83,17 @@ def test_rk4_convergence_order():
     which stays inside the Gram-preserving Lie algebra.
     """
     spec = fo.FrameODESpec(a=1.0, b=fo.BFunction.offset_sin(), tau_frame=1.0)
-    ref = np.vstack([fo.integrate_frame(spec, 1.0, 1e-4)[0].alpha[None, :],
-                     fo.integrate_frame(spec, 1.0, 1e-4)[0].frame_matrix()])
+    ref, _ = end_state(spec, 1.0, 1e-4)
 
     def sol_err(h):
-        st, _ = fo.integrate_frame(spec, 1.0, h)
-        cur = np.vstack([st.alpha[None, :], st.frame_matrix()])
-        return np.max(np.abs(cur - ref))
+        return np.max(np.abs(end_state(spec, 1.0, h)[0] - ref))
 
     e1, e2 = sol_err(0.1), sol_err(0.05)
     order = np.log2(e1 / e2)
     assert abs(order - 4.0) < 0.3
 
-    d1 = fo.integrate_frame(spec, 1.0, 0.1)[1]
-    d2 = fo.integrate_frame(spec, 1.0, 0.05)[1]
+    d1 = end_state(spec, 1.0, 0.1)[1]
+    d2 = end_state(spec, 1.0, 0.05)[1]
     drift_order = np.log2(d1 / d2)
     assert drift_order > 3.7  # at least the classical rate; here it is ~5
 
@@ -95,7 +101,7 @@ def test_rk4_convergence_order():
 def test_step_too_large_raises():
     spec = fo.FrameODESpec(a=2.0, b=fo.BFunction.constant(3.0), tau_frame=1e-9)
     with pytest.raises(fo.StepTooLarge):
-        fo.integrate_frame(spec, 1.0, 0.25)
+        end_state(spec, 1.0, 0.25)
     with pytest.raises(fo.StepTooLarge):
         fo.FrameTable(dataclasses.replace(spec, step=0.25))
     with pytest.raises(fo.StepTooLarge):  # a NaN drift fails closed
@@ -103,16 +109,18 @@ def test_step_too_large_raises():
 
 
 def test_window_exceeded_raises():
-    spec = spec_umbilical()
-    with pytest.raises(fo.WindowExceeded):
-        fo.integrate_frame(spec, 1.5)
+    table = fo.FrameTable(spec_umbilical())
+    for s in (1.5, -1.5):
+        with pytest.raises(fo.WindowExceeded):
+            table.values_at(s)
 
 
 # -- bit-for-bit reference: the scalar per-step RK4 loop ------------------------
 #
-# The table and integrate_frame advance every chain through one stacked RK4
-# kernel.  Below is the scalar loop it replaced, one 5x5 system matrix and
-# one Gram residual per step; the kernel must reproduce it byte for byte.
+# The table advances every chain through one stacked RK4 kernel.  Below is
+# the scalar loop it replaced, one 5x5 system matrix and one Gram residual
+# per step; the kernel must reproduce it byte for byte.  ``ref_integrate``
+# runs the loop from 0 to any s, ending on a partial step.
 
 def ref_coefficient_matrix(spec, s):
     b = spec.b.value(s)
@@ -195,18 +203,6 @@ def test_table_matches_scalar_loop_bit_for_bit(b_kind, a, window):
     assert table.max_drift == drift
 
 
-@pytest.mark.parametrize("b_kind", sorted(REFERENCE_B))
-def test_integrate_frame_matches_scalar_loop_bit_for_bit(b_kind):
-    spec = fo.FrameODESpec(a=1.0, b=REFERENCE_B[b_kind], tau_frame=1.0)
-    for s in (0.0, 1e-13, 0.3137, -0.777, 1.0, -1.0):
-        for step in (1e-3, 0.0123, 0.25):
-            state, drift = fo.integrate_frame(spec, s, step)
-            ref_state, ref_drift = ref_integrate(spec, s, step)
-            got = np.vstack([state.alpha[None, :], state.frame_matrix()])
-            assert got.tobytes() == ref_state.tobytes()
-            assert drift == ref_drift
-
-
 def test_table_cache_keys_on_exact_b_and_tolerance(monkeypatch):
     monkeypatch.setattr(fo, "_TABLE_CACHE", {})
     # labels round B to 6 digits; the tables must still differ
@@ -255,10 +251,9 @@ def test_table_interpolation_matches_direct_integration():
     spec = spec_umbilical(b=fo.BFunction.offset_sin())
     table = fo.FrameTable(spec)
     for s in (0.0, 0.3137, -0.777, 1.0, -1.0, 0.5):
-        direct, _ = fo.integrate_frame(spec, s, 1e-3)
+        direct, _ = ref_integrate(spec, s, 1e-3)
         interp = table.values_at(np.array([s]))[0]
-        stacked = np.vstack([direct.alpha[None, :], direct.frame_matrix()])
-        assert np.max(np.abs(interp - stacked)) < 1e-10
+        assert np.max(np.abs(interp - direct)) < 1e-10
 
 
 def test_taylor_derivatives_match_finite_differences():

@@ -4,6 +4,7 @@ batches built in blocks of points."""
 
 import numpy as np
 import pytest
+from scalar_reference import PSEUDO_ORTHONORMAL_GRAM
 
 from minksoliton import catalog, jets
 from minksoliton import hypersurface as hs
@@ -17,7 +18,7 @@ from minksoliton.hypersurface import (DegenerateMetric, EmptyGrid,
                                       identity_diagnostics, ricci_gauss,
                                       ricci_intrinsic_batch,
                                       structure_verdicts)
-from minksoliton.lorentz import PSEUDO_ORTHONORMAL_GRAM, classify_batch
+from minksoliton.lorentz import classify_batch
 
 
 def at_point(imm, p):
@@ -400,7 +401,7 @@ def test_mean_curvature_is_exactly_trace_over_three():
 
 GEOMETRY_ARRAYS = ("points", "x", "tangents", "g", "dg", "det", "ginv", "N",
                    "dN", "A", "dA", "H", "h", "Gamma", "dGamma", "rho",
-                   "drho", "xT", "dxT", "f", "df")
+                   "drho", "xT", "dxT", "f", "df", "metric_scale")
 
 CHART_FILE = """\
 x1 = sqrt(1 + u^2 + v^2 + w^2) + 0.05 * sin(3 * u) * cos(2 * w)
@@ -508,3 +509,58 @@ def test_blocked_build_raises_the_one_block_error(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(hs, "_BLOCK", n)
         assert _build_error(imm, pts) == error
+
+
+def nan_slope(threshold=-np.inf):
+    """Hyperbolic space as a graph, with x4 = w + nan * u where u > threshold."""
+    def chart(u, v, w):
+        slope = np.where(u.value > threshold, np.nan, 0.0)
+        return [jets.sqrt(1.0 + u * u + v * v + w * w), u, v, w + u * slope]
+    return Immersion("nan_slope", chart, ((-1, 1),) * 3)
+
+
+NOT_FINITE = (DegenerateMetric,
+              "induced metric of 'nan_slope' is not finite on the batch")
+
+
+@pytest.mark.parametrize("counts", [(5, 5, 5), (11, 11, 11)])
+def test_metric_gate_fails_closed_on_nan(counts, monkeypatch):
+    imm = nan_slope()
+    grid = grid_points(((-0.5, 0.5),) * 3, counts)
+    assert _build_error(imm, grid) == NOT_FINITE
+    with monkeypatch.context() as m:
+        m.setattr(hs, "_BLOCK", len(grid))
+        assert _build_error(imm, grid) == NOT_FINITE
+
+
+def test_metric_gate_fails_closed_on_nan_in_a_late_block(monkeypatch):
+    imm = nan_slope(threshold=0.9)
+    n = 3 * 1024 + 5
+    pts = np.random.default_rng(3).uniform(-0.5, 0.5, (n, 3))
+    pts[2500, 0] = 0.95  # block 3
+    assert _build_error(imm, pts) == NOT_FINITE
+    for lo in (0, 1024):
+        GeometryBatch(imm, pts[lo:lo + 1024])  # blocks 1 and 2 pass alone
+    with monkeypatch.context() as m:
+        m.setattr(hs, "_BLOCK", n)
+        assert _build_error(imm, pts) == NOT_FINITE
+
+
+def test_normal_gate_rejects_a_non_finite_normal():
+    raw_n = np.array([[0.0, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]])
+    nn = np.array([1.0, np.nan])
+    with pytest.raises(hs.NullNormalDirection,
+                       match="normal direction of 'x' is not finite"):
+        hs._check_normal("x", raw_n, nn)
+
+
+def test_cli_exits_1_on_a_nan_metric(tmp_path, capsys):
+    from minksoliton.cli import main
+    chart = tmp_path / "nan_slope.chart"
+    # 0 * 1e999 is 0 * inf: a NaN slope the grammar can spell
+    chart.write_text("x1 = sqrt(1 + u^2 + v^2 + w^2)\nx2 = u\nx3 = v\n"
+                     "x4 = w + (0 * 1e999) * u\n")
+    assert main(["analyze", "--entry", str(chart), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: DegenerateMetric: induced metric of "
+                   f"{str(chart)!r} is not finite on the batch\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_reference import extract_derivative
 
 from minksoliton import jets
 from minksoliton.exprs import Expr
@@ -16,7 +17,7 @@ from minksoliton.exprs import Expr
 def test_variable_layout():
     j = jets.variable(1, 2.0)
     assert j.value == 2.0
-    assert jets.extract_derivative(j, (1, 0, 0)) == 1.0
+    assert extract_derivative(j, (1, 0, 0)) == 1.0
     assert np.count_nonzero(j.coeffs) == 2
 
 
@@ -24,33 +25,33 @@ def test_variable_sum_value():
     a, b = 1.7, -0.4
     s = jets.variable(1, a) + jets.variable(2, b)
     assert s.value == a + b
-    assert jets.extract_derivative(s, (1, 0, 0)) == 1.0
-    assert jets.extract_derivative(s, (0, 1, 0)) == 1.0
+    assert extract_derivative(s, (1, 0, 0)) == 1.0
+    assert extract_derivative(s, (0, 1, 0)) == 1.0
 
 
 def test_product_mixed_coefficient_is_one():
     u = jets.variable(1, 0.3)
     v = jets.variable(2, -1.2)
     p = u * v
-    assert jets.extract_derivative(p, (1, 1, 0)) == 1.0
+    assert extract_derivative(p, (1, 1, 0)) == 1.0
     assert p.value == pytest.approx(0.3 * -1.2)
 
 
 def test_degree0_extraction_is_value():
     u = jets.variable(1, 0.5)
     f = jets.sin(u * u + 1.0)
-    assert jets.extract_derivative(f, (0, 0, 0)) == f.value
+    assert extract_derivative(f, (0, 0, 0)) == f.value
 
 
 def test_second_derivative_of_square():
     u = jets.variable(1, 1.3)
-    assert jets.extract_derivative(u * u, (2, 0, 0)) == pytest.approx(2.0)
+    assert extract_derivative(u * u, (2, 0, 0)) == pytest.approx(2.0)
 
 
 def test_extract_beyond_degree_raises():
     u = jets.variable(1, 0.0)
     with pytest.raises(jets.IndexOutOfRange):
-        jets.extract_derivative(u, (2, 2, 0))
+        extract_derivative(u, (2, 2, 0))
 
 
 def test_derivative_lowers_valid_order():
@@ -59,7 +60,7 @@ def test_derivative_lowers_valid_order():
     d = f.deriv(1)
     assert d.order == 2
     with pytest.raises(jets.IndexOutOfRange):
-        jets.extract_derivative(d, (3, 0, 0))
+        extract_derivative(d, (3, 0, 0))
 
 
 def test_jet_rejects_rows_that_do_not_match_its_order():
@@ -82,10 +83,10 @@ def test_sin_maclaurin_coefficients():
     # sin(t) = t - t^3/6 at the origin
     t = jets.variable(1, 0.0)
     f = jets.sin(t)
-    assert jets.extract_derivative(f, (0, 0, 0)) == 0.0
-    assert jets.extract_derivative(f, (1, 0, 0)) == pytest.approx(1.0)
-    assert jets.extract_derivative(f, (2, 0, 0)) == pytest.approx(0.0)
-    assert jets.extract_derivative(f, (3, 0, 0)) == pytest.approx(-1.0)
+    assert extract_derivative(f, (0, 0, 0)) == 0.0
+    assert extract_derivative(f, (1, 0, 0)) == pytest.approx(1.0)
+    assert extract_derivative(f, (2, 0, 0)) == pytest.approx(0.0)
+    assert extract_derivative(f, (3, 0, 0)) == pytest.approx(-1.0)
     assert f.coeffs[jets.INDEX_OF[(3, 0, 0)]] == pytest.approx(-1.0 / 6.0)
 
 
@@ -93,7 +94,7 @@ def test_sqrt_at_four():
     u = jets.variable(1, 4.0)
     r = jets.sqrt(u)
     assert r.value == pytest.approx(2.0)
-    assert jets.extract_derivative(r, (1, 0, 0)) == pytest.approx(0.25)
+    assert extract_derivative(r, (1, 0, 0)) == pytest.approx(0.25)
 
 
 def test_sqrt_of_nonpositive_raises():
@@ -143,7 +144,7 @@ def test_truncation_above_degree_three():
     prod = (u * u) * (v * v)  # pure degree 4: vanishes after truncation
     assert np.max(np.abs(prod.coeffs)) == 0.0
     cube = (u + v) ** 3
-    assert jets.extract_derivative(cube, (2, 1, 0)) == pytest.approx(6.0)
+    assert extract_derivative(cube, (2, 1, 0)) == pytest.approx(6.0)
 
 
 def test_scalar_division_is_exact():
@@ -262,7 +263,7 @@ def test_jets_match_finite_differences_on_random_expressions():
             h = 2e-3 if order <= 2 else 8e-3
             tol = 1e-5 if order <= 2 else 1e-3
             fd = fd_derivative(fn, point, mi, h)
-            jd = jets.extract_derivative(val, mi)
+            jd = extract_derivative(val, mi)
             rel = abs(jd - fd) / max(1.0, abs(fd))
             if rel > tol:
                 failures.append((case, mi, jd, fd, rel))
@@ -439,9 +440,9 @@ def test_order_sized_results_are_leading_rows_of_full_order(da, n):
                 ja.deriv(v)
     for mi in jets.MULTI_INDICES:
         if sum(mi) <= da:
-            got = jets.extract_derivative(ja, mi)
+            got = extract_derivative(ja, mi)
             assert np.array_equal(got.view(np.int64),
-                                  jets.extract_derivative(fa, mi).view(np.int64))
+                                  extract_derivative(fa, mi).view(np.int64))
         else:
             with pytest.raises(jets.IndexOutOfRange):
-                jets.extract_derivative(ja, mi)
+                extract_derivative(ja, mi)

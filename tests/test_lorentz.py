@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_reference import canonical_matrix
 
 from minksoliton import lorentz
-from minksoliton.lorentz import (FormVariant, canonical_matrix, char_poly,
-                                 classify_batch, mink_inner, poly_apply)
+from minksoliton.lorentz import (FormVariant, char_poly, classify_batch,
+                                 mink_inner, poly_apply)
 
 
 def minimal_polynomial(A):

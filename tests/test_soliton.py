@@ -19,7 +19,9 @@ ENTRY_GRIDS = {}
 def fit(geo, mode="corrected", tau=TAU_SOL_CLOSED):
     """The SolitonReport of the lambda fit in one Ricci mode."""
     ric = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=mode == "corrected")
-    return fit_lambda_pointwise(geo, ric, mode, tau, identity_checks(geo))[0]
+    lie = lie_closed_form_batch(geo)
+    return fit_lambda_pointwise(geo, lie, ric, mode, tau,
+                                identity_checks(geo, lie))[0]
 
 
 def residual(geo, lam):
@@ -77,7 +79,8 @@ def test_route_agreement_all_entries():
     for name in catalog.ENTRIES:
         imm, grid, _ = entry_grid(name)
         geo = GeometryBatch(imm, grid)
-        assert route_agreement_batch(geo) < 1e-7, name
+        lie = lie_closed_form_batch(geo)
+        assert route_agreement_batch(geo, lie) < 1e-7, name
 
 
 def test_soliton_residual_cylinder_lambda_one():
