@@ -3,11 +3,28 @@
 The reference below is the scalar algorithm that lorentz.classify_batch
 vectorizes: closed-form cubic roots with a Newton polish, chain clustering
 of the real roots, trace refinement of a repeated root, and candidate
-polynomials tried by increasing degree.  The batch must reproduce it bit for
-bit: forms, parameters, minimal polynomials and the ambiguous band.
+polynomials tried by increasing degree.  It runs on Python floats and the C
+library (``**``, ``math.acos``, ``math.cos``) and takes |A| from one SVD per
+matrix, np.linalg.norm(A, 2).
+
+The batch uses numpy's vectorized power, arccos and cos, whose SIMD kernels
+may differ from the C library in the last bit, and a closed-form spectral
+norm.  Its contract with the reference is therefore:
+
+* the variant code, the ambiguity flag and the degree of the minimal
+  polynomial are equal on every row;
+* the characteristic polynomial is equal bit for bit (the same LAPACK
+  determinant);
+* each parameter, and each minimal-polynomial coefficient of degree k in A,
+  agrees to ROUND_OFF * max(1, max|A|)^k.
+
+Where numpy's arccos and power run the C library's code, as they do with
+its AVX-512 dispatch off, ROUND_OFF is 0: the batch then reproduces the
+reference exactly.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,8 +206,38 @@ def _self_adjoint_operators():
     return np.array(As), np.array(gs)
 
 
+def _numpy_runs_libm():
+    """Whether numpy's float64 arccos and power run their baseline loops,
+    which call the C library, rather than a SIMD kernel of numpy's own."""
+    introspect = getattr(np.lib, "introspect", None)
+    if introspect is None:
+        return False
+    info = introspect.opt_func_info(func_name="^(arccos|power)$",
+                                    signature="float64")
+    return all(loop["current"].startswith("baseline")
+               for loops in info.values() for loop in loops.values())
+
+
+# Under numpy's AVX-512 kernels the worst case measured over the 1,968 rows
+# of _self_adjoint_operators and the random matrices below was 12 ulps,
+# 1.3e-15 relative; the bound has 7x headroom.  With the C library's loops
+# the batch reproduces the reference exactly.
+ROUND_OFF = 0.0 if _numpy_runs_libm() else 1e-14
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
+
+
+def _agrees(got, ref, scale, degrees=None):
+    """Same length, and entry k, of degree degrees[k] in A, within
+    ROUND_OFF * scale^degrees[k]; by default the entries are polynomial
+    coefficients, highest degree first, so entry k has degree k."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    if degrees is None:
+        degrees = np.arange(len(ref))
+    return got.shape == ref.shape and bool(np.all(
+        np.abs(got - ref) <= ROUND_OFF * scale ** np.asarray(degrees)))
 
 
 def one_row_minimal_polynomial(A, tol=TAU_RANK):
@@ -200,20 +247,23 @@ def one_row_minimal_polynomial(A, tol=TAU_RANK):
     return np.trim_zeros(mp, "f") + 0.0
 
 
-def test_batch_matches_scalar_reference_bit_for_bit():
+def test_batch_matches_scalar_reference_to_round_off():
     As, gs = _self_adjoint_operators()
     forms = lorentz.classify_batch(As, gs)
     assert forms.ambiguous.any() and not forms.ambiguous.all()
     for i, A in enumerate(As):
         ref = ref_classify(A)
+        scale = max(1.0, float(np.max(np.abs(A))))
         assert forms.ambiguous[i] == (ref is None), i
+        assert _bits(forms.char_poly[i]) == _bits(ref_char_poly(A)), i
         if ref is not None:
             form = forms.form(i)
             assert form.variant is ref[0], i
-            assert _bits(form.parameters) == _bits(ref[1]), i
-            assert _bits(form.minimal_polynomial) == _bits(ref[2]), i
-        assert _bits(one_row_minimal_polynomial(A)) == \
-            _bits(ref_minimal_polynomial(A)), i
+            assert _agrees(form.parameters, ref[1], scale,
+                           np.ones(len(ref[1]))), i
+            assert _agrees(form.minimal_polynomial, ref[2], scale), i
+        assert _agrees(one_row_minimal_polynomial(A),
+                       ref_minimal_polynomial(A), scale), i
 
 
 @pytest.mark.parametrize("tol", [TAU_RANK, 1e-5])
@@ -221,5 +271,34 @@ def test_minimal_polynomial_matches_reference_on_random_matrices(tol):
     rng = np.random.default_rng(31)
     for _ in range(300):
         A = rng.normal(size=(3, 3)) * rng.choice([1e-3, 1.0, 50.0])
-        assert _bits(one_row_minimal_polynomial(A, tol=tol)) == \
-            _bits(ref_minimal_polynomial(A, tol=tol))
+        assert _agrees(one_row_minimal_polynomial(A, tol=tol),
+                       ref_minimal_polynomial(A, tol=tol),
+                       max(1.0, float(np.max(np.abs(A)))))
+
+
+def _python_calls(fn, *args):
+    """Python function and builtin calls made while fn(*args) runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_classify_python_work_does_not_grow_with_rows():
+    """The batch is array code: classifying 4,096 rows makes the same Python
+    calls as classifying 64."""
+    As, gs = _self_adjoint_operators()
+    pick = np.linspace(0, len(As) - 1, 64).astype(int)
+    block = As[pick], gs[pick]
+    tiled = [np.tile(x, (64, 1, 1)) for x in block]
+    lorentz.classify_batch(*block)
+    assert _python_calls(lorentz.classify_batch, *block) == \
+        _python_calls(lorentz.classify_batch, *tiled)

