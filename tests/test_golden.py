@@ -2,8 +2,12 @@
 
 The files in tests/golden/ are:
 
-* CLI reports of every catalog entry: JSON at 5^3 and 11^3 grid points and
-  CSV at 5^3, all with both Ricci modes;
+* CLI reports of every catalog entry: JSON at 5^3 and 11^3 grid points, and
+  CSV and text at 5^3, all with both Ricci modes;
+* CLI JSON reports of every catalog entry at 5^3 under each single Ricci
+  mode;
+* CLI JSON reports at 5^3 of the chart file hyperbolic_graph_chart.txt, on
+  the default box and on a given ``--box``;
 * the expectation tables of every catalog entry at 5^3 under each single
   Ricci mode, as ``dump_json`` writes them;
 * ``case-sweep`` output of each canonical form, CSV and JSON, for
@@ -17,7 +21,9 @@ NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", 8 of the 27 analyze
 reports differ in round-off-sized residuals: de_sitter 5^3 and 11^3 JSON and
 5^3 CSV, hyperbolic_space and hyperbolic_cylinder 11^3 JSON, and
 pseudospherical_cylinder 5^3 and 11^3 JSON and 5^3 CSV (lambda_spread in
-de_sitter_5.json, for one, reads 1.55e-15 against 1.33e-15).  CI prints
+de_sitter_5.json, for one, reads 1.55e-15 against 1.33e-15).  Of the other
+reports, those of de_sitter and pseudospherical_cylinder differ there too:
+the 5^3 text reports and both single-mode 5^3 JSON reports.  CI prints
 numpy.show_runtime() before the tests, to tell such a failure from a change
 of the code.
 """
@@ -63,3 +69,35 @@ def test_case_sweep_matches_golden(tmp_path, form, fmt):
     assert code == 0
     assert out.read_bytes() == \
         (GOLDEN / f"case_sweep_{form}.{fmt}").read_bytes()
+
+
+def _analyze(tmp_path, *argv):
+    out = tmp_path / "report"
+    assert main(["analyze", *argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(catalog.ENTRIES))
+def test_text_report_matches_golden(tmp_path, name):
+    assert _analyze(tmp_path, "--entry", name, "--grid", "5,5,5",
+                    "--format", "text") == \
+        (GOLDEN / f"{name}_5.txt").read_bytes()
+
+
+@pytest.mark.parametrize("mode", RICCI_MODES)
+@pytest.mark.parametrize("name", list(catalog.ENTRIES))
+def test_single_mode_report_matches_golden(tmp_path, name, mode):
+    assert _analyze(tmp_path, "--entry", name, "--grid", "5,5,5",
+                    "--ricci-mode", mode, "--format", "json") == \
+        (GOLDEN / f"{name}_5_{mode}.json").read_bytes()
+
+
+@pytest.mark.parametrize("box,golden", [
+    (None, "hyperbolic_graph_5.json"),
+    ("-0.3:0.2,-0.1:0.4,-0.25:0.25", "hyperbolic_graph_box_5.json")])
+def test_chart_file_report_matches_golden(tmp_path, monkeypatch, box, golden):
+    # the report names the chart by the path it was given
+    monkeypatch.chdir(GOLDEN.parent)
+    argv = ["--entry", "golden/hyperbolic_graph_chart.txt", "--grid", "5,5,5",
+            "--format", "json"] + ([f"--box={box}"] if box else [])
+    assert _analyze(tmp_path, *argv) == (GOLDEN / golden).read_bytes()
