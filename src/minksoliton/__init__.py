@@ -11,10 +11,10 @@ forms, and reproduces the per-form solvability dichotomy of the soliton
 equations by exact elimination.
 """
 
-from .lorentz import FormVariant, ShapeOperatorForm, mink_inner
+from .lorentz import FormVariant, mink_inner
 from .jets import Jet
 from .hypersurface import Immersion, grid_points, ricci_gauss
-from .soliton import SolitonReport, Verdict
+from .soliton import Verdict
 from .frame_ode import (BFunction, FrameODESpec, build_generalized_cylinder_I,
                         build_generalized_umbilical)
 from .canonical import CaseSystem, sweep
@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BFunction", "CaseSystem", "FormVariant", "FrameODESpec", "Immersion",
-    "Jet", "ShapeOperatorForm", "SolitonReport", "Verdict", "analyze_entry",
-    "analyze_immersion", "build_generalized_cylinder_I",
-    "build_generalized_umbilical", "grid_points", "mink_inner", "ricci_gauss",
-    "sweep",
+    "Jet", "Verdict", "analyze_entry", "analyze_immersion",
+    "build_generalized_cylinder_I", "build_generalized_umbilical",
+    "grid_points", "mink_inner", "ricci_gauss", "sweep",
 ]

@@ -6,17 +6,16 @@ acceptance suite.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import canonical, catalog
 from .hypersurface import (GeometryBatch, codazzi_residual_batch, grid_points,
                            identity_diagnostics, ricci_gauss,
                            ricci_intrinsic_batch, structure_verdicts)
-from .lorentz import VARIANTS, classify_batch
-from .soliton import (RICCI_MODES, fit_lambda_pointwise, identity_checks,
-                      lie_closed_form_batch)
+from .lorentz import N_PARAMETERS, VARIANTS, classify_batch
+from .soliton import (RICCI_MODES, Verdict, fit_lambda_pointwise,
+                      gradient_check_batch, lemma1_batch,
+                      lie_closed_form_batch, route_agreement_batch)
 
 
 class Report(dict):
@@ -92,17 +91,15 @@ def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
     else:
         identities["plain_vs_intrinsic_factor"] = 1.0
     lie = lie_closed_form_batch(geo)
-    checks = identity_checks(geo, lie)
-    gradient, lemma1, route = checks
-    identities["route_agreement"] = route
+    gradient = gradient_check_batch(geo)
+    lemma1 = lemma1_batch(geo)
+    identities["route_agreement"] = route = route_agreement_batch(geo, lie)
 
     # Both fits always run: the pointwise columns carry both lambdas.
-    fits = {mode: fit_lambda_pointwise(geo, lie, ric[mode], mode, tau_sol,
-                                       checks)
+    fits = {mode: fit_lambda_pointwise(geo, lie, ric[mode], tau_sol)
             for mode in RICCI_MODES}
     modes = RICCI_MODES if ricci_mode == "both" else (ricci_mode,)
-    reports = {mode: fits[mode][0] for mode in modes}
-    headline_mode = "corrected" if "corrected" in reports else modes[0]
+    headline_mode = "corrected" if "corrected" in modes else modes[0]
     identities["lemma1"] = list(lemma1)
     identities["gradient_check"] = gradient
 
@@ -116,12 +113,19 @@ def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
     identities["tau"] = tau_identity
     identities["epsilon"] = geo.epsilon
 
+    def fit_block(mode):
+        (lam, spread, residual, verdict, gap), _, _ = fits[mode]
+        return {"lambda_fit": lam, "lambda_spread": spread,
+                "residual_sup": residual, "verdict": verdict.value,
+                "gradient_check": gradient, "lemma1": list(lemma1),
+                "route_agreement": route, "ricci_mode": mode, "tau": tau_sol,
+                "equation_equivalence_gap": gap}
+
     forms = classify_batch(geo.A, geo.g)
-    soliton_block = reports[headline_mode].to_dict()
-    soliton_block["headline_mode"] = headline_mode
-    for mode, rep in reports.items():
-        soliton_block[mode] = rep.to_dict()
-    consistency = _consistency_block(geo, reports, forms)
+    blocks = {mode: fit_block(mode) for mode in modes}
+    soliton_block = {**fit_block(headline_mode),
+                     "headline_mode": headline_mode, **blocks}
+    consistency = _consistency_block(geo, blocks, forms)
     if consistency is not None:
         soliton_block["case_system_consistency"] = consistency
 
@@ -153,34 +157,38 @@ def _classification_block(geo, forms):
     center = len(labels) // 2
     detail = None
     if not forms.ambiguous[center]:
-        form = forms.form(center)
+        code = forms.variant[center]
         detail = {
-            "variant": form.variant.value,
-            "parameters": [float(p) for p in form.parameters],
-            "minimal_polynomial": [float(c) for c in form.minimal_polynomial],
+            "variant": VARIANTS[code].value,
+            "parameters":
+                forms.parameters[center, :N_PARAMETERS[code]].tolist(),
+            "minimal_polynomial":
+                np.trim_zeros(forms.min_poly[center], "f").tolist(),
         }
     return {
         "form_histogram": histogram,
         "center_form": detail,
-        "structure": dataclasses.asdict(structure_verdicts(geo, forms)),
+        "structure": structure_verdicts(geo, forms),
     }
 
 
-def _consistency_block(geo, reports, forms):
-    """Tie verified solitons back to the per-form algebraic systems.
+def _consistency_block(geo, blocks, forms):
+    """Tie verified solitons back to the per-form algebraic systems, given
+    the soliton report's fit block of each Ricci mode it holds.
 
     The case systems transcribe the uncorrected Ricci convention, so the
     constant fed to them is the paper_form fit (identical to the corrected
     one on Lorentzian entries).
     """
-    if not any(rep.verdict.is_soliton for rep in reports.values()):
+    if all(block["verdict"] == Verdict.NOT_A_SOLITON.value
+           for block in blocks.values()):
         return None
-    source = reports.get("paper_form")
+    source = blocks.get("paper_form")
     if source is None and geo.epsilon == 1.0:
-        source = reports.get("corrected")
+        source = blocks.get("corrected")
     if source is None:
         return None
-    lam = source.lambda_fit
+    lam = source["lambda_fit"]
     rows = np.flatnonzero(~forms.ambiguous)
     worst = canonical.consistency_residual(
         np.array(VARIANTS, dtype=object)[forms.variant[rows]],

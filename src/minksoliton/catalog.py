@@ -101,8 +101,7 @@ def hyperbolic_space_immersion(c=1.0):
         sph, cph = jets.sin(ph), jets.cos(ph)
         return [k * ch, k * sh * sth * cph, k * sh * sth * sph, k * sh * cth]
 
-    return Immersion(f"hyperbolic_space(c={c:g})", chart,
-                     ((0.05, 3.0), (0.05, 3.1), (-6.3, 6.3)))
+    return Immersion(f"hyperbolic_space(c={c:g})", chart)
 
 
 def de_sitter_immersion(c=1.0):
@@ -116,8 +115,7 @@ def de_sitter_immersion(c=1.0):
         sph, cph = jets.sin(ph), jets.cos(ph)
         return [k * sh, k * ch * sth * cph, k * ch * sth * sph, k * ch * cth]
 
-    return Immersion(f"de_sitter(c={c:g})", chart,
-                     ((-2.0, 2.0), (0.05, 3.1), (-6.3, 6.3)))
+    return Immersion(f"de_sitter(c={c:g})", chart)
 
 
 def hyperbolic_cylinder_immersion(c=1.0):
@@ -129,8 +127,7 @@ def hyperbolic_cylinder_immersion(c=1.0):
         return [k * jets.cosh(u), k * jets.sinh(u) * jets.cos(v),
                 k * jets.sinh(u) * jets.sin(v), w]
 
-    return Immersion(f"hyperbolic_cylinder(c={c:g})", chart,
-                     ((0.05, 3.0), (-6.3, 6.3), (-3.0, 3.0)))
+    return Immersion(f"hyperbolic_cylinder(c={c:g})", chart)
 
 
 def pseudospherical_cylinder_immersion(c=1.0):
@@ -142,8 +139,7 @@ def pseudospherical_cylinder_immersion(c=1.0):
         return [k * jets.sinh(u), k * jets.cosh(u) * jets.cos(v),
                 k * jets.cosh(u) * jets.sin(v), w]
 
-    return Immersion(f"pseudospherical_cylinder(c={c:g})", chart,
-                     ((-2.0, 2.0), (-6.3, 6.3), (-3.0, 3.0)))
+    return Immersion(f"pseudospherical_cylinder(c={c:g})", chart)
 
 
 def graph_lorentzian_immersion():
@@ -152,8 +148,7 @@ def graph_lorentzian_immersion():
     def chart(u, v, w):
         return [u, v, w, u * u + v * v + w * w]
 
-    return Immersion("graph_lorentzian", chart,
-                     ((-0.45, 0.45), (-0.45, 0.45), (-0.45, 0.45)))
+    return Immersion("graph_lorentzian", chart)
 
 
 def graph_spacelike_immersion():
@@ -162,8 +157,7 @@ def graph_spacelike_immersion():
     def chart(u, v, w):
         return [u * u + v * v + w * w + 2.0, u, v, w]
 
-    return Immersion("graph_spacelike", chart,
-                     ((-0.25, 0.25), (-0.25, 0.25), (-0.25, 0.25)))
+    return Immersion("graph_spacelike", chart)
 
 
 # -- frame-ODE charts ---------------------------------------------------------

@@ -86,6 +86,9 @@ def _parse_grid(text):
     return counts
 
 
+CHART_BOX = ((-0.5, 0.5),) * 3  # sampling box of a chart file without --box
+
+
 def _parse_box(text):
     box = []
     for part in text.split(","):
@@ -99,6 +102,8 @@ def _parse_box(text):
                 f"--box bounds must be numbers, got {part!r}") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise UsageError(f"--box bounds must be finite, got {part!r}")
+        if not lo < hi:
+            raise UsageError(f"--box intervals need lo < hi, got {part!r}")
         box.append((lo, hi))
     if len(box) != 3:
         raise UsageError("--box expects three intervals")
@@ -196,18 +201,18 @@ def cmd_analyze(args):
         if not os.path.exists(args.entry):
             raise UsageError(f"chart file {args.entry!r} does not exist")
         params = _parse_params(args.param)
-        box = _parse_box(args.box) if args.box else None
+        box = _parse_box(args.box) if args.box else CHART_BOX
         try:
-            imm = exprs.immersion_from_file(args.entry, params, box)
+            imm = exprs.immersion_from_file(args.entry, params)
         except exprs.ParseError as err:
             raise UsageError(f"bad chart file: {err}")
         if args.orientation:
             imm = imm.with_orientation(float(args.orientation))
-        grid = analysis.grid_points(imm.domain, grid_counts)
+        grid = analysis.grid_points(box, grid_counts)
         report = analysis.analyze_immersion(imm, grid, ricci_mode=mode)
         report["parameters"] = params
         report["grid"] = {"counts": list(grid_counts),
-                          "box": [list(iv) for iv in imm.domain],
+                          "box": [list(iv) for iv in box],
                           "n_points": int(len(grid))}
     else:
         if args.entry not in catalog.ENTRIES:

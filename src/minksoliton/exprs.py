@@ -225,10 +225,8 @@ def chart_from_expressions(exprs, parameters):
     return chart
 
 
-def immersion_from_file(path, parameters=None, box=None, name=None):
+def immersion_from_file(path, parameters=None):
     with open(path, "r", encoding="utf-8") as fh:
         exprs = parse_chart_file(fh.read())
     parameters = dict(parameters or {})
-    chart = chart_from_expressions(exprs, parameters)
-    dom = tuple(box) if box else ((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5))
-    return Immersion(name or str(path), chart, dom)
+    return Immersion(str(path), chart_from_expressions(exprs, parameters))

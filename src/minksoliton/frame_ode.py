@@ -257,7 +257,7 @@ def _table_for(spec):
     return tab
 
 
-def build_generalized_umbilical(spec, v_margin=1e-2):
+def build_generalized_umbilical(spec):
     """Ruled hypersurface x = alpha + u Y + v W + (sqrt(1/a^2 - v^2) + 1/a) Z.
 
     Requires a != 0.  The offset +1/a (rather than -1/a) is what makes the
@@ -272,7 +272,6 @@ def build_generalized_umbilical(spec, v_margin=1e-2):
     spec.require_b_nonzero()
     table = _table_for(spec)
     a = spec.a
-    vmax = (1.0 / abs(a)) * (1.0 - v_margin)
 
     def chart(js, ju, jv):
         frame = table.component_jets(js.value)
@@ -280,10 +279,8 @@ def build_generalized_umbilical(spec, v_margin=1e-2):
         psi = (jets.sqrt(1.0 - (a * jv) * (a * jv)) + 1.0) / a
         return [alpha[m] + ju * Y[m] + jv * W[m] + psi * Z[m] for m in range(4)]
 
-    lo, hi = spec.window
-    dom = ((lo, hi), (-2.0, 2.0), (-vmax, vmax))
     label = f"generalized_umbilical(a={a:g}, B={spec.b.label})"
-    return Immersion(label, chart, dom)
+    return Immersion(label, chart)
 
 
 def build_generalized_cylinder_I(spec):
@@ -298,7 +295,5 @@ def build_generalized_cylinder_I(spec):
         alpha, X, Y, Z, W = frame
         return [alpha[m] + ju * Y[m] + jv * W[m] for m in range(4)]
 
-    lo, hi = spec.window
-    dom = ((lo, hi), (-2.0, 2.0), (-2.0, 2.0))
     label = f"generalized_cylinder_I(B={spec.b.label})"
-    return Immersion(label, chart, dom)
+    return Immersion(label, chart)

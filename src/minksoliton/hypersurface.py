@@ -15,7 +15,7 @@ Everything is computed for a whole batch of chart points at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,18 +41,17 @@ class Immersion:
     """A chart into Minkowski 4-space, evaluated on jets.
 
     ``chart_map`` maps three Jets (the chart variables) to a sequence of four
-    Jets (the rectangular components of the image point).  ``domain`` holds
-    one (lo, hi) interval per chart variable. ``orientation_sign`` flips the
-    computed unit normal, so catalog entries can match stated curvature signs.
+    Jets (the rectangular components of the image point).
+    ``orientation_sign`` flips the computed unit normal, so catalog entries
+    can match stated curvature signs.
     """
 
     name: str
     chart_map: Callable
-    domain: tuple
     orientation_sign: float = 1.0
 
     def with_orientation(self, sign):
-        return Immersion(self.name, self.chart_map, self.domain, float(sign))
+        return Immersion(self.name, self.chart_map, float(sign))
 
 
 def _inner4(a, b):
@@ -358,22 +357,13 @@ def grid_points(box, counts):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-@dataclass
-class StructureVerdicts:
-    totally_umbilical: bool
-    isoparametric: bool
-    generalized_constant_ratio: bool
-    constant_mean_curvature: bool
-    witnesses: dict = field(default_factory=dict)
-
-
 TAU_CLASS = 1e-6
 
 
 def structure_verdicts(geo, forms):
     """Structural verdicts of a geometry batch whose shape operators have
     the canonical forms and characteristic polynomials ``forms`` (a
-    lorentz.FormBatch)."""
+    lorentz.FormBatch), with the witness behind each."""
     Av, Hv = geo.A, geo.H
     scale = max(1.0, float(np.max(np.abs(Av))))
 
@@ -399,15 +389,15 @@ def structure_verdicts(geo, forms):
         gcr_witness = 0.0
 
     cmc_witness = float(np.max(np.abs(Hv - Hv.mean())))
-    return StructureVerdicts(
-        totally_umbilical=umb < TAU_CLASS * scale,
-        isoparametric=iso_witness < TAU_CLASS * scale,
-        generalized_constant_ratio=gcr_witness < TAU_CLASS * scale,
-        constant_mean_curvature=cmc_witness < TAU_CLASS * scale,
-        witnesses={
+    return {
+        "totally_umbilical": umb < TAU_CLASS * scale,
+        "isoparametric": iso_witness < TAU_CLASS * scale,
+        "generalized_constant_ratio": gcr_witness < TAU_CLASS * scale,
+        "constant_mean_curvature": cmc_witness < TAU_CLASS * scale,
+        "witnesses": {
             "umbilical": umb,
             "isoparametric": iso_witness,
             "generalized_constant_ratio": gcr_witness,
             "constant_mean_curvature": cmc_witness,
         },
-    )
+    }

@@ -201,8 +201,11 @@ N_PARAMETERS = (3, 3, 2, 1)
 
 
 @dataclass(frozen=True)
-class ShapeOperatorForm:
-    """Canonical form of a g-self-adjoint endomorphism with named parameters.
+class FormBatch:
+    """Canonical forms of n operators: variant codes into VARIANTS,
+    parameters (n, 3) of which the first N_PARAMETERS[code] count, minimal
+    and characteristic polynomials (n, 4) as coefficients of t^3 .. t^0,
+    and ambiguity flags.
 
     parameters:
       diagonalizable -> (a1, a2, a3), repeated eigenvalue listed first
@@ -211,29 +214,11 @@ class ShapeOperatorForm:
       jordan3        -> (a1,), triple defective root
     """
 
-    variant: FormVariant
-    parameters: tuple
-    minimal_polynomial: np.ndarray
-
-
-@dataclass(frozen=True)
-class FormBatch:
-    """Canonical forms of n operators: variant codes into VARIANTS,
-    parameters (n, 3) of which the first N_PARAMETERS[code] count, minimal
-    and characteristic polynomials (n, 4) as coefficients of t^3 .. t^0,
-    and ambiguity flags."""
-
     variant: np.ndarray
     parameters: np.ndarray
     min_poly: np.ndarray
     ambiguous: np.ndarray
     char_poly: np.ndarray
-
-    def form(self, i):
-        code = self.variant[i]
-        params = self.parameters[i, :N_PARAMETERS[code]]
-        return ShapeOperatorForm(VARIANTS[code], tuple(params.tolist()),
-                                 np.trim_zeros(self.min_poly[i], "f"))
 
 
 def is_self_adjoint(A, g, tol=TAU_ALG):

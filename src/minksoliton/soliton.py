@@ -13,7 +13,6 @@ property of f = <x,x>/2) are checked as sup-norms over sample grids.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,38 +27,6 @@ class Verdict(enum.Enum):
     STEADY = "steady"
     EXPANDING = "expanding"
     NOT_A_SOLITON = "not_a_soliton"
-
-    @property
-    def is_soliton(self):
-        return self is not Verdict.NOT_A_SOLITON
-
-
-@dataclass
-class SolitonReport:
-    lambda_fit: float
-    lambda_spread: float
-    residual_sup: float
-    verdict: Verdict
-    gradient_check: float
-    lemma1_residuals: tuple
-    route_agreement: float
-    ricci_mode: str = "corrected"
-    tau: float = TAU_SOL_CLOSED
-    equation_equivalence_gap: float = 0.0
-
-    def to_dict(self):
-        return {
-            "lambda_fit": self.lambda_fit,
-            "lambda_spread": self.lambda_spread,
-            "residual_sup": self.residual_sup,
-            "verdict": self.verdict.value,
-            "gradient_check": self.gradient_check,
-            "lemma1": list(self.lemma1_residuals),
-            "route_agreement": self.route_agreement,
-            "ricci_mode": self.ricci_mode,
-            "tau": self.tau,
-            "equation_equivalence_gap": self.equation_equivalence_gap,
-        }
 
 
 # -- Lie derivative routes -----------------------------------------------------
@@ -94,17 +61,10 @@ def _per_point_lambda(lhs, gv):
     return num / den
 
 
-def identity_checks(geo, lie):
-    """Mode-independent checks, with ``lie`` = lie_closed_form_batch(geo):
-    (gradient, Lemma 1 residuals, route agreement)."""
-    return (gradient_check_batch(geo), lemma1_batch(geo),
-            route_agreement_batch(geo, lie))
-
-
-def fit_lambda_pointwise(geo, lie, ric, ricci_mode, tau, checks):
-    """Fit lambda against the Ricci tensor ``ric`` of ``ricci_mode``, with
-    ``lie`` = lie_closed_form_batch(geo) and ``checks`` =
-    identity_checks(geo, lie): the SolitonReport, per-point lambda and
+def fit_lambda_pointwise(geo, lie, ric, tau):
+    """Fit lambda against the Ricci tensor ``ric``, with ``lie`` =
+    lie_closed_form_batch(geo): (lambda, spread, residual sup, Verdict at
+    tolerance ``tau``, equation-equivalence gap), per-point lambda and
     per-point residual."""
     lhs = 0.5 * lie + ric
     gv = geo.g
@@ -131,19 +91,7 @@ def fit_lambda_pointwise(geo, lie, ric, ricci_mode, tau, checks):
     else:
         verdict = Verdict.NOT_A_SOLITON
 
-    grad, lem, route = checks
-    return SolitonReport(
-        lambda_fit=lam,
-        lambda_spread=spread,
-        residual_sup=residual,
-        verdict=verdict,
-        gradient_check=grad,
-        lemma1_residuals=lem,
-        route_agreement=route,
-        ricci_mode=ricci_mode,
-        tau=tau,
-        equation_equivalence_gap=gap,
-    ), lam_pt, res_pt
+    return (lam, spread, residual, verdict, gap), lam_pt, res_pt
 
 
 # -- universal identities ------------------------------------------------------

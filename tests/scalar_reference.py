@@ -8,12 +8,15 @@ in ``src/`` did before it was vectorized or narrowed:
   elimination; ``canonical.sweep`` must give the same rows;
 * ``canonical_matrix`` writes out one canonical form (A, g) in its stated
   frame, the input of the classifier and frame tests;
-* ``extract_derivative`` reads one true partial derivative off a jet.
+* ``extract_derivative`` reads one true partial derivative off a jet;
+* ``form`` reads one row of a ``lorentz.FormBatch`` as the analysis report's
+  centre form does.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +25,7 @@ import numpy as np
 from minksoliton.canonical import (_REQUIRED, TAU_COINCIDE, WITNESS,
                                    CaseSystem)
 from minksoliton.jets import DEGREE, INDEX_OF, IndexOutOfRange
-from minksoliton.lorentz import FormVariant
+from minksoliton.lorentz import N_PARAMETERS, VARIANTS, FormVariant
 
 # -- case systems --------------------------------------------------------------
 
@@ -149,3 +152,18 @@ def extract_derivative(jet, multi_index):
             f"jet only carries valid coefficients to order {jet.order}")
     scale = math.factorial(i) * math.factorial(j) * math.factorial(k)
     return scale * jet.coeffs[INDEX_OF[(i, j, k)]]
+
+
+# -- canonical forms -----------------------------------------------------------
+
+
+Form = namedtuple("Form", "variant parameters minimal_polynomial")
+
+
+def form(forms, i):
+    """Row i of a FormBatch: its FormVariant, the first N_PARAMETERS of its
+    parameters and its minimal polynomial without leading zeros."""
+    code = forms.variant[i]
+    params = forms.parameters[i, :N_PARAMETERS[code]]
+    return Form(VARIANTS[code], tuple(params.tolist()),
+                np.trim_zeros(forms.min_poly[i], "f"))

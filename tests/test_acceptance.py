@@ -22,8 +22,7 @@ from minksoliton.hypersurface import (GeometryBatch, grid_points,
                                       identity_diagnostics, ricci_gauss,
                                       codazzi_residual_batch)
 from minksoliton.lorentz import FormVariant, classify_batch
-from minksoliton.soliton import (fit_lambda_pointwise, identity_checks,
-                                 lie_closed_form_batch)
+from minksoliton.soliton import fit_lambda_pointwise, lie_closed_form_batch
 
 CLOSED_FORM = ("hyperbolic_space", "de_sitter", "hyperbolic_cylinder",
                "pseudospherical_cylinder", "graph_lorentzian",
@@ -349,9 +348,10 @@ def test_c11_falsifiability(reports):
 
 
 def _corrected_fit(geo, ric, tau):
-    lie = lie_closed_form_batch(geo)
-    return fit_lambda_pointwise(geo, lie, ric, "corrected", tau,
-                                identity_checks(geo, lie))[0]
+    """(lambda, Verdict) of the fit against the corrected Ricci tensor."""
+    lam, _, _, verdict, _ = fit_lambda_pointwise(
+        geo, lie_closed_form_batch(geo), ric, tau)[0]
+    return lam, verdict
 
 
 def test_c12_normal_flip_covariance(reports):
@@ -369,11 +369,12 @@ def test_c12_normal_flip_covariance(reports):
         ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
         ric_f = ricci_gauss(geo_f.A, geo_f.g, geo_f.epsilon)
         ric_inv = float(np.max(np.abs(ric - ric_f)))
-        rep, rep_f = (_corrected_fit(g, r, entry.tau_sol)
-                      for g, r in ((geo, ric), (geo_f, ric_f)))
-        lam_inv = abs(rep.lambda_fit - rep_f.lambda_fit)
+        (lam, verdict), (lam_f, verdict_f) = (
+            _corrected_fit(g, r, entry.tau_sol)
+            for g, r in ((geo, ric), (geo_f, ric_f)))
+        lam_inv = abs(lam - lam_f)
         this = (rho_neg < 1e-9 and a_neg < 1e-9 and ric_inv < 1e-9
-                and lam_inv < 1e-9 and rep.verdict is rep_f.verdict)
+                and lam_inv < 1e-9 and verdict is verdict_f)
         detail.append(f"{name}: dlam={lam_inv:.1e}")
         ok &= this
     _line(12, ok, "orientation flip negates rho and A, leaves the verdictal "

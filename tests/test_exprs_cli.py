@@ -311,3 +311,15 @@ def test_cli_rejects_non_finite_box(tmp_path, bad, capsys):
                  f"--box=0:1,0:{bad},0:1"]) == 1
     err = capsys.readouterr().err
     assert "must be finite" in err and bad in err
+
+
+@pytest.mark.parametrize("box", ["0.1:0.1,0.1:0.1,0.1:0.1",
+                                 "-0.5:0.5,0.3:-0.3,-0.5:0.5"])
+def test_cli_rejects_empty_box_interval(tmp_path, box, capsys):
+    # a zero-width box would sample one point n times and report it
+    # isoparametric and of constant mean curvature
+    f = tmp_path / "graph.txt"
+    f.write_text("u\nv\nw\n2 + u*u\n")
+    assert main(["analyze", "--entry", str(f), f"--box={box}"]) == 1
+    err = capsys.readouterr().err
+    assert "lo < hi" in err and "Error" not in err, err

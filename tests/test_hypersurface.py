@@ -29,7 +29,7 @@ def at_point(imm, p):
 def plane_immersion(height=1.0, sign=1.0):
     def chart(u, v, w):
         return [u, v, w, jets.constant(height, u.shape)]
-    return Immersion("plane", chart, ((-2, 2), (-2, 2), (-2, 2)), sign)
+    return Immersion("plane", chart, sign)
 
 
 def test_plane_sample():
@@ -132,7 +132,7 @@ def test_degenerate_metric_raises():
     def chart(u, v, w):
         # second direction collapses onto the first
         return [u, u, w, jets.constant(0.0, u.shape)]
-    imm = Immersion("bad", chart, ((-1, 1),) * 3)
+    imm = Immersion("bad", chart)
     with pytest.raises(DegenerateMetric):
         at_point(imm, [0.1, 0.2, 0.3])
 
@@ -142,7 +142,7 @@ def signature_crossing():
     # along u^2 - v^2 - w^2 = 1/4, where g degenerates
     def chart(u, v, w):
         return [u, v, w, u * u + v * v + w * w]
-    return Immersion("signature_crossing", chart, ((-1, 1),) * 3)
+    return Immersion("signature_crossing", chart)
 
 
 def test_null_normal_raises():
@@ -317,18 +317,19 @@ def test_classify_structure_hyperbolic_space():
     imm = hyperbolic_space_immersion(1.0)
     grid = grid_points(((0.3, 1.2), (0.4, 2.7), (0.2, 6.0)), (3, 3, 3))
     v = verdicts(imm, grid)
-    assert v.totally_umbilical and v.isoparametric and v.constant_mean_curvature
-    assert v.generalized_constant_ratio  # vacuous: x_T = 0 everywhere
+    assert v["totally_umbilical"] and v["isoparametric"]
+    assert v["constant_mean_curvature"]
+    assert v["generalized_constant_ratio"]  # vacuous: x_T = 0 everywhere
 
 
 def test_classify_structure_cylinders():
     imm = pseudospherical_cylinder_immersion(1.0)
     grid = grid_points(((-0.8, 0.8), (0.2, 6.0), (0.15, 1.1)), (3, 3, 3))
     v = verdicts(imm, grid)
-    assert not v.totally_umbilical
-    assert v.isoparametric
-    assert v.generalized_constant_ratio
-    assert v.constant_mean_curvature
+    assert not v["totally_umbilical"]
+    assert v["isoparametric"]
+    assert v["generalized_constant_ratio"]
+    assert v["constant_mean_curvature"]
 
 
 def test_classify_structure_graph_is_nothing():
@@ -336,9 +337,9 @@ def test_classify_structure_graph_is_nothing():
     imm = graph_lorentzian_immersion()
     grid = grid_points(((-0.4, 0.45), (-0.38, 0.42), (-0.45, 0.4)), (3, 3, 3))
     v = verdicts(imm, grid)
-    assert not v.totally_umbilical
-    assert not v.isoparametric
-    assert not v.constant_mean_curvature
+    assert not v["totally_umbilical"]
+    assert not v["isoparametric"]
+    assert not v["constant_mean_curvature"]
 
 
 def test_empty_grid_raises():
@@ -413,6 +414,7 @@ x4 = w + 0.1 * u * v / (2 + sinh(v))
 
 def _block_immersions(tmp_path):
     from minksoliton import exprs
+    from minksoliton.cli import CHART_BOX
     out = []
     for name in ("hyperbolic_space", "generalized_umbilical_varB"):
         entry = catalog.get(name)
@@ -420,8 +422,7 @@ def _block_immersions(tmp_path):
         out.append((imm, entry.safe_box(merged)))
     path = tmp_path / "chart.txt"
     path.write_text(CHART_FILE)
-    imm = exprs.immersion_from_file(str(path), {})
-    out.append((imm, imm.domain))
+    out.append((exprs.immersion_from_file(str(path), {}), CHART_BOX))
     return out
 
 
@@ -499,7 +500,7 @@ def test_blocked_build_raises_the_one_block_error(monkeypatch):
     # block 1 fails a sqrt; block 2 fails a division, which comes first
     def chart(u, v, w):
         return [2.0 + 0.0 / (u - 0.5) + jets.sqrt(v + 1.0), u, v, w]
-    imm = Immersion("two_faults", chart, ((-1, 1),) * 3)
+    imm = Immersion("two_faults", chart)
     n = 2000
     pts = np.random.default_rng(0).uniform(0.0, 0.1, (n, 3))
     pts[5, 1] = -2.0
@@ -516,7 +517,7 @@ def nan_slope(threshold=-np.inf):
     def chart(u, v, w):
         slope = np.where(u.value > threshold, np.nan, 0.0)
         return [jets.sqrt(1.0 + u * u + v * v + w * w), u, v, w + u * slope]
-    return Immersion("nan_slope", chart, ((-1, 1),) * 3)
+    return Immersion("nan_slope", chart)
 
 
 NOT_FINITE = (DegenerateMetric,

@@ -1,4 +1,5 @@
-"""The library holds no code that only tests use.
+"""The library holds no code that only tests use, and no result type that
+exists to be turned into a dict.
 
 Every top-level function and class in ``src/minksoliton/``, and every
 public method of such a class, must be referenced by code in ``src/``
@@ -7,6 +8,10 @@ name, so the scan may pass a definition that only shares its name with
 something used; it never fails one that is used.  Docstrings, comments and
 the re-exports of ``__init__.py`` do not count.  References the tests need
 live in ``tests/scalar_reference.py``.
+
+The analysis report is laid out in ``analysis.py`` alone, from the plain
+arrays, numbers and dicts the other modules return, so no module defines a
+``to_dict`` method or calls ``dataclasses.asdict``.
 """
 
 import ast
@@ -50,3 +55,20 @@ def unreferenced():
 
 def test_every_library_definition_is_used_by_the_library():
     assert unreferenced() == []
+
+
+def dict_conversions():
+    """Each ``to_dict`` definition and each ``asdict`` call in src/, as
+    module:line."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "to_dict":
+                found.append(f"{path.stem}:{node.lineno}")
+            if isinstance(node, ast.Call) and "asdict" in _names(node.func):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_report_layout_outside_analysis():
+    assert dict_conversions() == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_reference import canonical_matrix
+from scalar_reference import canonical_matrix, form
 
 from minksoliton import lorentz
 from minksoliton.lorentz import (FormVariant, char_poly, classify_batch,
@@ -21,7 +21,7 @@ def classify_one(A, g):
     """Canonical form of one operator, from a one-row batch."""
     forms = classify_batch(A[None], g[None])
     assert not forms.ambiguous[0]
-    return forms.form(0)
+    return form(forms, 0)
 
 
 def test_inner_signature_examples():
@@ -217,11 +217,11 @@ def test_batch_equals_one_row_calls():
         if forms.ambiguous[i]:
             assert one.ambiguous[0]
             continue
-        form = one.form(0)
-        assert form.variant is lorentz.VARIANTS[forms.variant[i]]
-        assert form.parameters == forms.form(i).parameters
-        assert form.minimal_polynomial.tobytes() == \
-            forms.form(i).minimal_polynomial.tobytes()
+        got, want = form(one, 0), form(forms, i)
+        assert got.variant is lorentz.VARIANTS[forms.variant[i]]
+        assert got.parameters == want.parameters
+        assert got.minimal_polynomial.tobytes() == \
+            want.minimal_polynomial.tobytes()
 
 
 def test_batch_rejects_any_non_self_adjoint_row():
