@@ -32,18 +32,9 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     imm, merged = entry.build(**(params or {}))
     if orientation_override is not None:
         imm = imm.with_orientation(orientation_override)
-    grid = grid_points(entry.safe_box(merged), grid_counts)
-    geo = GeometryBatch(imm, grid)
-    report, ric = _analyze(imm, geo, ricci_mode,
-                           entry.tau_identity, entry.tau_sol)
+    report, geo, ric = _analyze(imm, entry.safe_box(merged), grid_counts,
+                                ricci_mode, merged, entry)
     report["entry"] = name
-    report["parameters"] = {k: v.item() if isinstance(v, np.generic) else v
-                            for k, v in merged.items()}
-    report["grid"] = {
-        "counts": list(grid_counts),
-        "box": [list(map(float, iv)) for iv in entry.safe_box(merged)],
-        "n_points": int(np.atleast_2d(grid).shape[0]),
-    }
     ids = report["identities"]
     if entry.constraint is not None:
         res = entry.constraint(geo.x, merged)
@@ -58,21 +49,26 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     return report
 
 
-def analyze_immersion(imm, grid, ricci_mode="both"):
-    """Analysis of a user-supplied chart, at a catalog entry's default
-    tolerances."""
-    return _analyze(imm, GeometryBatch(imm, grid), ricci_mode,
-                    catalog.CatalogEntry.tau_identity,
-                    catalog.CatalogEntry.tau_sol)[0]
+def analyze_immersion(imm, box, grid_counts=(5, 5, 5), ricci_mode="both",
+                      params=None):
+    """Analysis of a user-supplied chart on ``box``, at a catalog entry's
+    default tolerances; ``params`` are reported as the chart's parameters."""
+    return _analyze(imm, box, grid_counts, ricci_mode, params or {},
+                    catalog.CatalogEntry)[0]
 
 
-def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
-    """One pass over a geometry batch: the Report and the Ricci tensors it
-    was built from, keyed by Ricci mode and "intrinsic"."""
+def _analyze(imm, box, grid_counts, ricci_mode, params, entry):
+    """One pass over the geometry batch of ``imm`` sampled on ``box``: the
+    Report, the batch, and the Ricci tensors it was built from, keyed by
+    Ricci mode and "intrinsic".  ``entry`` gives the tolerances
+    tau_identity and tau_sol: a catalog entry, or CatalogEntry for the
+    defaults."""
     if ricci_mode != "both" and ricci_mode not in RICCI_MODES:
         raise ValueError(f"ricci_mode must be 'both' or one of {RICCI_MODES}")
+    tau_identity, tau_sol = entry.tau_identity, entry.tau_sol
+    geo = GeometryBatch(imm, grid_points(box, grid_counts))
     # the two modes differ by the factor epsilon = +-1, which is exact
-    paper = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=False)
+    paper = ricci_gauss(geo.A, geo.g)
     ric = {"corrected": geo.epsilon * paper, "paper_form": paper}
     ric["intrinsic"] = ric_int = ricci_intrinsic_batch(geo)
 
@@ -131,8 +127,11 @@ def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
 
     report = Report(
         entry=imm.name,
-        parameters={},
-        grid={"n_points": geo.n_points()},
+        parameters={k: v.item() if isinstance(v, np.generic) else v
+                    for k, v in params.items()},
+        grid={"counts": list(grid_counts),
+              "box": [list(map(float, iv)) for iv in box],
+              "n_points": geo.n_points()},
         identities=identities,
         classification=_classification_block(geo, forms),
         soliton=soliton_block,
@@ -143,7 +142,7 @@ def _analyze(imm, geo, ricci_mode, tau_identity, tau_sol):
         geo.points, np.full(geo.n_points(), geo.epsilon), geo.H, geo.rho,
         geo.det, lam_c, lam_p, codazzi, np.linalg.norm(geo.xT, axis=-1),
         res_c])
-    return report, ric
+    return report, geo, ric
 
 
 def _classification_block(geo, forms):

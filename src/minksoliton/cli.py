@@ -208,16 +208,15 @@ def cmd_analyze(args):
             raise UsageError(f"bad chart file: {err}")
         if args.orientation:
             imm = imm.with_orientation(float(args.orientation))
-        grid = analysis.grid_points(box, grid_counts)
-        report = analysis.analyze_immersion(imm, grid, ricci_mode=mode)
-        report["parameters"] = params
-        report["grid"] = {"counts": list(grid_counts),
-                          "box": [list(iv) for iv in box],
-                          "n_points": int(len(grid))}
+        report = analysis.analyze_immersion(imm, box, grid_counts, mode,
+                                            params)
     else:
         if args.entry not in catalog.ENTRIES:
             raise UsageError(f"unknown catalog entry {args.entry!r}; "
                              f"try 'list'")
+        if args.box:
+            raise UsageError("--box is for chart files; a catalog entry is "
+                             "sampled on its own safe box")
         params = _parse_params(args.param,
                                catalog.ENTRIES[args.entry].defaults)
         try:

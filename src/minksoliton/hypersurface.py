@@ -54,46 +54,56 @@ class Immersion:
         return Immersion(self.name, self.chart_map, float(sign))
 
 
+_ETA = np.array([-1.0, 1.0, 1.0, 1.0])[:, None]  # Minkowski signature
+_OTHER = np.array([[1, 2], [0, 2], [0, 1]])  # row i: the indices other than i
+_COLS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])  # row k: all but k
+_COL_PAIRS = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+_MINOR_OF = np.array([[5, 4, 3], [5, 2, 1], [4, 2, 0], [3, 1, 0]])  # _COLS[k] but t
+_RAISE = np.array([-1.0, -1.0, 1.0, -1.0])[:, None]  # (+,-,+,-), time slot flipped
+_CHECKER = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])[..., None]
+_UPPER = np.triu_indices(3)  # the pairs i <= j, row by row
+_PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # (i, j) -> its upper pair
+
+
+def _contract(a, b):
+    """Sum over the last component axis of a * b, from index 0."""
+    acc = a[..., 0, :] * b[..., 0, :]
+    for l in range(1, a.shape[-2]):
+        acc = acc + a[..., l, :] * b[..., l, :]
+    return acc
+
+
 def _inner4(a, b):
-    """Minkowski inner product of two 4-component jet vectors."""
-    return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+    """Minkowski inner product over the last component axis of two jets:
+    -a0 b0 + a1 b1 + a2 b2 + a3 b3."""
+    return _contract(a * _ETA, b)
 
 
-def _cross4(r1, r2, r3):
-    """Minkowski cross product of three 4-component jet vectors."""
-    rows = (r1, r2, r3)
-
-    def minor(cols):
-        a, b, c = cols
-        return (rows[0][a] * (rows[1][b] * rows[2][c] - rows[1][c] * rows[2][b])
-                - rows[0][b] * (rows[1][a] * rows[2][c] - rows[1][c] * rows[2][a])
-                + rows[0][c] * (rows[1][a] * rows[2][b] - rows[1][b] * rows[2][a]))
-
-    m0 = minor((1, 2, 3))
-    m1 = minor((0, 2, 3))
-    m2 = minor((0, 1, 3))
-    m3 = minor((0, 1, 2))
-    # cofactor signs (+,-,+,-), then raise the index (flip the time slot)
-    return [-m0, -m1, m2, -m3]
+def _minors(m, r, c):
+    """2x2 minors of the jet matrix m on rows r[..., :2] and columns
+    c[..., :2], the index arrays broadcast."""
+    return (m[r[..., 0], c[..., 0]] * m[r[..., 1], c[..., 1]]
+            - m[r[..., 0], c[..., 1]] * m[r[..., 1], c[..., 0]])
 
 
-def _inv3(m, det):
-    """Adjugate-over-determinant inverse of a 3x3 jet matrix."""
-    adj = [[None] * 3 for _ in range(3)]
-    idx = ((0, 1, 2), (0, 1, 2))
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in idx[0] if k != i]
-            c = [k for k in idx[1] if k != j]
-            cof = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            adj[j][i] = cof * ((-1.0) ** (i + j))
-    return [[adj[i][j] / det for j in range(3)] for i in range(3)]
+def _expand(row, minors):
+    """Expansion of determinants along their first row ``row``, given the
+    matching 2x2 ``minors`` on the last component axis."""
+    p0, p1, p2 = (row[..., k, :] * minors[..., k, :] for k in range(3))
+    return p0 - p1 + p2
 
 
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+def _cross4(t):
+    """Minkowski cross product of the three rows of the (3, 4) jet t: row
+    0 expanded against the six 2x2 minors of rows 1 and 2, each formed once."""
+    minors = _minors(t, np.array([1, 2]), _COL_PAIRS)[_MINOR_OF]
+    return _expand(t[0, _COLS], minors) * _RAISE
+
+
+def _adjugate(m):
+    """Adjugate and determinant of a 3x3 jet matrix, by cofactors."""
+    cof_t = _minors(m, _OTHER[None], _OTHER[:, None])  # [i, j]: cofactor (j, i)
+    return cof_t * _CHECKER, _expand(m[0], cof_t[:, 0])
 
 
 _BLOCK = 1024  # points per block: an order-3 product's 84 pair rows stay in L2
@@ -144,11 +154,15 @@ class GeometryBatch:
 
     The degree-3 jets they are computed from live one block of _BLOCK
     points at a time: each block writes its rows of the arrays, which are
-    allocated once.  Jet arithmetic is pointwise, so a point gets the same
-    bits in any block.  The metric and normal gates run on each block and
-    then on the whole batch.  A block that raises stops the loop, and the
-    batch is rerun as one block, so every input raises what a one-block
-    build raises.
+    allocated once.  Each tensor is one jet whose component axes come
+    before the point axis, e.g. Gamma's batch shape is (3, 3, 3, points).
+    Contractions sum over a component axis from index 0 in a fixed term
+    order, and Gamma^k_ij is formed for i <= j and mirrored to j > i, since
+    the jets g_ij and g_ji round differently.  Jet arithmetic is pointwise,
+    so a point gets the same bits in any block.  The metric and normal
+    gates run on each block and then on the whole batch.  A block that
+    raises stops the loop, and the batch is rerun as one block, so every
+    input raises what a one-block build raises.
     """
 
     def __init__(self, imm, pts):
@@ -174,19 +188,14 @@ class GeometryBatch:
         self.h = 0.5 * (gA + np.swapaxes(gA, -1, -2))
         self.metric_scale = np.maximum(1.0, np.max(np.abs(self.g), axis=(1, 2)))
 
-    def _put(self, rows, tree, name, dname=None):
-        """Write the values of a jet, or of a nested list of jets, into
-        array ``name`` at ``rows``, and with ``dname`` their first chart
-        partials (coefficient rows 1-3) into array ``dname``."""
-        shape, flat = (), [tree]
-        while isinstance(flat[0], (list, tuple)):
-            shape += (len(flat[0]),)
-            flat = [leaf for node in flat for leaf in node]
-        coeffs = np.stack([jet.coeffs[:4 if dname else 1] for jet in flat], axis=-1)
-        coeffs = coeffs.reshape(coeffs.shape[:2] + shape)
-        parts = {name: coeffs[0]}
+    def _put(self, rows, jet, name, dname=None):
+        """Write the values of ``jet`` into array ``name`` at ``rows``, and
+        with ``dname`` its first chart partials (coefficient rows 1-3) into
+        array ``dname``."""
+        coeffs = np.moveaxis(jet.coeffs, -1, 0)  # the point axis leads
+        parts = {name: coeffs[:, 0]}
         if dname:
-            parts[dname] = np.moveaxis(coeffs[1:], 0, 1)
+            parts[dname] = coeffs[:, 1:4]
         for attr, part in parts.items():
             if attr not in vars(self):
                 setattr(self, attr, np.empty((len(self.points),) + part.shape[1:]))
@@ -198,80 +207,54 @@ class GeometryBatch:
         x = list(imm.chart_map(*(jets.variable(i + 1, pts[:, i]) for i in range(3))))
         if len(x) != 4:
             raise ValueError("chart map must return four components")
-        xi = [[comp.deriv(i + 1) for comp in x] for i in range(3)]
+        x = jets.stack(x)
+        xi = jets.stack([x.deriv(i + 1) for i in range(3)])  # [i, c] = d_i x^c
         self._put(rows, x, "x")
         self._put(rows, xi, "tangents")
 
         # g to degree 2 gives dg; every other jet below is read to degree 1.
-        g = [[_inner4(xi[i], xi[j]) for j in range(3)] for i in range(3)]
+        g = _inner4(xi[:, None], xi)
         self._put(rows, g, "g", "dg")
-        g1 = [[gij.truncate(1) for gij in row] for row in g]
-        det = _det3(g1)
+        adj, det = _adjugate(g.truncate(1))
         self._put(rows, det, "det")
         _check_metric(imm.name, self.g[rows], self.det[rows])
-        ginv = _inv3(g1, det)
+        ginv = adj / det  # after the gate: a singular g raises DegenerateMetric
         self._put(rows, ginv, "ginv")
 
-        raw_n = _cross4(xi[0], xi[1], xi[2])
+        raw_n = _cross4(xi)
         nn = _inner4(raw_n, raw_n)
-        normals[rows] = np.stack([c.value for c in raw_n + [nn]], axis=-1)
+        normals[rows, :4] = raw_n.value.T
+        normals[rows, 4] = nn.value
         epsilon = _check_normal(imm.name, normals[rows, :4], normals[rows, 4])
-        norm = jets.sqrt(nn * epsilon)
-        sign = float(imm.orientation_sign)
-        N = [comp * sign / norm for comp in raw_n]
+        N = raw_n * float(imm.orientation_sign) / jets.sqrt(nn * epsilon)
         self._put(rows, N, "N", "dN")
 
         # Weingarten: dN/du^j = -A^i_j (dx/du^i); solve through the metric.
-        dN = [[comp.deriv(j + 1) for comp in N] for j in range(3)]
-        A = [[None] * 3 for _ in range(3)]
-        for j in range(3):
-            rhs = [-_inner4(dN[j], xi[k]) for k in range(3)]
-            for i in range(3):
-                acc = ginv[i][0] * rhs[0]
-                acc = acc + ginv[i][1] * rhs[1]
-                acc = acc + ginv[i][2] * rhs[2]
-                A[i][j] = acc
+        dN = jets.stack([N.deriv(j + 1) for j in range(3)])
+        A = _contract(ginv[:, None], -_inner4(dN[:, None], xi))
         self._put(rows, A, "A", "dA")
-        self._put(rows, (A[0][0] + A[1][1] + A[2][2]) / 3.0, "H")
+        self._put(rows, (A[0, 0] + A[1, 1] + A[2, 2]) / 3.0, "H")
 
-        dg = [[[g[i][j].deriv(m + 1) for j in range(3)] for i in range(3)]
-              for m in range(3)]
-        Gamma = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for k in range(3):
-            for i in range(3):
-                for j in range(i, 3):
-                    acc = None
-                    for l in range(3):
-                        term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l]
-                                             - dg[l][i][j])
-                        acc = term if acc is None else acc + term
-                    val = acc * 0.5
-                    Gamma[k][i][j] = val
-                    Gamma[k][j][i] = val
-        self._put(rows, Gamma, "Gamma", "dGamma")
+        # Gamma^k_ij for i <= j, mirrored to j > i
+        dg = jets.stack([g.deriv(m + 1) for m in range(3)])  # [m, i, j]
+        i, j, l = _UPPER[0][:, None], _UPPER[1][:, None], np.arange(3)
+        gamma = _contract(ginv[:, None], dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+        self._put(rows, (gamma * 0.5)[:, _PAIR], "Gamma", "dGamma")
 
-        x = [comp.truncate(1) for comp in x]
-        xi = [[comp.truncate(1) for comp in row] for row in xi]
+        x, xi = x.truncate(1), xi.truncate(1)
         self._put(rows, _inner4(x, N), "rho", "drho")
-        proj = [_inner4(x, xi[k]) for k in range(3)]
-        xT = []
-        for i in range(3):
-            acc = ginv[i][0] * proj[0]
-            acc = acc + ginv[i][1] * proj[1]
-            acc = acc + ginv[i][2] * proj[2]
-            xT.append(acc)
-        self._put(rows, xT, "xT", "dxT")
+        self._put(rows, _contract(ginv, _inner4(x, xi)), "xT", "dxT")
         self._put(rows, _inner4(x, x) * 0.5, "f", "df")
 
     def n_points(self):
         return self.points.shape[0]
 
 
-def ricci_gauss(A, g, epsilon, corrected=True):
-    """Ricci tensor from the shape operator.
+def ricci_gauss(A, g):
+    """Ricci tensor from the shape operator: 3H*g(AX,Y) - g(AX,AY) verbatim.
 
-    corrected=False evaluates 3H*g(AX,Y) - g(AX,AY) verbatim; corrected=True
-    multiplies by epsilon, which is the form the intrinsic oracle validates.
+    Times the normal sign epsilon it is the form the intrinsic oracle
+    validates.
     """
     A = np.asarray(A, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -279,8 +262,7 @@ def ricci_gauss(A, g, epsilon, corrected=True):
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
     H = np.trace(A, axis1=-2, axis2=-1) / 3.0
     sq = np.swapaxes(A, -1, -2) @ g @ A
-    ric = 3.0 * H[..., None, None] * h - sq
-    return float(epsilon) * ric if corrected else ric
+    return 3.0 * H[..., None, None] * h - sq
 
 
 def ricci_intrinsic_batch(geo):

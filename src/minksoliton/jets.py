@@ -16,6 +16,13 @@ size and at any order; ``hypersurface.GeometryBatch`` therefore runs its
 jets over blocks of points that fit in cache.  Division and sqrt run the
 same sums degree by degree (Griewank & Walther, Evaluating Derivatives,
 2nd ed., SIAM 2008, on truncated Taylor series).
+
+A jet indexes its batch axes as numpy does, and ``stack`` joins jets along
+a new leading batch axis, so one jet holds a whole tensor.
+``GeometryBatch`` puts the component axes before the point axis, sums each
+contraction over a component axis in a fixed term order, and mirrors the
+Christoffel symbols in their lower indices rather than computing both
+halves: a product is not commutative bit for bit.
 """
 
 from __future__ import annotations
@@ -119,13 +126,11 @@ for v in range(N_VARS):
     _DERIV.append((src, np.array([MULTI_INDICES[n][v] for n in src], dtype=float)))
 
 
-def _align(a, b):
-    """Coefficient arrays ``a`` and ``b``, padded to as many batch axes each."""
-    if a.ndim != b.ndim:
-        nd = max(a.ndim, b.ndim)
-        a, b = (c.reshape(c.shape[:1] + (1,) * (nd - c.ndim) + c.shape[1:])
-                for c in (a, b))
-    return a, b
+def _align(*arrays):
+    """Coefficient arrays, padded to as many batch axes each."""
+    nd = max(c.ndim for c in arrays)
+    return [c if c.ndim == nd else
+            c.reshape(c.shape[:1] + (1,) * (nd - c.ndim) + c.shape[1:]) for c in arrays]
 
 
 class Jet:
@@ -146,6 +151,12 @@ class Jet:
 
     value = property(lambda self: self.coeffs[0], doc="Constant term, per point.")
     shape = property(lambda self: self.coeffs.shape[1:], doc="Batch shape.")
+
+    def __getitem__(self, key):
+        """The jet of the batch entries ``key`` picks, as numpy indexes an
+        array of the batch shape (advanced indices must be adjacent)."""
+        key = key if isinstance(key, tuple) else (key,)
+        return Jet(self.coeffs[(slice(None),) + key], self.order)
 
     def truncate(self, order):
         """This jet to degree ``order`` (at most its own), a view of its rows."""
@@ -221,6 +232,14 @@ def constant(value, shape=(), order=DEGREE):
     c = np.zeros((ROWS[order],) + tuple(shape))
     c[0] = value
     return Jet(c, order)
+
+
+def stack(seq):
+    """One jet whose leading batch axis runs over the jets of ``seq``, at
+    their smallest order; their batch shapes broadcast."""
+    d = min(jet.order for jet in seq)
+    coeffs = np.broadcast_arrays(*_align(*(jet.coeffs[:ROWS[d]] for jet in seq)))
+    return Jet(np.stack(coeffs, axis=1), d)
 
 
 def variable(index, value):

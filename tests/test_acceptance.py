@@ -107,7 +107,7 @@ def test_c03_equivalence_of_formulations(reports, geometries):
         gv, Av = geo.g, geo.A
         h = gv @ Av
         h = 0.5 * (h + np.swapaxes(h, -1, -2))
-        ric = ricci_gauss(Av, gv, geo.epsilon, corrected=True)
+        ric = geo.epsilon * ricci_gauss(Av, gv)
         rho = geo.rho[:, None, None]
         scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
         res_sol = np.max(np.abs(gv + geo.epsilon * rho * h + ric - lam * gv),
@@ -220,7 +220,7 @@ def test_c06c_jordan_family_soliton_constant(reports):
         h = gv @ Av
         h = 0.5 * (h + np.swapaxes(h, -1, -2))
         lhs = (0.5 * lie_closed_form_batch(geo)
-               + ricci_gauss(Av, gv, geo.epsilon) - (a ** 2 + 1) * gv)
+               + geo.epsilon * ricci_gauss(Av, gv) - (a ** 2 + 1) * gv)
         rho_plus_a = geo.rho + a
         err = float(np.max(np.abs(lhs - rho_plus_a[:, None, None] * h)))
         ok &= geo.epsilon == 1.0 and err < entry.tau_identity
@@ -366,8 +366,8 @@ def test_c12_normal_flip_covariance(reports):
         geo_f = GeometryBatch(imm.with_orientation(-imm.orientation_sign), grid)
         rho_neg = float(np.max(np.abs(geo.rho + geo_f.rho)))
         a_neg = float(np.max(np.abs(geo.A + geo_f.A)))
-        ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
-        ric_f = ricci_gauss(geo_f.A, geo_f.g, geo_f.epsilon)
+        ric = geo.epsilon * ricci_gauss(geo.A, geo.g)
+        ric_f = geo_f.epsilon * ricci_gauss(geo_f.A, geo_f.g)
         ric_inv = float(np.max(np.abs(ric - ric_f)))
         (lam, verdict), (lam_f, verdict_f) = (
             _corrected_fit(g, r, entry.tau_sol)

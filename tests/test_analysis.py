@@ -10,8 +10,7 @@ import pytest
 
 from minksoliton import analysis, catalog, lorentz
 from minksoliton.catalog import de_sitter_immersion
-from minksoliton.hypersurface import (GeometryBatch, grid_points,
-                                      ricci_intrinsic_batch)
+from minksoliton.hypersurface import GeometryBatch, ricci_intrinsic_batch
 
 
 def test_histogram_sums_to_grid_size():
@@ -77,9 +76,8 @@ def test_orientation_override_flows_through():
 def test_pointwise_table_shape_and_columns():
     entry = catalog.get("de_sitter")
     imm, merged = entry.build()
-    grid = grid_points(entry.safe_box(merged), (3, 3, 3))
     header, rows = analysis.pointwise_table(
-        analysis.analyze_immersion(imm, grid))
+        analysis.analyze_immersion(imm, entry.safe_box(merged), (3, 3, 3)))
     assert header[:3] == ("u1", "u2", "u3")
     assert len(rows) == 27
     assert all(len(r) == len(header) for r in rows)

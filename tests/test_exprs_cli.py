@@ -323,3 +323,26 @@ def test_cli_rejects_empty_box_interval(tmp_path, box, capsys):
     assert main(["analyze", "--entry", str(f), f"--box={box}"]) == 1
     err = capsys.readouterr().err
     assert "lo < hi" in err and "Error" not in err, err
+
+
+@pytest.mark.parametrize("box", ["1:0,0:1,0:1", "0:1,0:1,0:1"])
+def test_cli_rejects_box_for_a_catalog_entry(box, capsys):
+    # a catalog entry is sampled on its safe box, never on --box
+    assert main(["analyze", "--entry", "de_sitter", "--grid", "2,2,2",
+                 f"--box={box}"]) == 1
+    err = capsys.readouterr().err
+    assert "--box" in err and "chart file" in err and "Error" not in err, err
+
+
+def test_library_chart_report_is_the_cli_report(tmp_path, monkeypatch):
+    from minksoliton import analysis
+    from minksoliton.cli import CHART_BOX, dump_json
+    # the report names the chart by the path it was given
+    monkeypatch.chdir(Path(__file__).parent)
+    path = "golden/hyperbolic_graph_chart.txt"
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--entry", path, "--format", "json",
+                 "--out", str(out)]) == 0
+    report = analysis.analyze_immersion(exprs.immersion_from_file(path),
+                                        CHART_BOX)
+    assert dump_json(report) == out.read_text()

@@ -70,9 +70,9 @@ def test_hyperbolic_cylinder_principal_curvatures():
 
 
 def test_ricci_gauss_zero_operator():
-    g = np.diag([-1.0, 1.0, 1.0])
-    assert np.max(np.abs(ricci_gauss(np.zeros((3, 3)), g, 1.0, True))) == 0.0
-    assert np.max(np.abs(ricci_gauss(np.zeros((3, 3)), g, 1.0, False))) == 0.0
+    g, eps = np.diag([-1.0, 1.0, 1.0]), 1.0
+    assert np.max(np.abs(eps * ricci_gauss(np.zeros((3, 3)), g))) == 0.0
+    assert np.max(np.abs(ricci_gauss(np.zeros((3, 3)), g))) == 0.0
 
 
 def test_ricci_gauss_orthonormal_components():
@@ -82,7 +82,7 @@ def test_ricci_gauss_orthonormal_components():
         g = np.diag([-eps, 1.0, 1.0])
         a = np.array([0.7, -0.4, 1.2])
         A = np.diag(a)
-        ric = ricci_gauss(A, g, eps, corrected=False)
+        ric = ricci_gauss(A, g)
         assert ric[0, 0] == pytest.approx(-eps * a[0] * (a[1] + a[2]))
         assert ric[1, 1] == pytest.approx(a[1] * (a[0] + a[2]))
         assert ric[2, 2] == pytest.approx(a[2] * (a[0] + a[1]))
@@ -94,8 +94,8 @@ def test_de_sitter_constant_curvature_ricci():
     p = [0.2, 1.3, 0.8]
     geo = at_point(imm, p)
     ric_int = ricci_intrinsic_batch(geo)[0]
-    ric_ext = ricci_gauss(geo.A, geo.g, geo.epsilon)[0]
-    ric_paper = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=False)[0]
+    ric_ext = (geo.epsilon * ricci_gauss(geo.A, geo.g))[0]
+    ric_paper = ricci_gauss(geo.A, geo.g)[0]
     assert np.allclose(ric_int, 2.0 * geo.g[0], atol=1e-12)
     assert np.allclose(ric_ext, ric_int, atol=1e-12)
     # epsilon = +1: verbatim and corrected forms coincide
@@ -107,8 +107,8 @@ def test_hyperbolic_space_ricci_sign():
     imm = hyperbolic_space_immersion(1.0)
     geo = at_point(imm, [0.5, 1.1, 0.9])
     ric_int = ricci_intrinsic_batch(geo)[0]
-    ric_ext = ricci_gauss(geo.A, geo.g, geo.epsilon)[0]
-    ric_paper = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=False)[0]
+    ric_ext = (geo.epsilon * ricci_gauss(geo.A, geo.g))[0]
+    ric_paper = ricci_gauss(geo.A, geo.g)[0]
     assert np.allclose(ric_int, -2.0 * geo.g[0], atol=1e-11)
     assert np.allclose(ric_ext, ric_int, atol=1e-11)
     assert np.allclose(ric_paper, -ric_int, atol=1e-11)
@@ -444,6 +444,34 @@ def test_blocked_build_equals_one_block_bit_for_bit(n, tmp_path, monkeypatch):
             assert got.flags.c_contiguous, (imm.name, attr)
             assert got.shape == want.shape, (imm.name, attr)
             assert got.tobytes() == want.tobytes(), (imm.name, attr, n)
+
+
+def test_christoffel_symbols_are_mirrored_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(5)
+    for imm, box in _block_immersions(tmp_path):
+        lo, hi = np.array(box, dtype=float).T
+        geo = GeometryBatch(imm, lo + (hi - lo) * rng.random((300, 3)))
+        for attr in ("Gamma", "dGamma"):
+            sym = getattr(geo, attr)
+            swapped = np.ascontiguousarray(np.swapaxes(sym, -1, -2))
+            assert sym.tobytes() == swapped.tobytes(), (imm.name, attr)
+
+
+def test_one_block_build_runs_few_jet_products(monkeypatch):
+    # one product per tensor component slice, not per scalar component:
+    # scalar jets ran 271 products here
+    calls = []
+    pair_sum = jets._pair_sum
+
+    def counted(*args):
+        calls.append(args)
+        return pair_sum(*args)
+
+    monkeypatch.setattr(jets, "_pair_sum", counted)
+    entry = catalog.get("graph_lorentzian")
+    imm, merged = entry.build()
+    GeometryBatch(imm, grid_points(entry.safe_box(merged), (5, 5, 5)))
+    assert 0 < len(calls) <= 80
 
 
 LIGHTLIKE_POINT = [0.5 + 2.5e-12, 0.0, 0.0]

@@ -446,3 +446,51 @@ def test_order_sized_results_are_leading_rows_of_full_order(da, n):
         else:
             with pytest.raises(jets.IndexOutOfRange):
                 extract_derivative(ja, mi)
+
+
+# -- tensor-valued jets ---------------------------------------------------------
+#
+# A stacked jet holds one scalar jet per entry of its batch.  Broadcast
+# arithmetic on it runs the same elementwise sums as on each entry alone, so
+# every entry keeps its bits.
+
+def _bits(jet):
+    return np.ascontiguousarray(jet.coeffs).view(np.int64)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9),
+       st.integers(0, jets.DEGREE), st.integers(0, jets.DEGREE))
+@settings(max_examples=60, deadline=None)
+def test_stacked_broadcast_jets_match_scalar_jets_bitwise(seed, n, da, db):
+    rng = np.random.default_rng(seed)
+
+    def scalar(order, signed):
+        c = _draw_coeffs(rng, n)
+        if signed:
+            c[:, 0] *= rng.choice([-1.0, 1.0], size=n)
+        return jets.Jet(c.T.copy()).truncate(order)
+
+    a = [scalar(da, True) for _ in range(3)]
+    b = [scalar(db, False) for _ in range(3)]
+    c = scalar(db, False)
+    sa, sb = jets.stack(a), jets.stack(b)
+    assert sa.shape == (3, n) and sa.order == da
+    prod, quot = sa[:, None] * sb[None], sa[:, None] / sb[None]  # (3, 3, n)
+    root, per_point = jets.sqrt(sb[:, None]), sa / c  # (3, 1, n), (3, n)
+    for i in range(3):
+        assert np.array_equal(_bits(root[i, 0]), _bits(jets.sqrt(b[i])))
+        assert np.array_equal(_bits(per_point[i]), _bits(a[i] / c))
+        for j in range(3):
+            assert np.array_equal(_bits(prod[i, j]), _bits(a[i] * b[j]))
+            assert np.array_equal(_bits(quot[i, j]), _bits(a[i] / b[j]))
+
+
+def test_stack_and_index_the_batch_axes():
+    u, v = jets.variable(1, np.arange(4.0)), jets.variable(2, 1.0)
+    s = jets.stack([u, v, u * v])  # v broadcasts over the points
+    assert s.shape == (3, 4) and s.order == jets.DEGREE
+    assert np.array_equal(s[1].coeffs, np.broadcast_to(v.coeffs[:, None], (20, 4)))
+    assert np.array_equal(s[np.array([2, 0])][1].coeffs, u.coeffs)
+    assert s[:, None].shape == (3, 1, 4)
+    assert s[..., 0, :].shape == (4,)
+    assert jets.stack([u, u.deriv(1)]).order == jets.DEGREE - 1

@@ -23,14 +23,16 @@ Fit = namedtuple("Fit", "lambda_fit lambda_spread residual_sup verdict "
 
 def fit(geo, mode="corrected", tau=TAU_SOL_CLOSED):
     """The lambda fit in one Ricci mode."""
-    ric = ricci_gauss(geo.A, geo.g, geo.epsilon, corrected=mode == "corrected")
+    ric = ricci_gauss(geo.A, geo.g)
+    if mode == "corrected":
+        ric = geo.epsilon * ric
     return Fit(*fit_lambda_pointwise(geo, lie_closed_form_batch(geo), ric,
                                      tau)[0])
 
 
 def residual(geo, lam):
     """sup over the batch of |L/2 + Ric - lam*g| / |g|, component max-norms."""
-    ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
+    ric = geo.epsilon * ricci_gauss(geo.A, geo.g)
     lhs = 0.5 * lie_closed_form_batch(geo) + ric
     res = np.max(np.abs(lhs - lam * geo.g), axis=(1, 2))
     scale = np.maximum(1.0, np.max(np.abs(geo.g), axis=(1, 2)))
@@ -114,7 +116,7 @@ def test_fit_lambda_generalized_cylinder():
     rep = fit(geo, tau=entry.tau_sol)
     assert rep.lambda_fit == pytest.approx(1.0, abs=1e-9)
     assert rep.lambda_spread < 1e-9
-    assert np.max(np.abs(ricci_gauss(geo.A, geo.g, geo.epsilon))) < 1e-9
+    assert np.max(np.abs(geo.epsilon * ricci_gauss(geo.A, geo.g))) < 1e-9
 
 
 def test_fit_lambda_hyperbolic_cylinder_c2_not_a_soliton():
@@ -229,8 +231,8 @@ def test_normal_flip_covariance():
         geo_f = GeometryBatch(flipped, grid)
         assert np.max(np.abs(geo.rho + geo_f.rho)) < 1e-9
         assert np.max(np.abs(geo.A + geo_f.A)) < 1e-9
-        ric = ricci_gauss(geo.A, geo.g, geo.epsilon)
-        ric_f = ricci_gauss(geo_f.A, geo_f.g, geo_f.epsilon)
+        ric = geo.epsilon * ricci_gauss(geo.A, geo.g)
+        ric_f = geo_f.epsilon * ricci_gauss(geo_f.A, geo_f.g)
         assert np.max(np.abs(ric - ric_f)) < 1e-9
         rep = fit(geo, tau=entry.tau_sol)
         rep_f = fit(geo_f, tau=entry.tau_sol)
@@ -250,7 +252,7 @@ def test_soliton_equation_matches_ricci_condition_for_random_lambda():
         gv, Av = geo.g, geo.A
         h = gv @ Av
         h = 0.5 * (h + np.swapaxes(h, -1, -2))
-        ric = ricci_gauss(Av, gv, geo.epsilon, corrected=True)
+        ric = geo.epsilon * ricci_gauss(Av, gv)
         rho = geo.rho[:, None, None]
         scale = np.maximum(1.0, np.max(np.abs(gv), axis=(1, 2)))
         res_sol = np.max(np.abs((gv + geo.epsilon * rho * h) + ric - lam * gv),
