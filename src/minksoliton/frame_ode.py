@@ -230,11 +230,12 @@ class FrameTable:
         return np.stack([F0, F1, F2, F3], axis=1)
 
     def component_jets(self, s):
-        """The five frame vectors as 4-tuples of jets in chart variable 1."""
+        """The five frame vectors (alpha, X, Y, Z, W) as one jet in chart
+        variable 1, of batch shape (5, 4, m): vector, component, point."""
         tay = self.taylor_at(s) / np.array([1.0, 1.0, 2.0, 6.0])[:, None, None]
-        c = np.zeros((5, 4, jets.N_COEFFS, len(tay)))
-        c[:, :, [jets.INDEX_OF[(k, 0, 0)] for k in range(4)]] = tay.transpose(2, 3, 1, 0)
-        return [[jets.Jet(c[vec, mu]) for mu in range(4)] for vec in range(5)]
+        c = np.zeros((jets.N_COEFFS, 5, 4, len(tay)))
+        c[[jets.INDEX_OF[(k, 0, 0)] for k in range(4)]] = tay.transpose(1, 2, 3, 0)
+        return jets.Jet(c)
 
 
 _TABLE_CACHE = {}
@@ -275,9 +276,10 @@ def build_generalized_umbilical(spec):
 
     def chart(js, ju, jv):
         frame = table.component_jets(js.value)
-        alpha, X, Y, Z, W = frame
+        alpha, X, Y, Z, W = (frame[k] for k in range(5))
         psi = (jets.sqrt(1.0 - (a * jv) * (a * jv)) + 1.0) / a
-        return [alpha[m] + ju * Y[m] + jv * W[m] + psi * Z[m] for m in range(4)]
+        x = alpha + ju * Y + jv * W + psi * Z
+        return [x[m] for m in range(4)]
 
     label = f"generalized_umbilical(a={a:g}, B={spec.b.label})"
     return Immersion(label, chart)
@@ -292,8 +294,9 @@ def build_generalized_cylinder_I(spec):
 
     def chart(js, ju, jv):
         frame = table.component_jets(js.value)
-        alpha, X, Y, Z, W = frame
-        return [alpha[m] + ju * Y[m] + jv * W[m] for m in range(4)]
+        alpha, X, Y, Z, W = (frame[k] for k in range(5))
+        x = alpha + ju * Y + jv * W
+        return [x[m] for m in range(4)]
 
     label = f"generalized_cylinder_I(B={spec.b.label})"
     return Immersion(label, chart)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .lorentz import TAU_DEGENERATE, mink_inner
+from .lorentz import TAU_DEGENERATE
 
 
 class DegenerateMetric(ArithmeticError):
@@ -142,13 +142,14 @@ class GeometryBatch:
     Every array is C-contiguous float64 with leading axis n.  Values: the
     point ``x`` (n, 4), ``tangents`` (n, 3, 4) with rows dx/du^i, the metric
     ``g``, its inverse ``ginv`` and determinant ``det``, the unit normal
-    ``N``, the shape operator ``A`` (A[:, i, j] = A^i_j), the second
-    fundamental form ``h`` = g(A., .), the mean curvature ``H``, the
-    Christoffel symbols ``Gamma`` (Gamma[:, k, i, j] = Gamma^k_ij), the
-    support function ``rho``, the tangential position field ``xT`` and the
-    potential ``f`` = <x, x>/2.  First chart partials carry the derivative
-    index on axis 1: ``dg``, ``dN``, ``dA``, ``dGamma``, ``drho``, ``dxT``
-    and ``df`` (so dg[:, m, i, j] = d_m g_ij).  ``metric_scale`` (n,) is
+    ``N``, the shape operator ``A`` (A[:, i, j] = A^i_j), the product
+    ``gA`` = g A and its symmetric part, the second fundamental form ``h``
+    = g(A., .), the mean curvature ``H``, the Christoffel symbols ``Gamma``
+    (Gamma[:, k, i, j] = Gamma^k_ij), the support function ``rho``, the
+    tangential position field ``xT`` and the potential ``f`` = <x, x>/2.
+    First chart partials carry the derivative index on axis 1: ``dg``,
+    ``dN``, ``dA``, ``dGamma``, ``drho``, ``dxT`` and ``df`` (so
+    dg[:, m, i, j] = d_m g_ij).  ``metric_scale`` (n,) is
     max(1, max_ij |g_ij|) per point, the scale that tensor residuals are
     measured against.
 
@@ -184,7 +185,7 @@ class GeometryBatch:
         # each block passed the gates on its own scales; so must the batch
         _check_metric(imm.name, self.g, self.det)
         self.epsilon = _check_normal(imm.name, normals[:, :4], normals[:, 4])
-        gA = self.g @ self.A
+        self.gA = gA = self.g @ self.A
         self.h = 0.5 * (gA + np.swapaxes(gA, -1, -2))
         self.metric_scale = np.maximum(1.0, np.max(np.abs(self.g), axis=(1, 2)))
 
@@ -297,34 +298,6 @@ def covariant_shape_derivative(geo):
                     corr += Gv[:, k, i, l] * Av[:, l, j] - Gv[:, l, i, j] * Av[:, k, l]
                 out[:, i, k, j] = geo.dA[:, i, k, j] + corr
     return out
-
-
-def codazzi_residual_batch(geo):
-    """Max-norm of the antisymmetric part of nabla A, per point."""
-    nab = covariant_shape_derivative(geo)
-    asym = nab - np.swapaxes(nab, 1, 3)  # (i, k, j) - (j, k, i)
-    return np.max(np.abs(asym), axis=(1, 2, 3))
-
-
-def identity_diagnostics(geo):
-    """Universal pointwise identities; sup over the batch of each residual."""
-    Nv, tv = geo.N, geo.tangents
-    orth = max(float(np.max(np.abs(mink_inner(Nv, tv[:, i, :]))))
-               for i in range(3))
-    unit = float(np.max(np.abs(np.abs(mink_inner(Nv, Nv)) - 1.0)))
-    recon = np.einsum('ni,nik->nk', geo.xT, tv) + (
-        geo.epsilon * geo.rho)[:, None] * Nv
-    decomp = float(np.max(np.abs(geo.x - recon)))
-    gA = geo.g @ geo.A
-    selfadj = float(np.max(np.abs(gA - np.swapaxes(gA, -1, -2))))
-    tangency = float(np.max(np.abs(mink_inner(geo.dN, Nv[:, None, :]))))
-    return {
-        "normal_orthogonality": orth,
-        "normal_unit": unit,
-        "position_decomposition": decomp,
-        "shape_self_adjoint": selfadj,
-        "weingarten_tangency": tangency,
-    }
 
 
 # -- grids and structural verdicts --------------------------------------------

@@ -100,8 +100,12 @@ def _pair_sum(x, y, plan):
     ia, ib, width, adds, order = plan
     if not width:
         return 0.0
-    prod = x.take(ia, axis=0)
-    prod = np.multiply(prod, y.take(ib, axis=0), out=prod if x.shape == y.shape else None)
+    px, py = x.take(ia, axis=0), y.take(ib, axis=0)
+    # the product overwrites a factor of its own shape, if there is one (x
+    # and y come aligned to as many axes, so the max is the broadcast shape)
+    full = tuple(map(max, px.shape, py.shape))
+    prod = np.multiply(px, py, out=px if px.shape == full else
+                       py if py.shape == full else None)
     acc = prod[:width] + 0.0
     for to, terms in adds:
         acc[to] += prod[terms]

@@ -10,7 +10,9 @@ in ``src/`` did before it was vectorized or narrowed:
   frame, the input of the classifier and frame tests;
 * ``extract_derivative`` reads one true partial derivative off a jet;
 * ``form`` reads one row of a ``lorentz.FormBatch`` as the analysis report's
-  centre form does.
+  centre form does;
+* ``identity_table`` gives the identity rows of one geometry batch, from
+  the inputs an analysis passes to ``soliton.identity_residuals``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ import numpy as np
 
 from minksoliton.canonical import (_REQUIRED, TAU_COINCIDE, WITNESS,
                                    CaseSystem)
+from minksoliton.hypersurface import ricci_gauss, ricci_intrinsic_batch
 from minksoliton.jets import DEGREE, INDEX_OF, IndexOutOfRange
 from minksoliton.lorentz import N_PARAMETERS, VARIANTS, FormVariant
+from minksoliton.soliton import identity_residuals, lie_closed_form_batch
 
 # -- case systems --------------------------------------------------------------
 
@@ -167,3 +171,12 @@ def form(forms, i):
     params = forms.parameters[i, :N_PARAMETERS[code]]
     return Form(VARIANTS[code], tuple(params.tolist()),
                 np.trim_zeros(forms.min_poly[i], "f"))
+
+
+# -- identity rows -------------------------------------------------------------
+
+def identity_table(geo):
+    """``identity_residuals`` of ``geo`` for the corrected minus intrinsic
+    Ricci tensor and the closed-form Lie derivative."""
+    ric = geo.epsilon * ricci_gauss(geo.A, geo.g) - ricci_intrinsic_batch(geo)
+    return identity_residuals(geo, ric, lie_closed_form_batch(geo))

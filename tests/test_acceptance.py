@@ -15,12 +15,11 @@ import time
 
 import numpy as np
 import pytest
+from scalar_reference import identity_table
 
 from minksoliton import analysis, catalog, frame_ode
 from minksoliton.canonical import sweep
-from minksoliton.hypersurface import (GeometryBatch, grid_points,
-                                      identity_diagnostics, ricci_gauss,
-                                      codazzi_residual_batch)
+from minksoliton.hypersurface import GeometryBatch, grid_points, ricci_gauss
 from minksoliton.lorentz import FormVariant, classify_batch
 from minksoliton.soliton import fit_lambda_pointwise, lie_closed_form_batch
 
@@ -68,10 +67,8 @@ def test_c01_universal_identity_suite(geometries):
     t0 = time.perf_counter()
     worst = {}
     for (name, _), (imm, grid, entry) in geometries.items():
-        geo = GeometryBatch(imm, grid)
-        ids = identity_diagnostics(geo)
-        ids["codazzi"] = float(np.max(codazzi_residual_batch(geo)))
-        worst[name] = (max(ids.values()), entry.tau_identity)
+        rows = identity_table(GeometryBatch(imm, grid)).values()
+        worst[name] = (max(np.max(row) for row in rows), entry.tau_identity)
     elapsed = time.perf_counter() - t0
     ok = all(v < tau for v, tau in worst.values()) and elapsed < 5.0
     _line(1, ok, f"identity suite on every entry in {elapsed:.2f}s; worst "

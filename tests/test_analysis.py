@@ -95,21 +95,33 @@ def test_expectation_table_has_no_placeholder_rows():
                 assert row["computed"] is None
 
 
+IDENTITY_ROWS = ("normal_orthogonality", "normal_unit",
+                 "position_decomposition", "shape_self_adjoint",
+                 "weingarten_tangency", "codazzi_residual",
+                 "gauss_vs_intrinsic", "route_agreement", "lemma1",
+                 "gradient_check")
+
+
 def test_identity_gate_fails_closed_on_nan(monkeypatch, capsys):
+    # a NaN at one point of any row of the table fails the gate
     from minksoliton.cli import main
-    original = analysis.codazzi_residual_batch
+    original = analysis.identity_residuals
+    for key in IDENTITY_ROWS:
+        seen = []
 
-    def nan_at_last_point(geo):
-        res = original(geo)
-        res[-1] = np.nan
-        return res
+        def nan_at_last_point(geo, ric, lie):
+            table = original(geo, ric, lie)
+            seen.append(tuple(table))
+            table[key][..., -1] = np.nan
+            return table
 
-    monkeypatch.setattr(analysis, "codazzi_residual_batch", nan_at_last_point)
-    rep = analysis.analyze_entry("de_sitter", grid_counts=(3, 3, 3))
-    assert rep["identities"]["pass"] is False
-    assert main(["analyze", "--entry", "de_sitter", "--grid", "3,3,3",
-                 "--format", "json"]) == 2
-    capsys.readouterr()
+        monkeypatch.setattr(analysis, "identity_residuals", nan_at_last_point)
+        rep = analysis.analyze_entry("de_sitter", grid_counts=(3, 3, 3))
+        assert seen == [IDENTITY_ROWS]  # the table is every gated row
+        assert rep["identities"]["pass"] is False, key
+        assert main(["analyze", "--entry", "de_sitter", "--grid", "3,3,3",
+                     "--format", "json"]) == 2, key
+        capsys.readouterr()
 
 
 def test_one_pass_per_analysis(monkeypatch):
@@ -128,8 +140,7 @@ def test_one_pass_per_analysis(monkeypatch):
                (analysis, "ricci_intrinsic_batch")]
     # these under every name a package module binds them to
     for fn in (lorentz.char_poly, hypersurface.ricci_gauss,
-               soliton.lie_closed_form_batch, soliton.route_agreement_batch,
-               soliton.lemma1_batch, soliton.gradient_check_batch):
+               soliton.lie_closed_form_batch, soliton.identity_residuals):
         targets += [(module, fn.__name__)
                     for name, module in sys.modules.items()
                     if name.startswith("minksoliton.")
@@ -141,8 +152,7 @@ def test_one_pass_per_analysis(monkeypatch):
     analysis.pointwise_table(rep)
     assert calls == {"GeometryBatch": 1, "ricci_intrinsic_batch": 1,
                      "ricci_gauss": 1, "lie_closed_form_batch": 1,
-                     "route_agreement_batch": 1, "lemma1_batch": 1,
-                     "gradient_check_batch": 1, "char_poly": 1}
+                     "identity_residuals": 1, "char_poly": 1}
 
 
 @pytest.mark.parametrize("name", ["hyperbolic_space",

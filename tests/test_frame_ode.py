@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scalar_reference import identity_table
 
 from minksoliton import catalog
 from minksoliton import frame_ode as fo
@@ -343,9 +344,9 @@ def test_umbilical_identities_within_ode_budget():
         spec_umbilical(b=fo.BFunction.offset_sin()))
     grid = hs.grid_points(((-0.8, 0.8), (-0.7, 0.7), (-0.6, 0.6)), (3, 3, 3))
     geo = hs.GeometryBatch(imm, grid)
-    ids = hs.identity_diagnostics(geo)
-    assert max(ids.values()) < 1e-5
-    assert np.max(hs.codazzi_residual_batch(geo)) < 1e-5
+    rows = identity_table(geo)
+    assert max(np.max(row) for row in rows.values()) < 1e-5
+    assert np.max(rows["codazzi_residual"]) < 1e-5
     ric_i = hs.ricci_intrinsic_batch(geo)
     ric_g = geo.epsilon * hs.ricci_gauss(geo.A, geo.g)
     assert np.max(np.abs(ric_i - ric_g)) < 1e-5

@@ -4,7 +4,7 @@ batches built in blocks of points."""
 
 import numpy as np
 import pytest
-from scalar_reference import PSEUDO_ORTHONORMAL_GRAM
+from scalar_reference import PSEUDO_ORTHONORMAL_GRAM, identity_table
 
 from minksoliton import catalog, jets
 from minksoliton import hypersurface as hs
@@ -13,10 +13,8 @@ from minksoliton.catalog import (de_sitter_immersion,
                                  hyperbolic_space_immersion,
                                  pseudospherical_cylinder_immersion)
 from minksoliton.hypersurface import (DegenerateMetric, EmptyGrid,
-                                      GeometryBatch, Immersion,
-                                      codazzi_residual_batch, grid_points,
-                                      identity_diagnostics, ricci_gauss,
-                                      ricci_intrinsic_batch,
+                                      GeometryBatch, Immersion, grid_points,
+                                      ricci_gauss, ricci_intrinsic_batch,
                                       structure_verdicts)
 from minksoliton.lorentz import classify_batch
 
@@ -42,7 +40,7 @@ def test_plane_sample():
     assert np.allclose(geo.xT[0], [0.3, -0.2, 0.9])
     assert np.max(np.abs(ricci_intrinsic_batch(geo)[0])) < 1e-14
     geo = at_point(plane_immersion(), [0.1, 0.2, 0.3])
-    assert codazzi_residual_batch(geo)[0] < 1e-14
+    assert identity_table(geo)["codazzi_residual"][0] < 1e-14
 
 
 def test_de_sitter_sample():
@@ -160,7 +158,7 @@ def test_codazzi_universal_and_perturbation():
     imm = de_sitter_immersion(1.0)
     grid = grid_points(((-0.5, 0.5), (0.6, 2.2), (0.3, 5.0)), (3, 3, 3))
     geo = GeometryBatch(imm, grid)
-    assert np.max(hs.codazzi_residual_batch(geo)) < 1e-12
+    assert np.max(identity_table(geo)["codazzi_residual"]) < 1e-12
 
     # inject an asymmetric constant perturbation into the shape operator and
     # recompute the covariant antisymmetry by hand: residual ~ noise scale
@@ -352,8 +350,7 @@ def test_identity_suite_batches():
     imm = pseudospherical_cylinder_immersion(2.0)
     grid = grid_points(((-0.8, 0.8), (0.2, 6.0), (0.15, 1.1)), (4, 4, 4))
     geo = GeometryBatch(imm, grid)
-    ids = identity_diagnostics(geo)
-    assert max(ids.values()) < 1e-9
+    assert max(np.max(row) for row in identity_table(geo).values()) < 1e-9
 
 
 def test_geometry_batch_holds_values_and_first_partials():
@@ -401,7 +398,7 @@ def test_mean_curvature_is_exactly_trace_over_three():
 # -- blocks of points ------------------------------------------------------------
 
 GEOMETRY_ARRAYS = ("points", "x", "tangents", "g", "dg", "det", "ginv", "N",
-                   "dN", "A", "dA", "H", "h", "Gamma", "dGamma", "rho",
+                   "dN", "A", "dA", "H", "gA", "h", "Gamma", "dGamma", "rho",
                    "drho", "xT", "dxT", "f", "df", "metric_scale")
 
 CHART_FILE = """\

@@ -5,14 +5,14 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from scalar_reference import identity_table
 
 from minksoliton import catalog, jets
 from minksoliton.hypersurface import (GeometryBatch, Immersion, grid_points,
                                       ricci_gauss)
 from minksoliton.soliton import (TAU_SOL_CLOSED, Verdict,
-                                 fit_lambda_pointwise, gradient_check_batch,
-                                 lemma1_batch, lie_closed_form_batch,
-                                 lie_coordinate_batch, route_agreement_batch)
+                                 fit_lambda_pointwise, lie_closed_form_batch,
+                                 lie_coordinate_batch)
 
 ENTRY_GRIDS = {}
 
@@ -84,9 +84,8 @@ def test_closed_form_zero_operator():
 def test_route_agreement_all_entries():
     for name in catalog.ENTRIES:
         imm, grid, _ = entry_grid(name)
-        geo = GeometryBatch(imm, grid)
-        lie = lie_closed_form_batch(geo)
-        assert route_agreement_batch(geo, lie) < 1e-7, name
+        route = identity_table(GeometryBatch(imm, grid))["route_agreement"]
+        assert np.max(route) < 1e-7, name
 
 
 def test_soliton_residual_cylinder_lambda_one():
@@ -152,7 +151,8 @@ def test_generalized_umbilical_soliton_holds_on_central_slice():
 def test_position_field_identities_universal():
     for name in catalog.ENTRIES:
         imm, grid, entry = entry_grid(name)
-        first, second = lemma1_batch(GeometryBatch(imm, grid))
+        first, second = np.max(
+            identity_table(GeometryBatch(imm, grid))["lemma1"], axis=1)
         assert first < entry.tau_identity, name
         assert second < entry.tau_identity, name
 
@@ -169,15 +169,28 @@ def test_position_identity_plane_exact():
     def chart(u, v, w):
         return [u, v, w, jets.constant(1.0, u.shape)]
     imm = Immersion("plane", chart)
-    first, second = lemma1_batch(
-        GeometryBatch(imm, grid_points(((-1, 1),) * 3, (3, 3, 3))))
+    first, second = np.max(identity_table(GeometryBatch(
+        imm, grid_points(((-1, 1),) * 3, (3, 3, 3))))["lemma1"], axis=1)
     assert first < 1e-13 and second < 1e-13
+
+
+def test_identity_rows_keep_a_nan_component():
+    # a NaN in any component at one point is that point's residual
+    imm, grid, _ = entry_grid("de_sitter")
+    geo = GeometryBatch(imm, grid)
+    geo.gA[-1, 0, 1] = np.nan
+    geo.dA[-1, 2, 2, 2] = np.nan
+    rows = identity_table(geo)
+    for key in ("shape_self_adjoint", "codazzi_residual"):
+        assert np.isnan(rows[key][-1]), key
+        assert np.all(np.isfinite(rows[key][:-1])), key
 
 
 def test_gradient_check_universal():
     for name in catalog.ENTRIES:
         imm, grid, _ = entry_grid(name)
-        assert gradient_check_batch(GeometryBatch(imm, grid)) < 1e-7, name
+        rows = identity_table(GeometryBatch(imm, grid))
+        assert np.max(rows["gradient_check"]) < 1e-7, name
 
 
 def test_gradient_check_cylinder_field_is_ruling():
@@ -196,7 +209,7 @@ def test_hyperbolic_space_gradient_constant_potential():
     imm, grid, _ = entry_grid("hyperbolic_space")
     geo = GeometryBatch(imm, grid)
     assert np.allclose(geo.f, -0.5, atol=1e-12)
-    assert gradient_check_batch(geo) < 1e-11
+    assert np.max(identity_table(geo)["gradient_check"]) < 1e-11
 
 
 def test_negative_controls_fail_soliton_pass_identities():
@@ -206,9 +219,10 @@ def test_negative_controls_fail_soliton_pass_identities():
         rep = fit(geo, tau=entry.tau_sol)
         assert rep.verdict is Verdict.NOT_A_SOLITON
         assert rep.lambda_spread > 1e-2
-        first, second = lemma1_batch(geo)
-        route = route_agreement_batch(geo, lie_closed_form_batch(geo))
-        assert max(first, second, gradient_check_batch(geo), route) < 1e-7
+        rows = identity_table(geo)
+        first, second = np.max(rows["lemma1"], axis=1)
+        assert max(first, second, np.max(rows["gradient_check"]),
+                   np.max(rows["route_agreement"])) < 1e-7
 
 
 def test_grid_refinement_stability_of_lambda():
