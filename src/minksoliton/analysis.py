@@ -24,14 +24,14 @@ class Report(dict):
 
 
 def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
-                  ricci_mode="both", orientation_override=None):
+                  orientation_override=None):
     """Full analysis of a catalog entry on its safe box."""
     entry = catalog.get(name)
     imm, merged = entry.build(**(params or {}))
     if orientation_override is not None:
         imm = imm.with_orientation(orientation_override)
     report, geo, ric = _analyze(imm, entry.safe_box(merged), grid_counts,
-                                ricci_mode, merged, entry)
+                                merged, entry)
     report["entry"] = name
     ids = report["identities"]
     if entry.constraint is not None:
@@ -47,22 +47,19 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     return report
 
 
-def analyze_immersion(imm, box, grid_counts=(5, 5, 5), ricci_mode="both",
-                      params=None):
+def analyze_immersion(imm, box, grid_counts=(5, 5, 5), params=None):
     """Analysis of a user-supplied chart on ``box``, at a catalog entry's
     default tolerances; ``params`` are reported as the chart's parameters."""
-    return _analyze(imm, box, grid_counts, ricci_mode, params or {},
+    return _analyze(imm, box, grid_counts, params or {},
                     catalog.CatalogEntry)[0]
 
 
-def _analyze(imm, box, grid_counts, ricci_mode, params, entry):
+def _analyze(imm, box, grid_counts, params, entry):
     """One pass over the geometry batch of ``imm`` sampled on ``box``: the
     Report, the batch, and the Ricci tensors it was built from, keyed by
     Ricci mode and "intrinsic".  ``entry`` gives the tolerances
     tau_identity and tau_sol: a catalog entry, or CatalogEntry for the
     defaults."""
-    if ricci_mode != "both" and ricci_mode not in RICCI_MODES:
-        raise ValueError(f"ricci_mode must be 'both' or one of {RICCI_MODES}")
     tau_identity, tau_sol = entry.tau_identity, entry.tau_sol
     geo = GeometryBatch(imm, grid_points(box, grid_counts))
     # the two modes differ by the factor epsilon = +-1, which is exact
@@ -90,26 +87,22 @@ def _analyze(imm, box, grid_counts, ricci_mode, params, entry):
     identities["tau"] = tau_identity
     identities["epsilon"] = geo.epsilon
 
-    # Both fits always run: the pointwise columns carry both lambdas.
+    # One fit per Ricci convention; the headline is the corrected one.
     fits = {mode: fit_lambda_pointwise(geo, lie, ric[mode], tau_sol)
             for mode in RICCI_MODES}
-    modes = RICCI_MODES if ricci_mode == "both" else (ricci_mode,)
-    headline_mode = "corrected" if "corrected" in modes else modes[0]
-
-    def fit_block(mode):
-        (lam, spread, residual, verdict, gap), _, _ = fits[mode]
-        return {"lambda_fit": lam, "lambda_spread": spread,
-                "residual_sup": residual, "verdict": verdict.value,
-                "gradient_check": identities["gradient_check"],
-                "lemma1": list(identities["lemma1"]),
-                "route_agreement": identities["route_agreement"],
-                "ricci_mode": mode, "tau": tau_sol,
-                "equation_equivalence_gap": gap}
+    blocks = {}
+    for mode, ((lam, spread, residual, verdict, gap), _, _) in fits.items():
+        blocks[mode] = {"lambda_fit": lam, "lambda_spread": spread,
+                        "residual_sup": residual, "verdict": verdict.value,
+                        "gradient_check": identities["gradient_check"],
+                        "lemma1": list(identities["lemma1"]),
+                        "route_agreement": identities["route_agreement"],
+                        "ricci_mode": mode, "tau": tau_sol,
+                        "equation_equivalence_gap": gap}
 
     forms = classify_batch(geo.A, geo.g)
-    blocks = {mode: fit_block(mode) for mode in modes}
-    soliton_block = {**fit_block(headline_mode),
-                     "headline_mode": headline_mode, **blocks}
+    soliton_block = {**blocks["corrected"], "headline_mode": "corrected",
+                     **blocks}
     consistency = _consistency_block(geo, blocks, forms)
     if consistency is not None:
         soliton_block["case_system_consistency"] = consistency
@@ -162,27 +155,31 @@ def _classification_block(geo, forms):
 
 def _consistency_block(geo, blocks, forms):
     """Tie verified solitons back to the per-form algebraic systems, given
-    the soliton report's fit block of each Ricci mode it holds.
+    the soliton report's fit block of each Ricci mode.
 
     The case systems transcribe the uncorrected Ricci convention, so the
     constant fed to them is the paper_form fit (identical to the corrected
-    one on Lorentzian entries).
+    one on Lorentzian entries).  A point whose form has no case system at
+    the chart's epsilon is left out and counted.
     """
     if all(block["verdict"] == Verdict.NOT_A_SOLITON.value
            for block in blocks.values()):
         return None
-    source = blocks.get("paper_form")
-    if source is None and geo.epsilon == 1.0:
-        source = blocks.get("corrected")
-    if source is None:
-        return None
-    lam = source["lambda_fit"]
-    rows = np.flatnonzero(~forms.ambiguous)
+    lam = blocks["paper_form"]["lambda_fit"]
+    epsilon = int(geo.epsilon)
+    has_system = np.array([canonical.has_case_system(v, epsilon)
+                           for v in VARIANTS])[forms.variant]
+    known = ~forms.ambiguous
+    rows = np.flatnonzero(known & has_system)
     worst = canonical.consistency_residual(
         np.array(VARIANTS, dtype=object)[forms.variant[rows]],
-        forms.parameters[rows], int(geo.epsilon), geo.rho[rows], lam)
-    return {"convention": "paper_form", "lambda": lam,
-            "max_residual": worst, "points_checked": len(rows)}
+        forms.parameters[rows], epsilon, geo.rho[rows], lam)
+    block = {"convention": "paper_form", "lambda": lam,
+             "max_residual": worst, "points_checked": len(rows)}
+    without = np.count_nonzero(known) - len(rows)
+    if without:
+        block["points_without_case_system"] = int(without)
+    return block
 
 
 POINTWISE_COLUMNS = ("u1", "u2", "u3", "epsilon", "mean_curvature", "support",

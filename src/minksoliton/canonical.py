@@ -25,8 +25,14 @@ import numpy as np
 from .lorentz import FormVariant
 
 
+def has_case_system(form, epsilon):
+    """Whether ``form`` has a case system at ``epsilon``: the
+    nondiagonalizable forms occur only on Lorentzian hypersurfaces."""
+    return form is FormVariant.DIAGONALIZABLE or epsilon == 1
+
+
 def _check_epsilon(form, epsilon):
-    if form is not FormVariant.DIAGONALIZABLE and epsilon != 1:
+    if not has_case_system(form, epsilon):
         raise ValueError("nondiagonalizable forms are Lorentzian (epsilon=1)")
 
 

@@ -215,14 +215,9 @@ def _graph_constraint(axis, offset):
 
 # -- expectations ---------------------------------------------------------------
 
-def _fit(field):
-    """Reads ``field`` of the corrected fit, or of the headline fit in a
-    report without one."""
-    return lambda r: r["soliton"].get("corrected", r["soliton"])[field]
-
-
-def _paper_fit(field):
-    return lambda r: r["soliton"].get("paper_form", {}).get(field)
+def _fit(mode, field):
+    """Reads ``field`` of the soliton fit in the Ricci convention ``mode``."""
+    return lambda r: r["soliton"][mode][field]
 
 
 def _center(read):
@@ -259,13 +254,13 @@ def _equal(claimed, computed, tol):
 
 # key -> (value read off a report, test of the claim against that value)
 EXPECTATION_KEYS = {
-    "lambda_fit": (_fit("lambda_fit"), _close),
-    "lambda_fit_paper_form": (_paper_fit("lambda_fit"), _close),
-    "lambda_claimed": (_fit("lambda_fit"), _close_to_any),
-    "lambda_spread_exceeds": (_fit("lambda_spread"),
+    "lambda_fit": (_fit("corrected", "lambda_fit"), _close),
+    "lambda_fit_paper_form": (_fit("paper_form", "lambda_fit"), _close),
+    "lambda_claimed": (_fit("corrected", "lambda_fit"), _close_to_any),
+    "lambda_spread_exceeds": (_fit("corrected", "lambda_spread"),
                               lambda claimed, computed, tol: computed > claimed),
-    "verdict": (_fit("verdict"), _equal),
-    "verdict_paper_form": (_paper_fit("verdict"), _equal),
+    "verdict": (_fit("corrected", "verdict"), _equal),
+    "verdict_paper_form": (_fit("paper_form", "verdict"), _equal),
     "gcr": (lambda r: r["classification"]["structure"][
         "generalized_constant_ratio"], _equal),
     "principal_curvatures": (_center(_diagonal), _same_multiset),

@@ -164,12 +164,11 @@ def _text_report(report):
                  f"spread={sol['lambda_spread']:.3e} "
                  f"residual={sol['residual_sup']:.3e}")
     for mode in ("corrected", "paper_form"):
-        if mode in sol:
-            m = sol[mode]
-            lines.append(f"  {mode:11s} lambda={m['lambda_fit']:+.12g} "
-                         f"spread={m['lambda_spread']:.3e} "
-                         f"residual={m['residual_sup']:.3e} "
-                         f"verdict={m['verdict']}")
+        m = sol[mode]
+        lines.append(f"  {mode:11s} lambda={m['lambda_fit']:+.12g} "
+                     f"spread={m['lambda_spread']:.3e} "
+                     f"residual={m['residual_sup']:.3e} "
+                     f"verdict={m['verdict']}")
     lines.append(f"  route_agreement={sol['route_agreement']:.3e} "
                  f"gradient_check={sol['gradient_check']:.3e} "
                  f"lemma1={[f'{x:.3e}' for x in sol['lemma1']]}")
@@ -194,7 +193,6 @@ def _text_report(report):
 
 def cmd_analyze(args):
     grid_counts = _parse_grid(args.grid)
-    mode = args.ricci_mode
 
     is_file = os.path.sep in args.entry or os.path.exists(args.entry)
     if is_file and args.entry not in catalog.ENTRIES:
@@ -208,8 +206,7 @@ def cmd_analyze(args):
             raise UsageError(f"bad chart file: {err}")
         if args.orientation:
             imm = imm.with_orientation(float(args.orientation))
-        report = analysis.analyze_immersion(imm, box, grid_counts, mode,
-                                            params)
+        report = analysis.analyze_immersion(imm, box, grid_counts, params)
     else:
         if args.entry not in catalog.ENTRIES:
             raise UsageError(f"unknown catalog entry {args.entry!r}; "
@@ -221,7 +218,7 @@ def cmd_analyze(args):
                                catalog.ENTRIES[args.entry].defaults)
         try:
             report = analysis.analyze_entry(
-                args.entry, params, grid_counts, ricci_mode=mode,
+                args.entry, params, grid_counts,
                 orientation_override=(float(args.orientation)
                                       if args.orientation else None))
         except (KeyError, ValueError) as err:
@@ -392,8 +389,6 @@ def build_parser():
                     help="entry parameter (repeatable)")
     pa.add_argument("--grid", default="5,5,5", metavar="N,N,N",
                     help="samples per chart axis (default 5,5,5)")
-    pa.add_argument("--ricci-mode", default="both",
-                    choices=["corrected", "paper_form", "both"])
     pa.add_argument("--format", default="text",
                     choices=["text", "json", "csv"])
     pa.add_argument("--out", default="-", help="output path (default stdout)")

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import jets
 from .hypersurface import Immersion
+from .lorentz import METRIC_SIGNS
 
 GRAM_TARGET = np.array([
     [0.0, -1.0, 0.0, 0.0],
@@ -34,7 +35,7 @@ GRAM_TARGET = np.array([
     [0.0, 0.0, 0.0, 1.0],
 ])
 
-MINK = np.diag([-1.0, 1.0, 1.0, 1.0])
+MINK = np.diag(METRIC_SIGNS)
 
 DEFAULT_INITIAL_FRAME = np.array([
     [1.0, 1.0, 0.0, 0.0],     # X

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .lorentz import TAU_DEGENERATE
+from .lorentz import METRIC_SIGNS, TAU_DEGENERATE
 
 
 class DegenerateMetric(ArithmeticError):
@@ -54,7 +54,7 @@ class Immersion:
         return Immersion(self.name, self.chart_map, float(sign))
 
 
-_ETA = np.array([-1.0, 1.0, 1.0, 1.0])[:, None]  # Minkowski signature
+_ETA = METRIC_SIGNS[:, None]  # Minkowski signature, over the component axis
 _OTHER = np.array([[1, 2], [0, 2], [0, 1]])  # row i: the indices other than i
 _COLS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])  # row k: all but k
 _COL_PAIRS = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])

@@ -38,13 +38,16 @@ def test_ambiguous_points_are_counted(monkeypatch):
 
 
 def test_consistency_block_needs_matching_convention():
-    # spacelike soliton entry analyzed in corrected mode only: the case
-    # systems use the uncorrected convention, so the block is omitted
-    rep = analysis.analyze_entry("hyperbolic_space", grid_counts=(3, 3, 3),
-                                 ricci_mode="corrected")
-    assert "case_system_consistency" not in rep["soliton"]
-    rep_both = analysis.analyze_entry("hyperbolic_space", grid_counts=(3, 3, 3))
-    assert rep_both["soliton"]["case_system_consistency"]["max_residual"] < 1e-9
+    # the case systems use the uncorrected convention, so on a spacelike
+    # soliton the block feeds them the paper_form constant, not the
+    # corrected one of opposite sign
+    rep = analysis.analyze_entry("hyperbolic_space", grid_counts=(3, 3, 3))
+    sol = rep["soliton"]
+    block = sol["case_system_consistency"]
+    assert block["convention"] == "paper_form"
+    assert block["lambda"] == sol["paper_form"]["lambda_fit"]
+    assert block["lambda"] == pytest.approx(-sol["corrected"]["lambda_fit"])
+    assert block["max_residual"] < 1e-9
 
 
 def test_consistency_block_absent_for_non_solitons():

@@ -1,7 +1,9 @@
 """Expression grammar, chart files, and the command-line interface."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import minksoliton
 from minksoliton import exprs, jets
-from minksoliton.cli import main, round_floats
+from minksoliton.cli import build_parser, main, round_floats
 from minksoliton.hypersurface import GeometryBatch
 
 
@@ -346,3 +348,35 @@ def test_library_chart_report_is_the_cli_report(tmp_path, monkeypatch):
     report = analysis.analyze_immersion(exprs.immersion_from_file(path),
                                         CHART_BOX)
     assert dump_json(report) == out.read_text()
+
+
+@pytest.mark.parametrize("c,n,without", [
+    ("1e-7", 5, 20), ("1e-7", 11, 88), ("3e-7", 5, 70), ("3e-7", 11, 704)])
+def test_spacelike_chart_with_jordan_forms_exits_zero(tmp_path, capsys, c, n,
+                                                       without):
+    # H^3 as a graph, bent by c*u^3: the classifier puts Jordan blocks on a
+    # spacelike chart, where no case system exists, so the consistency
+    # check leaves those points out and counts them
+    chart = tmp_path / "h3_cubic.txt"
+    chart.write_text("x1 = sqrt(1 + u^2 + v^2 + w^2)\nx2 = u\nx3 = v\n"
+                     "x4 = w + c*u^3\n")
+    assert main(["analyze", "--entry", str(chart), "--param", f"c={c}",
+                 "--grid", f"{n},{n},{n}", "--format", "json"]) == 0
+    block = json.loads(capsys.readouterr().out)["soliton"][
+        "case_system_consistency"]
+    assert block["points_without_case_system"] == without
+    assert block["points_checked"] + without == n ** 3
+
+
+def test_readme_usage_block_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", block))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {opt for parser in subparsers.choices.values()
+               for action in parser._actions
+               if not isinstance(action, argparse._HelpAction)
+               for opt in action.option_strings}
+    assert documented == options

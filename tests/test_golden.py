@@ -3,17 +3,15 @@
 The files in tests/golden/ are:
 
 * CLI reports of every catalog entry: JSON at 5^3 and 11^3 grid points, and
-  CSV and text at 5^3, all with both Ricci modes;
-* CLI JSON reports of every catalog entry at 5^3 under each single Ricci
-  mode;
+  CSV and text at 5^3;
 * CLI JSON reports at 5^3 of the chart file hyperbolic_graph_chart.txt, on
   the default box and on a given ``--box``;
-* the expectation tables of every catalog entry at 5^3 under each single
-  Ricci mode, as ``dump_json`` writes them;
 * ``case-sweep`` output of each canonical form, CSV and JSON, for
-  ``--count 60 --seed 11`` and the default ``--epsilon``.
+  ``--count 60 --seed 11`` and the default ``--epsilon``;
+* the chart file hyperbolic_graph_chart.txt itself.
 
-A refactor of the engine must reproduce them byte for byte.
+A refactor of the engine must reproduce them byte for byte.  The directory
+holds no other file.
 
 The bytes also depend on numpy's SIMD dispatch.  The files were written with
 numpy 2.4.6 running its AVX-512 kernels; with
@@ -22,25 +20,27 @@ reports differ in round-off-sized residuals: de_sitter 5^3 and 11^3 JSON and
 5^3 CSV, hyperbolic_space and hyperbolic_cylinder 11^3 JSON, and
 pseudospherical_cylinder 5^3 and 11^3 JSON and 5^3 CSV (lambda_spread in
 de_sitter_5.json, for one, reads 1.55e-15 against 1.33e-15).  Of the other
-reports, those of de_sitter and pseudospherical_cylinder differ there too:
-the 5^3 text reports and both single-mode 5^3 JSON reports.  CI prints
-numpy.show_runtime() before the tests, to tell such a failure from a change
-of the code.
+reports, the 5^3 text reports of de_sitter and pseudospherical_cylinder
+differ there too.  CI prints numpy.show_runtime() before the tests, to tell
+such a failure from a change of the code.
 """
 
 from pathlib import Path
 
 import pytest
 
-from minksoliton import analysis, catalog
-from minksoliton.cli import dump_json, main
+from minksoliton import catalog
+from minksoliton.cli import main
 from minksoliton.lorentz import FormVariant
-from minksoliton.soliton import RICCI_MODES
 
 GOLDEN = Path(__file__).parent / "golden"
+CHART = "hyperbolic_graph_chart.txt"
 
 CASES = ([(name, n, "json") for name in catalog.ENTRIES for n in (5, 11)]
          + [(name, 5, "csv") for name in catalog.ENTRIES])
+SWEEP_CASES = [(v.value, fmt) for v in FormVariant for fmt in ("csv", "json")]
+CHART_CASES = [(None, "hyperbolic_graph_5.json"),
+               ("-0.3:0.2,-0.1:0.4,-0.25:0.25", "hyperbolic_graph_box_5.json")]
 
 
 @pytest.mark.parametrize("name,n,fmt", CASES)
@@ -52,16 +52,7 @@ def test_report_matches_golden(tmp_path, name, n, fmt):
     assert out.read_bytes() == (GOLDEN / f"{name}_{n}.{fmt}").read_bytes()
 
 
-def test_single_mode_expectations_match_golden():
-    table = {name: {mode: analysis.analyze_entry(
-        name, grid_counts=(5, 5, 5), ricci_mode=mode)["expectations"]
-        for mode in RICCI_MODES} for name in catalog.ENTRIES}
-    assert dump_json(table).encode() == \
-        (GOLDEN / "expectations_single_mode_5.json").read_bytes()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("form", [v.value for v in FormVariant])
+@pytest.mark.parametrize("form,fmt", SWEEP_CASES)
 def test_case_sweep_matches_golden(tmp_path, form, fmt):
     out = tmp_path / f"sweep.{fmt}"
     code = main(["case-sweep", "--form", form, "--count", "60", "--seed", "11",
@@ -84,20 +75,20 @@ def test_text_report_matches_golden(tmp_path, name):
         (GOLDEN / f"{name}_5.txt").read_bytes()
 
 
-@pytest.mark.parametrize("mode", RICCI_MODES)
-@pytest.mark.parametrize("name", list(catalog.ENTRIES))
-def test_single_mode_report_matches_golden(tmp_path, name, mode):
-    assert _analyze(tmp_path, "--entry", name, "--grid", "5,5,5",
-                    "--ricci-mode", mode, "--format", "json") == \
-        (GOLDEN / f"{name}_5_{mode}.json").read_bytes()
-
-
-@pytest.mark.parametrize("box,golden", [
-    (None, "hyperbolic_graph_5.json"),
-    ("-0.3:0.2,-0.1:0.4,-0.25:0.25", "hyperbolic_graph_box_5.json")])
+@pytest.mark.parametrize("box,golden", CHART_CASES)
 def test_chart_file_report_matches_golden(tmp_path, monkeypatch, box, golden):
     # the report names the chart by the path it was given
     monkeypatch.chdir(GOLDEN.parent)
-    argv = ["--entry", "golden/hyperbolic_graph_chart.txt", "--grid", "5,5,5",
+    argv = ["--entry", f"golden/{CHART}", "--grid", "5,5,5",
             "--format", "json"] + ([f"--box={box}"] if box else [])
     assert _analyze(tmp_path, *argv) == (GOLDEN / golden).read_bytes()
+
+
+def test_golden_directory_holds_only_named_files():
+    # a golden file that no case above reads pins nothing
+    named = ({f"{name}_{n}.{fmt}" for name, n, fmt in CASES}
+             | {f"{name}_5.txt" for name in catalog.ENTRIES}
+             | {f"case_sweep_{form}.{fmt}" for form, fmt in SWEEP_CASES}
+             | {golden for _, golden in CHART_CASES} | {CHART})
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(named)
+    assert len(named) == 47
