@@ -1,7 +1,11 @@
 """Null-curve frame integration and the ruled hypersurfaces built on it."""
 
+import csv
 import dataclasses
+import functools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from minksoliton import catalog
 from minksoliton import frame_ode as fo
 from minksoliton import hypersurface as hs
 from minksoliton import jets
+from minksoliton.cli import main
 from minksoliton.lorentz import classify_batch, mink_inner
 
 
@@ -116,12 +121,15 @@ def test_window_exceeded_raises():
             table.values_at(s)
 
 
-# -- bit-for-bit reference: the scalar per-step RK4 loop ------------------------
+# -- reference: the scalar per-step RK4 loop -----------------------------------
 #
-# The table advances every chain through one stacked RK4 kernel.  Below is
-# the scalar loop it replaced, one 5x5 system matrix and one Gram residual
-# per step; the kernel must reproduce it byte for byte.  ``ref_integrate``
-# runs the loop from 0 to any s, ending on a partial step.
+# The table composes each chain's RK4 step maps as 5x5 matrices in doubling
+# passes.  Below is the scalar loop it replaced, which applies the four
+# stages to the state one step at a time and takes one Gram residual per
+# step.  The two share the grid and the state at s = 0 bit for bit; past
+# s = 0 their orders of operations agree to round-off, so the tests bound
+# the distance between them, and from the exact frame.
+# ``ref_integrate`` runs the loop from 0 to any s, ending on a partial step.
 
 def ref_coefficient_matrix(spec, s):
     b = spec.b.value(s)
@@ -190,18 +198,129 @@ REFERENCE_B = {"constant": fo.BFunction.constant(1.3),
                "offset_sin": fo.BFunction.offset_sin(0.5, 0.3)}
 
 
-@pytest.mark.parametrize("window", [(-1.0, 1.0), (-0.3, 1.0), (0.0, 0.7),
-                                    (-0.9, 0.0)])
-@pytest.mark.parametrize("a", [0.0, -1.7])
-@pytest.mark.parametrize("b_kind", sorted(REFERENCE_B))
-def test_table_matches_scalar_loop_bit_for_bit(b_kind, a, window):
+REFERENCE_GRID = pytest.mark.parametrize("b_kind, a, window", [
+    pytest.param(b_kind, a, window, id=f"{b_kind}-{a}-window{k}")
+    for b_kind in sorted(REFERENCE_B) for a in [0.0, -1.7]
+    for k, window in enumerate([(-1.0, 1.0), (-0.3, 1.0), (0.0, 0.7),
+                                (-0.9, 0.0)])])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_case(b_kind, a, window):
+    """The shipped table and ``ref_table`` for one case of the grid."""
     spec = fo.FrameODESpec(a=a, b=REFERENCE_B[b_kind], window=window,
                            alpha0=np.array([0.1, 0.2, -0.3, 0.4]))
-    table = fo.FrameTable(spec)
-    s_grid, states, drift = ref_table(spec)
+    return fo.FrameTable(spec), ref_table(spec)
+
+
+@REFERENCE_GRID
+def test_table_matches_scalar_loop_bit_for_bit(b_kind, a, window):
+    # what stays exact: the grid, and the initial state at s = 0
+    table, (s_grid, states, _) = reference_case(b_kind, a, window)
     assert table.s_grid.tobytes() == s_grid.tobytes()
-    assert table.states.tobytes() == states.tobytes()
-    assert table.max_drift == drift
+    origin = int(np.flatnonzero(s_grid == 0.0)[0])
+    assert table.states[origin].tobytes() == states[origin].tobytes()
+
+
+@REFERENCE_GRID
+def test_table_matches_scalar_loop_within_bounds(b_kind, a, window):
+    table, (_, states, drift) = reference_case(b_kind, a, window)
+    assert np.max(np.abs(table.states - states)) <= 5e-14
+    assert table.max_drift <= drift
+
+
+def exact_states(spec, s_grid, terms=40):
+    """exp(s K) applied to the initial state, for constant B, by the Taylor
+    series of the exponential summed in Horner form."""
+    K = spec.coefficient_matrix(0.0)
+    powers = [ref_initial_state(spec)]
+    for j in range(1, terms):
+        powers.append(K @ powers[-1] / j)
+    out = np.zeros((len(s_grid), 5, 4))
+    for term in reversed(powers):
+        out = s_grid[:, None, None] * out + term
+    return out
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, -1.7, 2.0])
+def test_table_within_scalar_loop_error_of_exact_frame(a):
+    # the system matrix is constant, so the frame is exp(s K) of the start;
+    # at a = 0, K is nilpotent and the series ends after five terms
+    spec = fo.FrameODESpec(a=a, b=REFERENCE_B["constant"],
+                           alpha0=np.array([0.1, 0.2, -0.3, 0.4]))
+    table = fo.FrameTable(spec)
+    s_grid, states, _ = ref_table(spec)
+    exact = exact_states(spec, s_grid)
+    assert np.max(np.abs(table.states - exact)) <= \
+        np.max(np.abs(states - exact)) + 1e-14
+
+
+def test_table_build_temporaries_bounded():
+    spec = spec_umbilical()
+    fo.FrameTable(spec)
+    tracemalloc.start()
+    try:
+        fo.FrameTable(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 2 ** 20
+
+
+def assert_close(ref, new, where="report"):
+    """Same keys, strings, bools, ints and None; floats within
+    1e-11 * max(1, |ref|)."""
+    if isinstance(ref, dict):
+        assert isinstance(new, dict) and list(new) == list(ref), where
+        for key in ref:
+            assert_close(ref[key], new[key], f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert isinstance(new, list) and len(new) == len(ref), where
+        for k, (r, n) in enumerate(zip(ref, new)):
+            assert_close(r, n, f"{where}[{k}]")
+    elif isinstance(ref, float) and isinstance(new, float):
+        assert math.isnan(ref) == math.isnan(new), where
+        assert math.isnan(ref) or \
+            abs(new - ref) <= 1e-11 * max(1.0, abs(ref)), (where, ref, new)
+    else:
+        assert type(new) is type(ref) and new == ref, (where, ref, new)
+
+
+def csv_cells(text):
+    """CSV cells, numbers as floats and other cells as text."""
+    def cell(c):
+        try:
+            return float(c)
+        except ValueError:
+            return c
+    return [[cell(c) for c in row] for row in csv.reader(text.splitlines())]
+
+
+FRAME_ENTRIES = [name for name, entry in catalog.ENTRIES.items()
+                 if entry.is_ode]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", FRAME_ENTRIES)
+def test_frame_entry_reports_track_scalar_loop(tmp_path, monkeypatch, name,
+                                               fmt):
+    # the table agrees with the scalar loop to round-off, so the reports
+    # built on it (and pinned by the goldens) must agree to round-off too
+    def report():
+        monkeypatch.setattr(fo, "_TABLE_CACHE", {})
+        out = tmp_path / f"report.{fmt}"
+        assert main(["analyze", "--entry", name, "--grid", "5,5,5",
+                     "--format", fmt, "--out", str(out)]) == 0
+        return (json.loads if fmt == "json" else csv_cells)(out.read_text())
+
+    shipped = report()
+
+    def reference_table(table, spec):
+        table.spec = spec
+        table.s_grid, table.states, table.max_drift = ref_table(spec)
+
+    monkeypatch.setattr(fo.FrameTable, "__init__", reference_table)
+    assert_close(report(), shipped)
 
 
 def test_table_cache_keys_on_exact_b_and_tolerance(monkeypatch):

@@ -21,8 +21,10 @@ reports differ in round-off-sized residuals: de_sitter 5^3 and 11^3 JSON and
 pseudospherical_cylinder 5^3 and 11^3 JSON and 5^3 CSV (lambda_spread in
 de_sitter_5.json, for one, reads 1.55e-15 against 1.33e-15).  Of the other
 reports, the 5^3 text reports of de_sitter and pseudospherical_cylinder
-differ there too.  CI prints numpy.show_runtime() before the tests, to tell
-such a failure from a change of the code.
+differ there too.  The 11 reports of the three frame-ODE entries are the
+same under both dispatches; test_frame_ode.py bounds how far they sit from
+the reports of the step-by-step RK4 loop.  CI prints numpy.show_runtime()
+before the tests, to tell such a failure from a change of the code.
 """
 
 from pathlib import Path
