@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -416,8 +417,12 @@ def build_parser():
     return ap
 
 
+# one parser per process: building one costs ten parses
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as err:

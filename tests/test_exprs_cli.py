@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import minksoliton
-from minksoliton import exprs, jets
+from minksoliton import cli, exprs, jets
 from minksoliton.cli import build_parser, main, round_floats
 from minksoliton.hypersurface import GeometryBatch
 
@@ -380,3 +380,32 @@ def test_readme_usage_block_matches_parser():
                if not isinstance(action, argparse._HelpAction)
                for opt in action.option_strings}
     assert documented == options
+
+
+MAIN_CALLS = [
+    ["analyze", "--entry", "de_sitter", "--param", "c=1.5", "--format", "json"],
+    ["analyze", "--entry", "generalized_cylinder_I", "--param", "b_const=0.5",
+     "--format", "csv"],
+    ["case-sweep", "--form", "jordan2", "--count", "20", "--format", "json"],
+    ["list", "--format", "text"],
+]
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (0, 2), (2, 3),
+                                           (3, 0)])
+def test_successive_main_calls_write_what_each_writes_alone(capsys, first,
+                                                           second):
+    # main builds its parser once per process; parsing one call must leave
+    # nothing behind for the next
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    alone = {}
+    for k in (first, second):
+        cli._parser.cache_clear()
+        alone[k] = run(MAIN_CALLS[k])
+    cli._parser.cache_clear()
+    assert run(MAIN_CALLS[first]) == alone[first]
+    assert run(MAIN_CALLS[second]) == alone[second]
+    assert cli._parser.cache_info().misses == 1

@@ -116,9 +116,73 @@ def test_step_too_large_raises():
 
 def test_window_exceeded_raises():
     table = fo.FrameTable(spec_umbilical())
-    for s in (1.5, -1.5):
+    for s in (1.5, -1.5, np.nan, np.inf, -np.inf, [0.1, np.nan]):
         with pytest.raises(fo.WindowExceeded):
             table.values_at(s)
+
+
+# -- the autonomous scan --------------------------------------------------------
+#
+# For constant B every RK4 step is the same map, and ``_rk4`` forms it once
+# and composes only the leading entries that differ.  ``scan_all_maps`` is
+# the scan over all n maps that it must reproduce byte for byte.
+
+def scan_all_maps(spec, n, h):
+    P = fo._step_maps(spec, n, h)
+    d = 1
+    while d < n:
+        P[d:] = P[d:] + P[:-d] + P[d:] @ P[:-d]
+        d *= 2
+    state0 = ref_initial_state(spec)
+    return np.concatenate([state0[None], state0 + P @ state0])
+
+
+def spy_step_maps(monkeypatch):
+    """The n of every ``_step_maps`` call from here on."""
+    calls = []
+    step_maps = fo._step_maps
+    monkeypatch.setattr(fo, "_step_maps", lambda spec, n, h:
+                        calls.append(n) or step_maps(spec, n, h))
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, 1337])
+@pytest.mark.parametrize("h", [1e-3, -0.037])
+@pytest.mark.parametrize("a, c", [(1.0, 1.0), (0.0, -2.0), (-1.7, 1.3)])
+def test_autonomous_scan_matches_scan_over_all_maps(monkeypatch, n, h, a, c):
+    spec = fo.FrameODESpec(a=a, b=fo.BFunction.constant(c), tau_frame=1.0,
+                           alpha0=np.array([0.1, 0.2, -0.3, 0.4]))
+    want = scan_all_maps(spec, n, h)
+    calls = spy_step_maps(monkeypatch)
+    got = fo._rk4(spec, n, h)
+    assert calls == [min(n, 1)]
+    assert got.shape == want.shape == (n + 1, 5, 4)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, maps", [
+    ("generalized_umbilical", [1, 1]),
+    ("generalized_cylinder_I", [1, 1]),
+    ("generalized_umbilical_varB", [1000, 1000])])
+def test_catalog_defaults_form_one_step_map_for_constant_b(monkeypatch, name,
+                                                           maps):
+    monkeypatch.setattr(fo, "_TABLE_CACHE", {})
+    calls = spy_step_maps(monkeypatch)
+    catalog.get(name).build()
+    assert calls == maps
+
+
+@pytest.mark.parametrize("b2", [np.nextafter(2.0, 3.0), -0.0])
+def test_b_off_by_one_bit_takes_the_general_scan(monkeypatch, b2):
+    # one bit apart from s = 0.5 on: 1 ulp, or a zero of the other sign
+    b1 = 2.0 if b2 > 0.0 else 0.0
+    zero = fo.BFunction.constant(0.0)
+    b = fo.BFunction(lambda s: np.where(s < 0.5, b1, b2), zero.d1, zero.d2)
+    spec = fo.FrameODESpec(a=1.0, b=b, tau_frame=1.0)
+    calls = spy_step_maps(monkeypatch)
+    got = fo._rk4(spec, 1000, 1e-3)
+    assert calls == [1000]
+    assert got.tobytes() == scan_all_maps(spec, 1000, 1e-3).tobytes()
 
 
 # -- reference: the scalar per-step RK4 loop -----------------------------------
