@@ -69,41 +69,25 @@ def _analyze(imm, box, grid_counts, params, entry):
 
     lie = lie_closed_form_batch(geo)
     table = identity_residuals(geo, ric["corrected"] - ric_int, lie)
-    live = np.abs(ric_int) > 1e-6
-    plain = {  # ungated, reported after the Gauss row
-        "plain_vs_intrinsic": float(np.max(np.max(
-            np.abs(paper - ric_int), axis=(1, 2)) / geo.metric_scale)),
-        "plain_vs_intrinsic_factor": float(np.median(
-            paper[live] / ric_int[live])) if np.any(live) else 1.0}
     # a row's max over the points is exact, and keeps a NaN
-    identities = {}
-    for key, row in table.items():
-        identities[key] = np.max(row, axis=-1).tolist()
-        if key == "gauss_vs_intrinsic":
-            identities.update(plain)
-    gate = np.hstack([identities[key] for key in table])
+    identities = {key: np.max(row, axis=-1).tolist()
+                  for key, row in table.items()}
+    gate = np.hstack(list(identities.values()))
     identities["pass"] = bool(np.all(np.isfinite(gate))
                               and np.max(gate) < tau_identity)
     identities["tau"] = tau_identity
     identities["epsilon"] = geo.epsilon
 
     # One fit per Ricci convention; the headline is the corrected one.
-    fits = {mode: fit_lambda_pointwise(geo, lie, ric[mode], tau_sol)
-            for mode in RICCI_MODES}
-    blocks = {}
-    for mode, ((lam, spread, residual, verdict, gap), _, _) in fits.items():
-        blocks[mode] = {"lambda_fit": lam, "lambda_spread": spread,
-                        "residual_sup": residual, "verdict": verdict.value,
-                        "gradient_check": identities["gradient_check"],
-                        "lemma1": list(identities["lemma1"]),
-                        "route_agreement": identities["route_agreement"],
-                        "ricci_mode": mode, "tau": tau_sol,
-                        "equation_equivalence_gap": gap}
+    (fit_c, lam_c, res_c), (fit_p, lam_p, _) = (
+        fit_lambda_pointwise(geo, lie, ric[mode], tau_sol)
+        for mode in RICCI_MODES)
+    soliton_block = {**_fit_block(fit_c, tau=tau_sol),
+                     "headline_mode": "corrected",
+                     "paper_form": _fit_block(fit_p)}
 
     forms = classify_batch(geo.A, geo.g)
-    soliton_block = {**blocks["corrected"], "headline_mode": "corrected",
-                     **blocks}
-    consistency = _consistency_block(geo, blocks, forms)
+    consistency = _consistency_block(geo, soliton_block, forms)
     if consistency is not None:
         soliton_block["case_system_consistency"] = consistency
 
@@ -119,12 +103,20 @@ def _analyze(imm, box, grid_counts, params, entry):
         soliton=soliton_block,
         expectations=[],
     )
-    (_, lam_c, res_c), (_, lam_p, _) = fits["corrected"], fits["paper_form"]
     report.pointwise = np.column_stack([
         geo.points, np.full(geo.n_points(), geo.epsilon), geo.H, geo.rho,
         geo.det, lam_c, lam_p, table["codazzi_residual"],
         np.linalg.norm(geo.xT, axis=-1), res_c])
     return report, geo, ric
+
+
+def _fit_block(summary, **tau):
+    """The report fields of one soliton fit summary; a given ``tau`` goes
+    before the equation-equivalence gap."""
+    lam, spread, residual, verdict, gap = summary
+    return {"lambda_fit": lam, "lambda_spread": spread,
+            "residual_sup": residual, "verdict": verdict.value, **tau,
+            "equation_equivalence_gap": gap}
 
 
 def _classification_block(geo, forms):
@@ -153,19 +145,20 @@ def _classification_block(geo, forms):
     }
 
 
-def _consistency_block(geo, blocks, forms):
+def _consistency_block(geo, soliton_block, forms):
     """Tie verified solitons back to the per-form algebraic systems, given
-    the soliton report's fit block of each Ricci mode.
+    the soliton report's headline fit with its nested paper_form fit.
 
     The case systems transcribe the uncorrected Ricci convention, so the
     constant fed to them is the paper_form fit (identical to the corrected
     one on Lorentzian entries).  A point whose form has no case system at
     the chart's epsilon is left out and counted.
     """
+    paper = soliton_block["paper_form"]
     if all(block["verdict"] == Verdict.NOT_A_SOLITON.value
-           for block in blocks.values()):
+           for block in (soliton_block, paper)):
         return None
-    lam = blocks["paper_form"]["lambda_fit"]
+    lam = paper["lambda_fit"]
     epsilon = int(geo.epsilon)
     has_system = np.array([canonical.has_case_system(v, epsilon)
                            for v in VARIANTS])[forms.variant]
@@ -174,8 +167,8 @@ def _consistency_block(geo, blocks, forms):
     worst = canonical.consistency_residual(
         np.array(VARIANTS, dtype=object)[forms.variant[rows]],
         forms.parameters[rows], epsilon, geo.rho[rows], lam)
-    block = {"convention": "paper_form", "lambda": lam,
-             "max_residual": worst, "points_checked": len(rows)}
+    block = {"convention": "paper_form", "max_residual": worst,
+             "points_checked": len(rows)}
     without = np.count_nonzero(known) - len(rows)
     if without:
         block["points_without_case_system"] = int(without)

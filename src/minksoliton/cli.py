@@ -164,20 +164,19 @@ def _text_report(report):
                  f"verdict={sol['verdict']} lambda={sol['lambda_fit']:.12g} "
                  f"spread={sol['lambda_spread']:.3e} "
                  f"residual={sol['residual_sup']:.3e}")
-    for mode in ("corrected", "paper_form"):
-        m = sol[mode]
-        lines.append(f"  {mode:11s} lambda={m['lambda_fit']:+.12g} "
-                     f"spread={m['lambda_spread']:.3e} "
-                     f"residual={m['residual_sup']:.3e} "
-                     f"verdict={m['verdict']}")
-    lines.append(f"  route_agreement={sol['route_agreement']:.3e} "
-                 f"gradient_check={sol['gradient_check']:.3e} "
-                 f"lemma1={[f'{x:.3e}' for x in sol['lemma1']]}")
+    paper = sol["paper_form"]
+    lines.append(f"  paper_form  lambda={paper['lambda_fit']:+.12g} "
+                 f"spread={paper['lambda_spread']:.3e} "
+                 f"residual={paper['residual_sup']:.3e} "
+                 f"verdict={paper['verdict']}")
+    lines.append(f"  route_agreement={ids['route_agreement']:.3e} "
+                 f"gradient_check={ids['gradient_check']:.3e} "
+                 f"lemma1={[f'{x:.3e}' for x in ids['lemma1']]}")
     if "case_system_consistency" in sol:
         cc = sol["case_system_consistency"]
         lines.append(f"  case-system consistency ({cc['convention']}): "
                      f"max residual {cc['max_residual']:.3e} at "
-                     f"lambda={cc['lambda']:.12g}")
+                     f"lambda={paper['lambda_fit']:.12g}")
 
     if report["expectations"]:
         lines.append("expectations (claimed vs computed):")
@@ -321,6 +320,10 @@ def cmd_case_sweep(args):
     form = FormVariant(args.form)
     eps_values = (1, -1) if args.epsilon == "both" else (int(args.epsilon),)
     if form is not FormVariant.DIAGONALIZABLE:
+        if args.epsilon == "-1":
+            raise UsageError(f"--form {args.form} takes no --epsilon -1: the "
+                             "nondiagonalizable forms are Lorentzian "
+                             "(epsilon=1)")
         eps_values = (1,)
     summaries = [canonical.sweep(form, args.count, seed=args.seed,
                                  epsilon=eps) for eps in eps_values]

@@ -4,13 +4,16 @@ and expectation bookkeeping."""
 import dataclasses
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minksoliton import analysis, catalog, lorentz
+from minksoliton import analysis, canonical, catalog, exprs, lorentz
 from minksoliton.catalog import de_sitter_immersion
-from minksoliton.hypersurface import GeometryBatch, ricci_intrinsic_batch
+from minksoliton.cli import CHART_BOX
+from minksoliton.hypersurface import (GeometryBatch, grid_points,
+                                      ricci_intrinsic_batch)
 
 
 def test_histogram_sums_to_grid_size():
@@ -39,20 +42,65 @@ def test_ambiguous_points_are_counted(monkeypatch):
 
 def test_consistency_block_needs_matching_convention():
     # the case systems use the uncorrected convention, so on a spacelike
-    # soliton the block feeds them the paper_form constant, not the
-    # corrected one of opposite sign
+    # soliton the block feeds them the paper_form constant: the corrected
+    # one, of opposite sign, leaves the systems far from solved
     rep = analysis.analyze_entry("hyperbolic_space", grid_counts=(3, 3, 3))
     sol = rep["soliton"]
     block = sol["case_system_consistency"]
     assert block["convention"] == "paper_form"
-    assert block["lambda"] == sol["paper_form"]["lambda_fit"]
-    assert block["lambda"] == pytest.approx(-sol["corrected"]["lambda_fit"])
+    assert sol["paper_form"]["lambda_fit"] == pytest.approx(-sol["lambda_fit"])
+    entry = catalog.get("hyperbolic_space")
+    imm, merged = entry.build()
+    geo = GeometryBatch(imm, grid_points(entry.safe_box(merged), (3, 3, 3)))
+    forms = lorentz.classify_batch(geo.A, geo.g)
+    assert not forms.ambiguous.any()
+    at_corrected = canonical.consistency_residual(
+        np.array(lorentz.VARIANTS, dtype=object)[forms.variant],
+        forms.parameters, int(geo.epsilon), geo.rho, sol["lambda_fit"])
+    assert at_corrected > 1.0
     assert block["max_residual"] < 1e-9
+    assert block["points_checked"] == 27
 
 
 def test_consistency_block_absent_for_non_solitons():
     rep = analysis.analyze_entry("graph_lorentzian", grid_counts=(3, 3, 3))
     assert "case_system_consistency" not in rep["soliton"]
+
+
+HEADLINE_KEYS = ["lambda_fit", "lambda_spread", "residual_sup", "verdict",
+                 "tau", "equation_equivalence_gap", "headline_mode",
+                 "paper_form"]
+PAPER_FORM_KEYS = ["lambda_fit", "lambda_spread", "residual_sup", "verdict",
+                   "equation_equivalence_gap"]
+CHART = Path(__file__).parent / "golden" / "hyperbolic_graph_chart.txt"
+
+
+def _keys(obj):
+    """Every dict key anywhere in ``obj``."""
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_keys, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_keys, obj))
+    return set()
+
+
+@pytest.mark.parametrize("name", list(catalog.ENTRIES) + [CHART.name])
+def test_each_number_appears_once_in_the_report(name):
+    if name in catalog.ENTRIES:
+        rep = analysis.analyze_entry(name)
+    else:
+        rep = analysis.analyze_immersion(
+            exprs.immersion_from_file(str(CHART)), CHART_BOX)
+    sol = rep["soliton"]
+    solitons = {sol["verdict"], sol["paper_form"]["verdict"]} != \
+        {"not_a_soliton"}
+    assert list(sol) == HEADLINE_KEYS + ["case_system_consistency"] * solitons
+    assert list(sol["paper_form"]) == PAPER_FORM_KEYS
+    # each block names its own gate tolerance "tau"; no other key repeats
+    assert set(sol) & set(rep["identities"]) == {"tau"}
+    keys = _keys(rep)
+    assert not {"corrected", "ricci_mode"} & keys
+    assert not [k for k in keys if k.startswith("plain_vs_intrinsic")]
 
 
 def test_de_sitter_general_radius_constant_curvature():

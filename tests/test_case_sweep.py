@@ -92,6 +92,20 @@ def test_nondiagonalizable_sweep_rejects_spacelike_sign():
         sweep(FormVariant.JORDAN_2, 10, epsilon=-1)
 
 
+@pytest.mark.parametrize("form", [FormVariant.COMPLEX_PAIR,
+                                  FormVariant.JORDAN_2, FormVariant.JORDAN_3])
+def test_cli_rejects_spacelike_sign_for_nondiagonalizable_form(form, capsys):
+    argv = ["case-sweep", "--form", form.value, "--count", "2"]
+    assert main(argv + ["--epsilon", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Lorentzian (epsilon=1)" in err, err
+    # both signs and the Lorentzian one alone give the same eps = 1 rows
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--epsilon", "1"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_sweep_reproduces_its_seed():
     a = sweep(FormVariant.DIAGONALIZABLE, 300, seed=17)
     b = sweep(FormVariant.DIAGONALIZABLE, 300, seed=17)

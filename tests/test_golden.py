@@ -24,7 +24,11 @@ reports, the 5^3 text reports of de_sitter and pseudospherical_cylinder
 differ there too.  The 11 reports of the three frame-ODE entries are the
 same under both dispatches; test_frame_ode.py bounds how far they sit from
 the reports of the step-by-step RK4 loop.  CI prints numpy.show_runtime()
-before the tests, to tell such a failure from a change of the code.
+before the tests, to tell such a failure from a change of the code, and
+runs the suite a second time with AVX-512 off under
+``-k "not report_matches_golden"``: that deselects the analyze-report cases
+(JSON, CSV, text and chart file) and keeps the case-sweep goldens and the
+directory check, which hold under both dispatches.
 """
 
 from pathlib import Path
