@@ -12,7 +12,7 @@ from . import canonical, catalog
 from .hypersurface import (GeometryBatch, grid_points, ricci_gauss,
                            ricci_intrinsic_batch, structure_verdicts)
 from .lorentz import N_PARAMETERS, VARIANTS, classify_batch
-from .soliton import (RICCI_MODES, Verdict, fit_lambda_pointwise,
+from .soliton import (RICCI_MODES, TAU, Verdict, fit_lambda_pointwise,
                       identity_residuals, lie_closed_form_batch)
 
 
@@ -31,7 +31,7 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     if orientation_override is not None:
         imm = imm.with_orientation(orientation_override)
     report, geo, ric = _analyze(imm, entry.safe_box(merged), grid_counts,
-                                merged, entry)
+                                merged, entry.is_ode)
     report["entry"] = name
     ids = report["identities"]
     if entry.constraint is not None:
@@ -48,19 +48,17 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
 
 
 def analyze_immersion(imm, box, grid_counts=(5, 5, 5), params=None):
-    """Analysis of a user-supplied chart on ``box``, at a catalog entry's
-    default tolerances; ``params`` are reported as the chart's parameters."""
-    return _analyze(imm, box, grid_counts, params or {},
-                    catalog.CatalogEntry)[0]
+    """Analysis of a user-supplied chart on ``box``, at the closed-form
+    tolerances; ``params`` are reported as the chart's parameters."""
+    return _analyze(imm, box, grid_counts, params or {}, False)[0]
 
 
-def _analyze(imm, box, grid_counts, params, entry):
+def _analyze(imm, box, grid_counts, params, is_ode):
     """One pass over the geometry batch of ``imm`` sampled on ``box``: the
     Report, the batch, and the Ricci tensors it was built from, keyed by
-    Ricci mode and "intrinsic".  ``entry`` gives the tolerances
-    tau_identity and tau_sol: a catalog entry, or CatalogEntry for the
-    defaults."""
-    tau_identity, tau_sol = entry.tau_identity, entry.tau_sol
+    Ricci mode and "intrinsic".  ``is_ode`` picks the gate tolerances from
+    TAU."""
+    tau_identity, tau_sol = TAU[is_ode]
     geo = GeometryBatch(imm, grid_points(box, grid_counts))
     # the two modes differ by the factor epsilon = +-1, which is exact
     paper = ricci_gauss(geo.A, geo.g)

@@ -2,13 +2,13 @@
 
 Each entry packages a chart builder, the box on which sampling is known to
 be nondegenerate, the normal orientation that reproduces the curvature
-signs quoted for it, per-entry tolerances (closed-form charts are machine
-accurate; integrated ones get the looser ODE budget), and a list of
-expectations.  Expectations record claimed values next to their provenance
-("claimed" for constants quoted in the source literature, "derived" for
-values established by an independent calculation here, "exact" for direct
-arithmetic facts); analysis reports print claimed versus computed and never
-substitute one for the other.
+signs quoted for it, whether it is integrated from the frame ODE (which
+picks its gate tolerances from soliton.TAU), and a list of expectations.
+Expectations record claimed values next to their provenance ("claimed" for
+constants quoted in the source literature, "derived" for values established
+by an independent calculation here, "exact" for direct arithmetic facts);
+analysis reports print claimed versus computed and never substitute one for
+the other.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import frame_ode, jets
 from .hypersurface import Immersion
 from .lorentz import mink_inner
-from .soliton import TAU_SOL_CLOSED, TAU_SOL_ODE
+from .soliton import TAU
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,6 @@ class CatalogEntry:
     safe_box: Callable
     description: str
     orientation_sign: float = 1.0
-    tau_identity: float = 1e-7
-    tau_sol: float = TAU_SOL_CLOSED
     is_ode: bool = False
     expectations: Callable = lambda params: []
     constraint: Optional[Callable] = None  # residual of the defining level set
@@ -72,7 +70,7 @@ class CatalogEntry:
 
     def expectation_table(self, params, report):
         """Claimed against computed, one row per expectation of ``params``."""
-        tol = max(self.tau_sol, 1e-6)
+        tol = TAU[self.is_ode][1]
         rows = []
         for exp in self.expectations(params):
             computed = exp.computed(report)
@@ -248,7 +246,7 @@ def _same_multiset(claimed, computed, tol):
     if len(computed) != len(claimed):
         return False
     pairs = zip(sorted(claimed), sorted(computed))
-    return max(abs(a - b) for a, b in pairs) <= 1e-4
+    return max(abs(a - b) for a, b in pairs) <= tol
 
 
 def _equal(claimed, computed, tol):
@@ -402,8 +400,8 @@ def _negative_expectations(params):
     ]
 
 
-ENTRIES = {
-    "hyperbolic_space": CatalogEntry(
+ENTRIES = {e.name: e for e in (
+    CatalogEntry(
         name="hyperbolic_space",
         builder=hyperbolic_space_immersion,
         defaults={"c": 1.0},
@@ -412,7 +410,7 @@ ENTRIES = {
         expectations=_umbilical_expectations,
         constraint=_full_quadric(-1.0),
     ),
-    "de_sitter": CatalogEntry(
+    CatalogEntry(
         name="de_sitter",
         builder=de_sitter_immersion,
         defaults={"c": 1.0},
@@ -421,7 +419,7 @@ ENTRIES = {
         expectations=_de_sitter_expectations,
         constraint=_full_quadric(1.0),
     ),
-    "hyperbolic_cylinder": CatalogEntry(
+    CatalogEntry(
         name="hyperbolic_cylinder",
         builder=hyperbolic_cylinder_immersion,
         defaults={"c": 1.0},
@@ -430,7 +428,7 @@ ENTRIES = {
         expectations=_hyperbolic_cylinder_expectations,
         constraint=_ruled_quadric(-1.0),
     ),
-    "pseudospherical_cylinder": CatalogEntry(
+    CatalogEntry(
         name="pseudospherical_cylinder",
         builder=pseudospherical_cylinder_immersion,
         defaults={"c": 1.0},
@@ -439,7 +437,7 @@ ENTRIES = {
         expectations=_pseudospherical_cylinder_expectations,
         constraint=_ruled_quadric(1.0),
     ),
-    "generalized_umbilical": CatalogEntry(
+    CatalogEntry(
         name="generalized_umbilical",
         builder=generalized_umbilical_immersion,
         defaults={"a": 1.0, "b_kind": "constant", "b_const": 1.0},
@@ -448,12 +446,10 @@ ENTRIES = {
         description="ruled Lorentzian hypersurface over a null curve with a "
                     "2-step Jordan shape operator",
         orientation_sign=-1.0,
-        tau_identity=1e-5,
-        tau_sol=TAU_SOL_ODE,
         is_ode=True,
         expectations=_generalized_umbilical_expectations,
     ),
-    "generalized_umbilical_varB": CatalogEntry(
+    CatalogEntry(
         name="generalized_umbilical_varB",
         builder=generalized_umbilical_immersion,
         defaults={"a": 1.0, "b_kind": "offset_sin", "b_const": 1.0},
@@ -462,24 +458,20 @@ ENTRIES = {
         description="generalized umbilical hypersurface with varying "
                     "Jordan coefficient B(s) = 2 + sin s",
         orientation_sign=-1.0,
-        tau_identity=1e-5,
-        tau_sol=TAU_SOL_ODE,
         is_ode=True,
         expectations=_generalized_umbilical_expectations,
     ),
-    "generalized_cylinder_I": CatalogEntry(
+    CatalogEntry(
         name="generalized_cylinder_I",
         builder=generalized_cylinder_immersion,
         defaults={"b_kind": "constant", "b_const": 1.0},
         safe_box=lambda p: ((-0.85, 0.85), (-1.0, 1.0), (-1.0, 1.0)),
         description="ruled Lorentzian hypersurface with nilpotent shape "
                     "operator and flat induced metric",
-        tau_identity=1e-5,
-        tau_sol=TAU_SOL_ODE,
         is_ode=True,
         expectations=_generalized_cylinder_expectations,
     ),
-    "graph_lorentzian": CatalogEntry(
+    CatalogEntry(
         name="graph_lorentzian",
         builder=graph_lorentzian_immersion,
         defaults={},
@@ -489,7 +481,7 @@ ENTRIES = {
         expectations=_negative_expectations,
         constraint=_graph_constraint(3, 0.0),
     ),
-    "graph_spacelike": CatalogEntry(
+    CatalogEntry(
         name="graph_spacelike",
         builder=graph_spacelike_immersion,
         defaults={},
@@ -499,7 +491,7 @@ ENTRIES = {
         expectations=_negative_expectations,
         constraint=_graph_constraint(0, 2.0),
     ),
-}
+)}
 
 
 def get(name):
@@ -514,14 +506,15 @@ def manifest():
     """Machine-readable catalog listing."""
     out = []
     for name, entry in sorted(ENTRIES.items()):
+        tau_identity, tau_sol = TAU[entry.is_ode]
         out.append({
             "name": name,
             "description": entry.description,
             "parameters": dict(entry.defaults),
             "safe_box": [list(iv) for iv in entry.safe_box(entry.defaults)],
             "orientation_sign": entry.orientation_sign,
-            "tau_identity": entry.tau_identity,
-            "tau_soliton": entry.tau_sol,
+            "tau_identity": tau_identity,
+            "tau_soliton": tau_sol,
             "integrated": entry.is_ode,
             "expectations": [
                 {"key": e.key, "claimed": _jsonable(e.claimed),

@@ -18,8 +18,10 @@ import numpy as np
 from .hypersurface import covariant_shape_derivative
 from .lorentz import mink_inner
 
-TAU_SOL_CLOSED = 1e-6
-TAU_SOL_ODE = 1e-4
+# The gate tolerances, (identity gate, fit gate), keyed by whether the chart
+# is integrated from the frame ODE: closed-form charts are machine accurate,
+# integrated ones carry the RK4 error budget.
+TAU = {False: (1e-7, 1e-6), True: (1e-5, 1e-4)}
 
 RICCI_MODES = ("corrected", "paper_form")
 

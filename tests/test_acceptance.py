@@ -22,7 +22,8 @@ from minksoliton.canonical import sweep
 from minksoliton.hypersurface import (GeometryBatch, grid_points, ricci_gauss,
                                       ricci_intrinsic_batch)
 from minksoliton.lorentz import FormVariant, classify_batch
-from minksoliton.soliton import fit_lambda_pointwise, lie_closed_form_batch
+from minksoliton.soliton import (TAU, fit_lambda_pointwise,
+                                lie_closed_form_batch)
 
 CLOSED_FORM = ("hyperbolic_space", "de_sitter", "hyperbolic_cylinder",
                "pseudospherical_cylinder", "graph_lorentzian",
@@ -69,7 +70,7 @@ def test_c01_universal_identity_suite(geometries):
     worst = {}
     for (name, _), (imm, grid, entry) in geometries.items():
         rows = identity_table(GeometryBatch(imm, grid)).values()
-        worst[name] = (max(np.max(row) for row in rows), entry.tau_identity)
+        worst[name] = (max(np.max(row) for row in rows), TAU[entry.is_ode][0])
     elapsed = time.perf_counter() - t0
     ok = all(v < tau for v, tau in worst.values()) and elapsed < 5.0
     _line(1, ok, f"identity suite on every entry in {elapsed:.2f}s; worst "
@@ -83,7 +84,7 @@ def test_c02_position_field_identities(reports):
     ok = True
     detail = []
     for (name, params), rep in reports.items():
-        tau = catalog.get(name).tau_identity
+        tau = TAU[catalog.get(name).is_ode][0]
         first, second = rep["identities"]["lemma1"]
         detail.append(f"{name}={max(first, second):.1e}")
         ok &= first < tau and second < tau
@@ -202,13 +203,14 @@ def test_c06c_jordan_family_soliton_constant(reports):
         rows = {r["key"]: r for r in rep["expectations"]}
         claim = rows["lambda_claimed"]
         this = (sol["verdict"] == "not_a_soliton"
-                and sol["lambda_spread"] > entry.tau_sol
+                and sol["lambda_spread"] > TAU[entry.is_ode][1]
                 and claim["claimed"] == a ** 2 + 1
                 and claim["agrees"] is False
                 and rows["verdict"]["source"] == "derived"
                 and rows["verdict"]["agrees"] is True)
         detail.append(f"{name}: {sol['verdict']}, spread "
-                      f"{sol['lambda_spread']:.2e} (tau {entry.tau_sol:.0e}), "
+                      f"{sol['lambda_spread']:.2e} "
+                      f"(tau {TAU[entry.is_ode][1]:.0e}), "
                       f"quoted {claim['claimed']} agrees={claim['agrees']}")
         ok &= this
 
@@ -228,14 +230,14 @@ def test_c06c_jordan_family_soliton_constant(reports):
                + geo.epsilon * ricci_gauss(Av, gv) - (a ** 2 + 1) * gv)
         rho_plus_a = geo.rho + a
         err = float(np.max(np.abs(lhs - rho_plus_a[:, None, None] * h)))
-        ok &= geo.epsilon == 1.0 and err < entry.tau_identity
+        ok &= geo.epsilon == 1.0 and err < TAU[entry.is_ode][0]
         detail.append(f"{name}(a={a:g}) identity error {err:.1e}")
         if name == "generalized_umbilical" and a == 1.0:
             # rho = -a exactly on the central slice and far from it off it.
             central = np.abs(grid[:, 0]) < 1e-12
             on_slice = float(np.max(np.abs(rho_plus_a[central])))
             off_slice = float(np.max(np.abs(rho_plus_a)))
-            ok &= on_slice < entry.tau_identity and off_slice > 0.1
+            ok &= on_slice < TAU[entry.is_ode][0] and off_slice > 0.1
             detail.append(f"|rho + a| {on_slice:.1e} on s = 0, "
                           f"max {off_slice:.2f}")
     _line("6c", ok, "Jordan-block family is not a soliton; quoted constant "
@@ -339,7 +341,7 @@ def test_c11_falsifiability(reports):
         rep = _report(reports, name)
         sol = rep["soliton"]
         ids = rep["identities"]
-        entry_tau = catalog.get(name).tau_identity
+        entry_tau = TAU[catalog.get(name).is_ode][0]
         ok &= sol["lambda_spread"] > 1e-2
         ok &= sol["verdict"] == "not_a_soliton"
         ok &= ids["pass"]
@@ -375,7 +377,7 @@ def test_c12_normal_flip_covariance(reports):
         ric_f = geo_f.epsilon * ricci_gauss(geo_f.A, geo_f.g)
         ric_inv = float(np.max(np.abs(ric - ric_f)))
         (lam, verdict), (lam_f, verdict_f) = (
-            _corrected_fit(g, r, entry.tau_sol)
+            _corrected_fit(g, r, TAU[entry.is_ode][1])
             for g, r in ((geo, ric), (geo_f, ric_f)))
         lam_inv = abs(lam - lam_f)
         this = (rho_neg < 1e-9 and a_neg < 1e-9 and ric_inv < 1e-9

@@ -7,6 +7,7 @@ from scalar_reference import identity_table
 from minksoliton import catalog
 from minksoliton.hypersurface import GeometryBatch, grid_points
 from minksoliton.lorentz import is_self_adjoint
+from minksoliton.soliton import TAU
 
 
 def test_every_entry_satisfies_its_constraint():
@@ -26,7 +27,7 @@ def test_every_entry_passes_identity_suite():
         grid = grid_points(entry.safe_box(params), (3, 3, 3))
         geo = GeometryBatch(imm, grid)
         ids = {key: np.max(row) for key, row in identity_table(geo).items()}
-        assert max(ids.values()) < entry.tau_identity, (name, ids)
+        assert max(ids.values()) < TAU[entry.is_ode][0], (name, ids)
 
 
 def test_every_shape_operator_is_self_adjoint():

@@ -10,7 +10,7 @@ from scalar_reference import identity_table
 from minksoliton import catalog, jets
 from minksoliton.hypersurface import (GeometryBatch, Immersion, grid_points,
                                       ricci_gauss)
-from minksoliton.soliton import (TAU_SOL_CLOSED, Verdict,
+from minksoliton.soliton import (TAU, Verdict,
                                  fit_lambda_pointwise, lie_closed_form_batch,
                                  lie_coordinate_batch)
 
@@ -21,7 +21,7 @@ Fit = namedtuple("Fit", "lambda_fit lambda_spread residual_sup verdict "
                  "equation_equivalence_gap")
 
 
-def fit(geo, mode="corrected", tau=TAU_SOL_CLOSED):
+def fit(geo, mode="corrected", tau=TAU[False][1]):
     """The lambda fit in one Ricci mode."""
     ric = ricci_gauss(geo.A, geo.g)
     if mode == "corrected":
@@ -102,7 +102,7 @@ def test_soliton_residual_graph_no_lambda_works():
 
 def test_fit_lambda_de_sitter():
     imm, grid, entry = entry_grid("de_sitter")
-    rep = fit(GeometryBatch(imm, grid), tau=entry.tau_sol)
+    rep = fit(GeometryBatch(imm, grid), tau=TAU[entry.is_ode][1])
     assert rep.lambda_fit == pytest.approx(2.0, abs=1e-9)
     assert rep.lambda_spread < 1e-9
     assert rep.verdict is Verdict.SHRINKING
@@ -112,7 +112,7 @@ def test_fit_lambda_de_sitter():
 def test_fit_lambda_generalized_cylinder():
     imm, grid, entry = entry_grid("generalized_cylinder_I")
     geo = GeometryBatch(imm, grid)
-    rep = fit(geo, tau=entry.tau_sol)
+    rep = fit(geo, tau=TAU[entry.is_ode][1])
     assert rep.lambda_fit == pytest.approx(1.0, abs=1e-9)
     assert rep.lambda_spread < 1e-9
     assert np.max(np.abs(geo.epsilon * ricci_gauss(geo.A, geo.g))) < 1e-9
@@ -122,18 +122,18 @@ def test_fit_lambda_hyperbolic_cylinder_c2_not_a_soliton():
     imm, grid, entry = entry_grid("hyperbolic_cylinder", c=2.0)
     geo = GeometryBatch(imm, grid)
     for mode in ("corrected", "paper_form"):
-        rep = fit(geo, mode, tau=entry.tau_sol)
+        rep = fit(geo, mode, tau=TAU[entry.is_ode][1])
         assert rep.verdict is Verdict.NOT_A_SOLITON
-        assert rep.lambda_spread > entry.tau_sol
+        assert rep.lambda_spread > TAU[entry.is_ode][1]
 
 
 def test_fit_lambda_hyperbolic_cylinder_c1_paper_form():
     imm, grid, entry = entry_grid("hyperbolic_cylinder")
     geo = GeometryBatch(imm, grid)
-    rep = fit(geo, "paper_form", tau=entry.tau_sol)
+    rep = fit(geo, "paper_form", tau=TAU[entry.is_ode][1])
     assert rep.lambda_fit == pytest.approx(1.0, abs=1e-9)
     assert rep.verdict is Verdict.SHRINKING
-    rep_c = fit(geo, "corrected", tau=entry.tau_sol)
+    rep_c = fit(geo, "corrected", tau=TAU[entry.is_ode][1])
     assert rep_c.verdict is Verdict.NOT_A_SOLITON
 
 
@@ -153,8 +153,8 @@ def test_position_field_identities_universal():
         imm, grid, entry = entry_grid(name)
         first, second = np.max(
             identity_table(GeometryBatch(imm, grid))["lemma1"], axis=1)
-        assert first < entry.tau_identity, name
-        assert second < entry.tau_identity, name
+        assert first < TAU[entry.is_ode][0], name
+        assert second < TAU[entry.is_ode][0], name
 
 
 def test_position_identity_pieces_vanish_on_de_sitter():
@@ -216,7 +216,7 @@ def test_negative_controls_fail_soliton_pass_identities():
     for name in ("graph_lorentzian", "graph_spacelike"):
         imm, grid, entry = entry_grid(name)
         geo = GeometryBatch(imm, grid)
-        rep = fit(geo, tau=entry.tau_sol)
+        rep = fit(geo, tau=TAU[entry.is_ode][1])
         assert rep.verdict is Verdict.NOT_A_SOLITON
         assert rep.lambda_spread > 1e-2
         rows = identity_table(geo)
@@ -248,8 +248,8 @@ def test_normal_flip_covariance():
         ric = geo.epsilon * ricci_gauss(geo.A, geo.g)
         ric_f = geo_f.epsilon * ricci_gauss(geo_f.A, geo_f.g)
         assert np.max(np.abs(ric - ric_f)) < 1e-9
-        rep = fit(geo, tau=entry.tau_sol)
-        rep_f = fit(geo_f, tau=entry.tau_sol)
+        rep = fit(geo, tau=TAU[entry.is_ode][1])
+        rep_f = fit(geo_f, tau=TAU[entry.is_ode][1])
         assert abs(rep.lambda_fit - rep_f.lambda_fit) < 1e-9
         assert rep.verdict is rep_f.verdict
 
