@@ -452,7 +452,7 @@ ENTRIES = {e.name: e for e in (
     CatalogEntry(
         name="generalized_umbilical_varB",
         builder=generalized_umbilical_immersion,
-        defaults={"a": 1.0, "b_kind": "offset_sin", "b_const": 1.0},
+        defaults={"a": 1.0, "b_kind": "offset_sin"},
         safe_box=lambda p: ((-0.85, 0.85), (-0.8, 0.8),
                             (-0.7 / abs(p["a"]), 0.7 / abs(p["a"]))),
         description="generalized umbilical hypersurface with varying "

@@ -169,14 +169,10 @@ def _text_report(report):
                  f"spread={paper['lambda_spread']:.3e} "
                  f"residual={paper['residual_sup']:.3e} "
                  f"verdict={paper['verdict']}")
-    lines.append(f"  route_agreement={ids['route_agreement']:.3e} "
-                 f"gradient_check={ids['gradient_check']:.3e} "
-                 f"lemma1={[f'{x:.3e}' for x in ids['lemma1']]}")
     if "case_system_consistency" in sol:
         cc = sol["case_system_consistency"]
         lines.append(f"  case-system consistency ({cc['convention']}): "
-                     f"max residual {cc['max_residual']:.3e} at "
-                     f"lambda={paper['lambda_fit']:.12g}")
+                     f"max residual {cc['max_residual']:.3e}")
 
     if report["expectations"]:
         lines.append("expectations (claimed vs computed):")
@@ -199,6 +195,10 @@ def cmd_analyze(args):
         if not os.path.exists(args.entry):
             raise UsageError(f"chart file {args.entry!r} does not exist")
         params = _parse_params(args.param)
+        taken = sorted(set(exprs.VARIABLES) & set(params))
+        if taken:
+            raise UsageError(f"--param {taken[0]} names a chart variable; "
+                             "u, v and w are the chart coordinates")
         box = _parse_box(args.box) if args.box else CHART_BOX
         try:
             imm = exprs.immersion_from_file(args.entry, params)

@@ -202,10 +202,17 @@ def parse_chart_file(text):
     return exprs
 
 
+VARIABLES = ("u", "v", "w")  # the chart coordinates, in argument order
+
+
 def chart_from_expressions(exprs, parameters):
-    """A chart map evaluating the four expressions on jets."""
+    """A chart map evaluating the four expressions on jets.  No parameter
+    may take the name of a chart variable."""
+    taken = sorted(set(VARIABLES) & set(parameters))
+    if taken:
+        raise ParseError(f"parameters named after chart variables: {taken}")
     wanted = set().union(*(e.names() for e in exprs))
-    known = {"u", "v", "w"} | set(parameters)
+    known = set(VARIABLES) | set(parameters)
     missing = wanted - known
     if missing:
         raise ParseError(f"undefined names in chart expressions: "

@@ -1,10 +1,15 @@
-"""Catalog entries: defining constraints, identity suites, manifest shape."""
+"""Catalog entries: defining constraints, identity suites, manifest shape,
+and the tolerance table every gate reads."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scalar_reference import identity_table
 
-from minksoliton import catalog
+from minksoliton import analysis, catalog, exprs
+from minksoliton.cli import main
 from minksoliton.hypersurface import GeometryBatch, grid_points
 from minksoliton.lorentz import is_self_adjoint
 from minksoliton.soliton import TAU
@@ -78,10 +83,35 @@ def test_manifest_shape():
 
 
 def test_expectations_never_overwrite_computed():
-    from minksoliton.analysis import analyze_entry
-    rep = analyze_entry("de_sitter", grid_counts=(3, 3, 3))
+    rep = analysis.analyze_entry("de_sitter", grid_counts=(3, 3, 3))
     row = next(r for r in rep["expectations"] if r["key"] == "lambda_claimed")
     # claimed constants stay claimed; the computed value is the fit
     assert row["claimed"] == [1.0, 3.0]
     assert row["computed"] == pytest.approx(2.0, abs=1e-9)
     assert row["agrees"] is False
+
+
+@pytest.mark.parametrize("name", list(catalog.ENTRIES))
+def test_every_gate_reads_the_tolerance_table(name, capsys):
+    tau = TAU[catalog.get(name).is_ode]
+    rep = analysis.analyze_entry(name, grid_counts=(3, 3, 3))
+    assert (rep["identities"]["tau"], rep["soliton"]["tau"]) == tau
+    assert main(["list", "--format", "json"]) == 0
+    listed = {e["name"]: e for e in json.loads(capsys.readouterr().out)}
+    assert (listed[name]["tau_identity"], listed[name]["tau_soliton"]) == tau
+
+
+def test_chart_file_report_reads_the_closed_form_tolerances():
+    chart = Path(__file__).parent / "golden" / "hyperbolic_graph_chart.txt"
+    rep = analysis.analyze_immersion(exprs.immersion_from_file(str(chart)),
+                                     ((-0.5, 0.5),) * 3, (3, 3, 3))
+    assert (rep["identities"]["tau"], rep["soliton"]["tau"]) == TAU[False]
+
+
+def test_principal_curvatures_compare_at_the_given_tolerance():
+    # the closed-form fit gate, not a looser tolerance of the comparator's own
+    agrees = catalog.EXPECTATION_KEYS["principal_curvatures"][1]
+    tol = TAU[False][1]
+    assert agrees((1.0, 1.0, 0.0), (1.0, 0.0, 1.0), tol)
+    assert not agrees((1.0, 1.0, 0.0), (1.0, 1.0 + 1e-5, 0.0), tol)
+    assert not agrees((1.0, 1.0, 0.0), (1.0, 1.0), tol)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import minksoliton
-from minksoliton import cli, exprs, jets
+from minksoliton import analysis, catalog, cli, exprs, jets
 from minksoliton.cli import build_parser, main, round_floats
 from minksoliton.hypersurface import GeometryBatch
 
@@ -88,6 +88,14 @@ def test_chart_file_undefined_name(tmp_path):
         exprs.immersion_from_file(str(f), {})
 
 
+def test_chart_file_parameter_may_not_replace_a_chart_variable(tmp_path):
+    f = tmp_path / "graph.txt"
+    f.write_text("u\nv\nw\n2 + k*u*u\n")
+    for name in exprs.VARIABLES:
+        with pytest.raises(exprs.ParseError, match=repr(name)):
+            exprs.immersion_from_file(str(f), {"k": 1.0, name: 0.3})
+
+
 def test_chart_file_wrong_count(tmp_path):
     f = tmp_path / "three.txt"
     f.write_text("u\nv\nw\n")
@@ -159,6 +167,37 @@ def test_cli_param_value_must_be_a_number(capsys, tmp_path):
                  "json"]) == 0
     assert json.loads(capsys.readouterr().out)["parameters"]["b_kind"] == \
         "constant"
+
+
+def test_cli_param_cannot_name_a_chart_variable(capsys):
+    # a parameter w would shadow the chart coordinate w, and the flat
+    # chart it made had a singular metric
+    chart = Path(__file__).parent / "golden" / "hyperbolic_graph_chart.txt"
+    assert main(["analyze", "--entry", str(chart), "--param", "w=0.3"]) == 1
+    err = capsys.readouterr().err
+    assert "--param w" in err and "Error" not in err, err
+
+
+def test_cli_rejects_b_const_for_varying_b(capsys):
+    # B(s) = 2 + sin s has no constant to set; the flag was echoed back and
+    # changed nothing
+    assert main(["analyze", "--entry", "generalized_umbilical_varB",
+                 "--param", "b_const=-3"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown parameters" in err and "b_const" in err, err
+
+
+@pytest.mark.parametrize("name", list(catalog.ENTRIES))
+def test_text_report_prints_each_number_once(name):
+    report = analysis.analyze_entry(name)
+    text = cli._text_report(report)
+    # above the expectations table, which quotes some identity keys again
+    lines = text.split("expectations (claimed vs computed):")[0].splitlines()
+    for key in report["identities"].keys() - {"pass", "tau"}:
+        hits = [ln for ln in lines if re.search(rf"\b{key}\b", ln)]
+        assert len(hits) == 1, (key, hits)
+    # the headline fit and the paper-form fit, each lambda once
+    assert sum("lambda=" in ln for ln in lines) == 2, lines
 
 
 def test_cli_text_report_shows_provenance(capsys):
@@ -234,7 +273,6 @@ def test_cli_installed_entry_point():
 
 
 def test_cli_exit_two_on_identity_failure(monkeypatch, capsys):
-    from minksoliton import analysis
     original = analysis.analyze_entry
 
     def broken(*args, **kwargs):
@@ -337,7 +375,6 @@ def test_cli_rejects_box_for_a_catalog_entry(box, capsys):
 
 
 def test_library_chart_report_is_the_cli_report(tmp_path, monkeypatch):
-    from minksoliton import analysis
     from minksoliton.cli import CHART_BOX, dump_json
     # the report names the chart by the path it was given
     monkeypatch.chdir(Path(__file__).parent)

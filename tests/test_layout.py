@@ -9,9 +9,11 @@ something used; it never fails one that is used.  Docstrings, comments and
 the re-exports of ``__init__.py`` do not count.  References the tests need
 live in ``tests/scalar_reference.py``.
 
-The analysis report is laid out in ``analysis.py`` alone, from the plain
+The analysis report is built in ``analysis.py`` alone, from the plain
 arrays, numbers and dicts the other modules return, so no module defines a
-``to_dict`` method or calls ``dataclasses.asdict``.
+``to_dict`` method or calls ``dataclasses.asdict``.  Two readers know its
+paths: ``catalog.EXPECTATION_KEYS`` reads the values that expectations
+check, and ``cli._text_report`` formats the text report.
 """
 
 import ast
