@@ -8,7 +8,8 @@ The files in tests/golden/ are:
   the default box and on a given ``--box``;
 * ``case-sweep`` output of each canonical form, CSV and JSON, for
   ``--count 60 --seed 11`` and the default ``--epsilon``;
-* the chart file hyperbolic_graph_chart.txt itself.
+* the chart file hyperbolic_graph_chart.txt itself;
+* the catalog manifest that ``list`` prints, as text and as JSON.
 
 A refactor of the engine must reproduce them byte for byte.  The directory
 holds no other file.
@@ -27,8 +28,8 @@ the reports of the step-by-step RK4 loop.  CI prints numpy.show_runtime()
 before the tests, to tell such a failure from a change of the code, and
 runs the suite a second time with AVX-512 off under
 ``-k "not report_matches_golden"``: that deselects the analyze-report cases
-(JSON, CSV, text and chart file) and keeps the case-sweep goldens and the
-directory check, which hold under both dispatches.
+(JSON, CSV, text and chart file) and keeps the case-sweep and ``list``
+goldens and the directory check, which hold under both dispatches.
 """
 
 from pathlib import Path
@@ -47,6 +48,7 @@ CASES = ([(name, n, "json") for name in catalog.ENTRIES for n in (5, 11)]
 SWEEP_CASES = [(v.value, fmt) for v in FormVariant for fmt in ("csv", "json")]
 CHART_CASES = [(None, "hyperbolic_graph_5.json"),
                ("-0.3:0.2,-0.1:0.4,-0.25:0.25", "hyperbolic_graph_box_5.json")]
+LIST_CASES = [("text", "list.txt"), ("json", "list.json")]
 
 
 @pytest.mark.parametrize("name,n,fmt", CASES)
@@ -90,11 +92,19 @@ def test_chart_file_report_matches_golden(tmp_path, monkeypatch, box, golden):
     assert _analyze(tmp_path, *argv) == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("fmt,golden", LIST_CASES)
+def test_list_matches_golden(tmp_path, fmt, golden):
+    out = tmp_path / "list"
+    assert main(["list", "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_golden_directory_holds_only_named_files():
     # a golden file that no case above reads pins nothing
     named = ({f"{name}_{n}.{fmt}" for name, n, fmt in CASES}
              | {f"{name}_5.txt" for name in catalog.ENTRIES}
              | {f"case_sweep_{form}.{fmt}" for form, fmt in SWEEP_CASES}
-             | {golden for _, golden in CHART_CASES} | {CHART})
+             | {golden for _, golden in CHART_CASES} | {CHART}
+             | {golden for _, golden in LIST_CASES})
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(named)
-    assert len(named) == 47
+    assert len(named) == 49
