@@ -4,6 +4,8 @@ Each entry packages a chart builder, the box on which sampling is known to
 be nondegenerate, the normal orientation that reproduces the curvature
 signs quoted for it, whether it is integrated from the frame ODE (which
 picks its gate tolerances from soliton.TAU), and a list of expectations.
+The six closed-form charts are text in the chart-file grammar of exprs.py;
+the three others integrate the frame ODE.
 Expectations record claimed values next to their provenance ("claimed" for
 constants quoted in the source literature, "derived" for values established
 by an independent calculation here, "exact" for direct arithmetic facts);
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import frame_ode, jets
+from . import exprs, frame_ode
 from .hypersurface import Immersion
 from .lorentz import mink_inner
 from .soliton import TAU
@@ -87,75 +89,69 @@ def _nonzero(c, what):
 
 
 # -- closed-form charts -------------------------------------------------------
+# Each chart is written in the chart-file grammar of exprs.py and parsed once,
+# at import.  Products read left to right with 1/c first, the order in which
+# the reports' numbers were first computed.
 
-def hyperbolic_space_immersion(c=1.0):
-    """H^3(-c^2): <x, x> = -1/c^2, spacelike with timelike normal."""
-    c = _nonzero(c, "curvature constant c")
-
-    def chart(r, th, ph):
-        k = 1.0 / c
-        sh, ch = jets.sinh(r), jets.cosh(r)
-        sth, cth = jets.sin(th), jets.cos(th)
-        sph, cph = jets.sin(ph), jets.cos(ph)
-        return [k * ch, k * sh * sth * cph, k * sh * sth * sph, k * sh * cth]
-
-    return Immersion(f"hyperbolic_space(c={c:g})", chart)
-
-
-def de_sitter_immersion(c=1.0):
-    """S^3_1(c^2): <x, x> = +1/c^2, Lorentzian with spacelike normal."""
-    c = _nonzero(c, "curvature constant c")
-
-    def chart(t, th, ph):
-        k = 1.0 / c
-        sh, ch = jets.sinh(t), jets.cosh(t)
-        sth, cth = jets.sin(th), jets.cos(th)
-        sph, cph = jets.sin(ph), jets.cos(ph)
-        return [k * sh, k * ch * sth * cph, k * ch * sth * sph, k * ch * cth]
-
-    return Immersion(f"de_sitter(c={c:g})", chart)
-
-
-def hyperbolic_cylinder_immersion(c=1.0):
-    """H^2(-c^2) x E: -x1^2 + x2^2 + x3^2 = -1/c^2, spacelike."""
-    c = _nonzero(c, "curvature constant c")
-
-    def chart(u, v, w):
-        k = 1.0 / c
-        return [k * jets.cosh(u), k * jets.sinh(u) * jets.cos(v),
-                k * jets.sinh(u) * jets.sin(v), w]
-
-    return Immersion(f"hyperbolic_cylinder(c={c:g})", chart)
-
-
-def pseudospherical_cylinder_immersion(c=1.0):
-    """S^2_1(c^2) x E: -x1^2 + x2^2 + x3^2 = +1/c^2, Lorentzian."""
-    c = _nonzero(c, "curvature constant c")
-
-    def chart(u, v, w):
-        k = 1.0 / c
-        return [k * jets.sinh(u), k * jets.cosh(u) * jets.cos(v),
-                k * jets.cosh(u) * jets.sin(v), w]
-
-    return Immersion(f"pseudospherical_cylinder(c={c:g})", chart)
+CHARTS = {
+    "hyperbolic_space": """
+        # H^3(-c^2): <x, x> = -1/c^2, spacelike with timelike normal
+        x1 = 1/c*cosh(u)
+        x2 = 1/c*sinh(u)*sin(v)*cos(w)
+        x3 = 1/c*sinh(u)*sin(v)*sin(w)
+        x4 = 1/c*sinh(u)*cos(v)
+    """,
+    "de_sitter": """
+        # S^3_1(c^2): <x, x> = +1/c^2, Lorentzian with spacelike normal
+        x1 = 1/c*sinh(u)
+        x2 = 1/c*cosh(u)*sin(v)*cos(w)
+        x3 = 1/c*cosh(u)*sin(v)*sin(w)
+        x4 = 1/c*cosh(u)*cos(v)
+    """,
+    "hyperbolic_cylinder": """
+        # H^2(-c^2) x E: -x1^2 + x2^2 + x3^2 = -1/c^2, spacelike
+        x1 = 1/c*cosh(u)
+        x2 = 1/c*sinh(u)*cos(v)
+        x3 = 1/c*sinh(u)*sin(v)
+        x4 = w
+    """,
+    "pseudospherical_cylinder": """
+        # S^2_1(c^2) x E: -x1^2 + x2^2 + x3^2 = +1/c^2, Lorentzian
+        x1 = 1/c*sinh(u)
+        x2 = 1/c*cosh(u)*cos(v)
+        x3 = 1/c*cosh(u)*sin(v)
+        x4 = w
+    """,
+    "graph_lorentzian": """
+        # graph x4 = u^2 + v^2 + w^2 over the Lorentzian coordinate 3-plane
+        x1 = u
+        x2 = v
+        x3 = w
+        x4 = u*u + v*v + w*w
+    """,
+    "graph_spacelike": """
+        # graph x1 = u^2 + v^2 + w^2 + 2 over the spacelike coordinate 3-plane
+        x1 = u*u + v*v + w*w + 2
+        x2 = u
+        x3 = v
+        x4 = w
+    """,
+}
 
 
-def graph_lorentzian_immersion():
-    """Graph x4 = u^2 + v^2 + w^2 over the Lorentzian coordinate 3-plane."""
+def _closed_form(name):
+    """A builder of the chart ``CHARTS[name]``, named after the entry and
+    its parameters; a curvature constant c must be nonzero."""
+    components = exprs.parse_chart_file(CHARTS[name])
 
-    def chart(u, v, w):
-        return [u, v, w, u * u + v * v + w * w]
+    def builder(**params):
+        if "c" in params:
+            params["c"] = _nonzero(params["c"], "curvature constant c")
+        label = ", ".join(f"{k}={v:g}" for k, v in params.items())
+        return Immersion(f"{name}({label})" if label else name,
+                         exprs.chart_from_expressions(components, params))
 
-    return Immersion("graph_lorentzian", chart)
-
-
-def graph_spacelike_immersion():
-    """Graph x1 = u^2 + v^2 + w^2 + 2 over the spacelike coordinate 3-plane."""
-
-    def chart(u, v, w):
-        return [u * u + v * v + w * w + 2.0, u, v, w]
-
-    return Immersion("graph_spacelike", chart)
+    return builder
 
 
 # -- frame-ODE charts ---------------------------------------------------------
@@ -403,7 +399,7 @@ def _negative_expectations(params):
 ENTRIES = {e.name: e for e in (
     CatalogEntry(
         name="hyperbolic_space",
-        builder=hyperbolic_space_immersion,
+        builder=_closed_form("hyperbolic_space"),
         defaults={"c": 1.0},
         safe_box=lambda p: ((0.3, 1.2), (0.4, 2.7), (0.2, 6.0)),
         description="totally umbilical spacelike hyperbolic 3-space",
@@ -412,7 +408,7 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="de_sitter",
-        builder=de_sitter_immersion,
+        builder=_closed_form("de_sitter"),
         defaults={"c": 1.0},
         safe_box=lambda p: ((-0.8, 0.8), (0.4, 2.7), (0.2, 6.0)),
         description="totally umbilical Lorentzian sphere",
@@ -421,7 +417,7 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="hyperbolic_cylinder",
-        builder=hyperbolic_cylinder_immersion,
+        builder=_closed_form("hyperbolic_cylinder"),
         defaults={"c": 1.0},
         safe_box=lambda p: ((0.3, 1.2), (0.2, 6.0), (0.15, 1.1)),
         description="spacelike hyperbolic cylinder (plane factor times line)",
@@ -430,7 +426,7 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="pseudospherical_cylinder",
-        builder=pseudospherical_cylinder_immersion,
+        builder=_closed_form("pseudospherical_cylinder"),
         defaults={"c": 1.0},
         safe_box=lambda p: ((-0.8, 0.8), (0.2, 6.0), (0.15, 1.1)),
         description="Lorentzian spherical cylinder (sphere factor times line)",
@@ -473,7 +469,7 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="graph_lorentzian",
-        builder=graph_lorentzian_immersion,
+        builder=_closed_form("graph_lorentzian"),
         defaults={},
         safe_box=lambda p: ((-0.45, 0.45), (-0.45, 0.45), (-0.45, 0.45)),
         description="negative control: quadratic graph over the Lorentzian "
@@ -483,7 +479,7 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="graph_spacelike",
-        builder=graph_spacelike_immersion,
+        builder=_closed_form("graph_spacelike"),
         defaults={},
         safe_box=lambda p: ((-0.25, 0.25), (-0.25, 0.25), (-0.25, 0.25)),
         description="negative control: offset quadratic graph over the "

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from minksoliton import analysis, canonical, catalog, exprs, lorentz
-from minksoliton.catalog import de_sitter_immersion
 from minksoliton.cli import CHART_BOX
 from minksoliton.hypersurface import (GeometryBatch, grid_points,
                                       ricci_intrinsic_batch)
@@ -105,7 +104,7 @@ def test_each_number_appears_once_in_the_report(name):
 
 def test_de_sitter_general_radius_constant_curvature():
     c = 1.5
-    imm = de_sitter_immersion(c)
+    imm = catalog.get("de_sitter").build(c=c)[0]
     geo = GeometryBatch(imm, np.array([[0.3, 1.0, 0.8]]))
     assert np.allclose(ricci_intrinsic_batch(geo)[0], 2 * c * c * geo.g[0],
                        atol=1e-10)

@@ -8,10 +8,6 @@ from scalar_reference import PSEUDO_ORTHONORMAL_GRAM, identity_table
 
 from minksoliton import catalog, jets
 from minksoliton import hypersurface as hs
-from minksoliton.catalog import (de_sitter_immersion,
-                                 hyperbolic_cylinder_immersion,
-                                 hyperbolic_space_immersion,
-                                 pseudospherical_cylinder_immersion)
 from minksoliton.hypersurface import (DegenerateMetric, EmptyGrid,
                                       GeometryBatch, Immersion, grid_points,
                                       ricci_gauss, ricci_intrinsic_batch,
@@ -44,7 +40,7 @@ def test_plane_sample():
 
 
 def test_de_sitter_sample():
-    imm = de_sitter_immersion(1.0)
+    imm = catalog.get("de_sitter").build(c=1.0)[0]
     geo = at_point(imm, [0.4, 1.2, 0.5])
     assert geo.epsilon == 1.0
     assert np.allclose(geo.A[0], np.eye(3), atol=1e-12)
@@ -54,13 +50,13 @@ def test_de_sitter_sample():
 
 
 def test_hyperbolic_space_weingarten():
-    imm = hyperbolic_space_immersion(2.0)
+    imm = catalog.get("hyperbolic_space").build(c=2.0)[0]
     A = at_point(imm, [0.6, 1.0, 0.7]).A[0]
     assert np.allclose(A, 2.0 * np.eye(3), atol=1e-11)
 
 
 def test_hyperbolic_cylinder_principal_curvatures():
-    imm = hyperbolic_cylinder_immersion(1.0)
+    imm = catalog.get("hyperbolic_cylinder").build(c=1.0)[0]
     geo = at_point(imm, [0.8, 0.5, 0.2])
     eigs = np.sort(np.linalg.eigvals(geo.A[0]).real)
     assert np.allclose(eigs, [0.0, 1.0, 1.0], atol=1e-10)
@@ -88,7 +84,7 @@ def test_ricci_gauss_orthonormal_components():
 
 
 def test_de_sitter_constant_curvature_ricci():
-    imm = de_sitter_immersion(1.0)
+    imm = catalog.get("de_sitter").build(c=1.0)[0]
     p = [0.2, 1.3, 0.8]
     geo = at_point(imm, p)
     ric_int = ricci_intrinsic_batch(geo)[0]
@@ -102,7 +98,7 @@ def test_de_sitter_constant_curvature_ricci():
 
 def test_hyperbolic_space_ricci_sign():
     # spacelike case: corrected = intrinsic = -2c^2 g, verbatim differs by -1
-    imm = hyperbolic_space_immersion(1.0)
+    imm = catalog.get("hyperbolic_space").build(c=1.0)[0]
     geo = at_point(imm, [0.5, 1.1, 0.9])
     ric_int = ricci_intrinsic_batch(geo)[0]
     ric_ext = (geo.epsilon * ricci_gauss(geo.A, geo.g))[0]
@@ -115,7 +111,7 @@ def test_hyperbolic_space_ricci_sign():
 def test_product_metric_ricci_blocks():
     # H^2(-c^2) x E: Ric = -c^2 g on the plane block, 0 along the line
     for c in (1.0, 2.0):
-        imm = hyperbolic_cylinder_immersion(c)
+        imm = catalog.get("hyperbolic_cylinder").build(c=c)[0]
         p = [0.7, 0.6, 0.4]
         geo = at_point(imm, p)
         ric = ricci_intrinsic_batch(geo)[0]
@@ -155,7 +151,7 @@ def test_null_normal_raises():
 
 
 def test_codazzi_universal_and_perturbation():
-    imm = de_sitter_immersion(1.0)
+    imm = catalog.get("de_sitter").build(c=1.0)[0]
     grid = grid_points(((-0.5, 0.5), (0.6, 2.2), (0.3, 5.0)), (3, 3, 3))
     geo = GeometryBatch(imm, grid)
     assert np.max(identity_table(geo)["codazzi_residual"]) < 1e-12
@@ -243,7 +239,7 @@ def _cylinder_adapted_frame():
 def test_connection_forms_cylinder_adapted_frame():
     # adapted orthonormal frame on the hyperbolic cylinder: principal frame
     # with curvatures (c, c, 0); the line direction is parallel
-    imm = hyperbolic_cylinder_immersion(1.0)
+    imm = catalog.get("hyperbolic_cylinder").build(c=1.0)[0]
     frame_field = _cylinder_adapted_frame()
     for p in ([0.7, 0.5, 0.3], [1.0, 1.2, -0.4]):
         omega = connection_forms(imm, p, frame_field, "orthonormal")
@@ -260,7 +256,7 @@ def test_codazzi_component_identity_on_cylinder():
     omega_ij(e_j) (a_i - a_j) = 0 and the mixed relation
     omega_ij(e_k)(a_i - a_j) = omega_ik(e_j)(a_i - a_k) must hold.
     """
-    imm = hyperbolic_cylinder_immersion(1.0)
+    imm = catalog.get("hyperbolic_cylinder").build(c=1.0)[0]
     frame_field = _cylinder_adapted_frame()
     a = np.array([1.0, 1.0, 0.0])
     gsign = np.array([1.0, 1.0, 1.0])  # all-plus Gram for eps = -1
@@ -312,7 +308,7 @@ def verdicts(imm, grid):
 
 
 def test_classify_structure_hyperbolic_space():
-    imm = hyperbolic_space_immersion(1.0)
+    imm = catalog.get("hyperbolic_space").build(c=1.0)[0]
     grid = grid_points(((0.3, 1.2), (0.4, 2.7), (0.2, 6.0)), (3, 3, 3))
     v = verdicts(imm, grid)
     assert v["totally_umbilical"] and v["isoparametric"]
@@ -321,7 +317,7 @@ def test_classify_structure_hyperbolic_space():
 
 
 def test_classify_structure_cylinders():
-    imm = pseudospherical_cylinder_immersion(1.0)
+    imm = catalog.get("pseudospherical_cylinder").build(c=1.0)[0]
     grid = grid_points(((-0.8, 0.8), (0.2, 6.0), (0.15, 1.1)), (3, 3, 3))
     v = verdicts(imm, grid)
     assert not v["totally_umbilical"]
@@ -331,8 +327,7 @@ def test_classify_structure_cylinders():
 
 
 def test_classify_structure_graph_is_nothing():
-    from minksoliton.catalog import graph_lorentzian_immersion
-    imm = graph_lorentzian_immersion()
+    imm = catalog.get("graph_lorentzian").build()[0]
     grid = grid_points(((-0.4, 0.45), (-0.38, 0.42), (-0.45, 0.4)), (3, 3, 3))
     v = verdicts(imm, grid)
     assert not v["totally_umbilical"]
@@ -341,13 +336,13 @@ def test_classify_structure_graph_is_nothing():
 
 
 def test_empty_grid_raises():
-    imm = de_sitter_immersion(1.0)
+    imm = catalog.get("de_sitter").build(c=1.0)[0]
     with pytest.raises(EmptyGrid):
         GeometryBatch(imm, np.zeros((0, 3)))
 
 
 def test_identity_suite_batches():
-    imm = pseudospherical_cylinder_immersion(2.0)
+    imm = catalog.get("pseudospherical_cylinder").build(c=2.0)[0]
     grid = grid_points(((-0.8, 0.8), (0.2, 6.0), (0.15, 1.1)), (4, 4, 4))
     geo = GeometryBatch(imm, grid)
     assert max(np.max(row) for row in identity_table(geo).values()) < 1e-9
@@ -389,7 +384,7 @@ def test_grid_points_validation():
 
 
 def test_mean_curvature_is_exactly_trace_over_three():
-    imm = hyperbolic_cylinder_immersion(1.3)
+    imm = catalog.get("hyperbolic_cylinder").build(c=1.3)[0]
     geo = at_point(imm, [0.7, 0.6, 0.4])
     A = geo.A[0]
     assert geo.H[0] == (A[0, 0] + A[1, 1] + A[2, 2]) / 3.0
