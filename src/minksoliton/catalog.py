@@ -67,6 +67,8 @@ class CatalogEntry:
         if unknown:
             raise KeyError(f"unknown parameters for {self.name}: {sorted(unknown)}")
         params.update(overrides)
+        if "b_const" in overrides and params["b_kind"] != "constant":
+            raise ValueError("b_const is read only with b_kind=constant")
         imm = self.builder(**params)
         return imm.with_orientation(self.orientation_sign), params
 

@@ -221,8 +221,8 @@ def cmd_analyze(args):
                 args.entry, params, grid_counts,
                 orientation_override=(float(args.orientation)
                                       if args.orientation else None))
-        except (KeyError, ValueError) as err:
-            raise UsageError(str(err))
+        except (KeyError, ValueError) as err:  # str() quotes a KeyError
+            raise UsageError(*err.args)
 
     if args.format == "json":
         text = dump_json(report)

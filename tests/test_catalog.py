@@ -16,14 +16,50 @@ from minksoliton.soliton import TAU
 
 
 def test_every_entry_satisfies_its_constraint():
+    # the goldens all run at c = 1, where a chart reading c for 1/c passes
     for name, entry in catalog.ENTRIES.items():
         if entry.constraint is None:
             continue
-        imm, params = entry.build()
-        grid = grid_points(entry.safe_box(params), (4, 4, 4))
-        geo = GeometryBatch(imm, grid)
-        res = entry.constraint(geo.x, params)
-        assert np.max(res) < 1e-12, name
+        variants = [{}] + [{"c": c} for c in (0.5, 2.0, 3.7)
+                           if "c" in entry.defaults]
+        for overrides in variants:
+            imm, params = entry.build(**overrides)
+            grid = grid_points(entry.safe_box(params), (4, 4, 4))
+            geo = GeometryBatch(imm, grid)
+            res = entry.constraint(geo.x, params)
+            assert np.max(res) < 1e-12, (name, overrides)
+
+
+@pytest.mark.parametrize("name", list(catalog.CHARTS))
+def test_chart_text_reads_exactly_the_entry_parameters(name):
+    # a parameter the text does not read would be accepted and ignored
+    components = exprs.parse_chart_file(catalog.CHARTS[name])
+    names = set().union(*(e.names() for e in components))
+    assert names - set(exprs.VARIABLES) == set(catalog.get(name).defaults)
+
+
+@pytest.mark.parametrize("name", list(catalog.CHARTS))
+def test_chart_text_as_a_file_gives_the_catalog_report(name, tmp_path):
+    entry = catalog.get(name)
+    chart = tmp_path / f"{name}.txt"
+    chart.write_text(catalog.CHARTS[name])
+    box = ",".join(f"{lo!r}:{hi!r}" for lo, hi in entry.safe_box(entry.defaults))
+    params = [arg for k, v in entry.defaults.items()
+              for arg in ("--param", f"{k}={v!r}")]
+
+    def report(*argv):
+        out = tmp_path / "report.json"
+        assert main(["analyze", *argv, "--format", "json",
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    from_file = report("--entry", str(chart), f"--box={box}", *params)
+    from_entry = report("--entry", name)
+    assert from_file["soliton"] == from_entry["soliton"]
+    shared = from_file["identities"].keys() & from_entry["identities"].keys()
+    assert len(shared) > 1
+    for key in shared:
+        assert from_file["identities"][key] == from_entry["identities"][key], key
 
 
 def test_every_entry_passes_identity_suite():

@@ -187,6 +187,27 @@ def test_cli_rejects_b_const_for_varying_b(capsys):
     assert "unknown parameters" in err and "b_const" in err, err
 
 
+@pytest.mark.parametrize("name", ["generalized_umbilical",
+                                  "generalized_cylinder_I"])
+def test_cli_rejects_b_const_that_the_b_kind_ignores(name, capsys):
+    # B(s) = 2 + sin s reads no constant; b_const=-3 gave the b_const=1 report
+    assert main(["analyze", "--entry", name, "--param", "b_kind=offset_sin",
+                 "--param", "b_const=-3"]) == 1
+    err = capsys.readouterr().err
+    assert "b_const" in err and "Error" not in err, err
+    with pytest.raises(ValueError, match="b_const"):
+        catalog.get(name).build(b_kind="offset_sin", b_const=1.0)
+    catalog.get(name).build(b_kind="offset_sin")
+    catalog.get(name).build(b_const=2.0)
+
+
+def test_cli_unknown_parameter_message_is_bare(capsys):
+    # str() of a KeyError would quote the message
+    assert main(["analyze", "--entry", "de_sitter", "--param", "radius=2"]) == 1
+    assert capsys.readouterr().err == \
+        "error: unknown parameters for de_sitter: ['radius']\n"
+
+
 @pytest.mark.parametrize("name", list(catalog.ENTRIES))
 def test_text_report_prints_each_number_once(name):
     report = analysis.analyze_entry(name)
