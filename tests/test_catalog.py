@@ -1,5 +1,6 @@
 """Catalog entries: defining constraints, identity suites, manifest shape,
-and the tolerance table every gate reads."""
+the tolerance table every gate reads, and the chart text of the closed-form
+entries."""
 
 import json
 from pathlib import Path
