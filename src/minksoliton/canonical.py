@@ -18,7 +18,7 @@ touching any geometry:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -144,6 +144,12 @@ class SweepSummary:
     lam: np.ndarray
     rho: np.ndarray
     lam_affine: np.ndarray
+
+    def rows(self, start, stop):
+        """Draws ``start:stop`` as a summary of their own."""
+        return replace(self, **{
+            f.name: getattr(self, f.name)[start:stop] for f in fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)})
 
     @property
     def solvable_count(self):

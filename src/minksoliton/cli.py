@@ -14,6 +14,7 @@ universal identity checks fail.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -111,13 +112,17 @@ def _parse_box(text):
     return tuple(box)
 
 
-def _write_output(text, out_path):
-    if not out_path or out_path == "-":
-        sys.stdout.write(text)
-        return
+@contextlib.contextmanager
+def _output(out_path):
+    """Standard output for ``-`` or no path, else ``out_path`` opened for
+    writing.  An ``OSError`` from the open or from a write is a usage
+    error; what was written before it stays written."""
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not out_path or out_path == "-":
+            yield sys.stdout
+        else:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                yield fh
     except OSError as err:
         raise UsageError(f"cannot write report to {out_path!r}: {err}")
 
@@ -238,13 +243,15 @@ def cmd_analyze(args):
                              for x in row])
         text = buf.getvalue()
 
-    _write_output(text, args.out)
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0 if report["identities"]["pass"] else 2
 
 
 # -- case-sweep ----------------------------------------------------------------
 
 _PARAM_KEYS = ("a1", "a2", "a3", "b1")
+_SWEEP_ROWS = 2048  # draws encoded and written at a time
 
 
 def _csv_cell(value):
@@ -332,10 +339,10 @@ def cmd_case_sweep(args):
     header = [k for k in _PARAM_KEYS if k in summaries[0].names] + [
         "epsilon", "kind", "solvable", "branch", "lambda", "rho", "witness"]
     if args.format == "json":
+        numbers, text, sep = _json_numbers, json.dumps, ",\n"
         row = ("    {\n" + ",\n".join(f"      {json.dumps(k)}: %s"
                                       for k in header) + "\n    }")
-        rows = [row % cells for s in summaries for cells in
-                zip(*_sweep_columns(s, _json_numbers, json.dumps))]
+        encode = row.__mod__
         head = {
             "form": args.form,
             "count": args.count,
@@ -344,17 +351,25 @@ def cmd_case_sweep(args):
             "solvable": sum(s.solvable_count for s in summaries),
             "infeasible": sum(s.infeasible_count for s in summaries),
         }
-        # the layout of dump_json(dict(head, rows=...)), rows encoded above
-        text = ("{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"
-                                for k, v in head.items())
-                + '  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
+        # the layout of dump_json(dict(head, rows=...)), rows encoded below
+        opening = ("{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"
+                                   for k, v in head.items()) + '  "rows": [\n')
+        closing = "\n  ]\n}\n"
     else:
-        lines = [",".join(map(_csv_cell, header))]
+        numbers, text, sep = _csv_numbers, _csv_cell, "\n"
+        encode = ",".join
+        opening = ",".join(map(_csv_cell, header)) + "\n"
+        closing = "\n"
+    with _output(args.out) as fh:
+        fh.write(opening)
+        lead = ""
         for s in summaries:
-            lines += map(",".join, zip(*_sweep_columns(s, _csv_numbers,
-                                                       _csv_cell)))
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+            for start in range(0, len(s.solvable), _SWEEP_ROWS):
+                cols = _sweep_columns(s.rows(start, start + _SWEEP_ROWS),
+                                      numbers, text)
+                fh.write(lead + sep.join(map(encode, zip(*cols))))
+                lead = sep
+        fh.write(closing)
     if mis:
         sys.stderr.write(f"warning: {mis} draws disagree with the expected "
                          "branch structure\n")
@@ -364,18 +379,20 @@ def cmd_case_sweep(args):
 def cmd_list(args):
     entries = catalog.manifest()
     if args.format == "json":
-        _write_output(dump_json(entries), args.out)
-        return 0
-    lines = []
-    for e in entries:
-        pstr = ", ".join(f"{k}={v}" for k, v in e["parameters"].items())
-        lines.append(f"{e['name']:28s} [{pstr or 'no parameters'}] "
-                     f"{e['description']}")
-        for exp in e["expectations"]:
-            lines.append(f"    {exp['source']:>8s}  {exp['key']} = "
-                         f"{exp['claimed']}"
-                         + (f"   ({exp['note']})" if exp["note"] else ""))
-    _write_output("\n".join(lines) + "\n", args.out)
+        text = dump_json(entries)
+    else:
+        lines = []
+        for e in entries:
+            pstr = ", ".join(f"{k}={v}" for k, v in e["parameters"].items())
+            lines.append(f"{e['name']:28s} [{pstr or 'no parameters'}] "
+                         f"{e['description']}")
+            for exp in e["expectations"]:
+                lines.append(f"    {exp['source']:>8s}  {exp['key']} = "
+                             f"{exp['claimed']}"
+                             + (f"   ({exp['note']})" if exp["note"] else ""))
+        text = "\n".join(lines) + "\n"
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 

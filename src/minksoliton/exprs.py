@@ -60,6 +60,14 @@ def _tokenize(text):
     return tokens
 
 
+def _check_nonzero(node, value, what):
+    """Raise ``DomainError`` if ``value``, the plain number or array that
+    ``node`` evaluated to, holds a zero; the message names a parameter."""
+    if not isinstance(value, jets.Jet) and np.any(np.equal(value, 0.0)):
+        zero = f"{node.payload!r} = 0" if node.kind == "var" else "zero"
+        raise jets.DomainError(f"{what} {zero}")
+
+
 class Expr:
     """AST node; ``eval`` dispatches on jets versus plain numerics."""
 
@@ -91,10 +99,13 @@ class Expr:
         if k == "*":
             return a * b
         if k == "/":
+            _check_nonzero(self.children[1], b, "division by")
             return a / b
         if k == "^":
             if isinstance(b, jets.Jet):
                 raise ParseError("exponent must be a constant")
+            if b < 0:
+                _check_nonzero(self.children[0], a, "negative power of")
             if float(b).is_integer():
                 return a ** int(b)
             return a ** float(b)

@@ -9,13 +9,16 @@ contracts, and the ``case-sweep`` CLI must print the bytes that
 
 import csv
 import io
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scalar_reference import build_case_system, solve_case
 
+from minksoliton import cli
 from minksoliton.canonical import BRANCHES, KINDS, SOLVABLE_BY_KIND, sweep
 from minksoliton.cli import _json_numbers, dump_json, main, round_floats
 from minksoliton.lorentz import FormVariant
@@ -178,3 +181,40 @@ def test_json_numbers_match_dump_json():
     # one value at a time, and all at once with values that need the repr
     assert [_json_numbers(np.array([v]))[0] for v in values] == expected
     assert _json_numbers(np.array(values)) == expected
+
+
+def test_json_numbers_do_not_depend_on_the_split():
+    # case-sweep encodes its rows in chunks, and each call picks the fast or
+    # the fallback encoding for its own values; they must give the same text
+    values = np.array([1e300, 5e-324, 1e11, -0.0, 2.0, 1e-5, 0.5, -3.0,
+                       1 / 3, 123456.0])
+    whole = _json_numbers(values)
+    for k in range(len(values)):
+        for cuts in itertools.combinations(range(1, len(values)), k):
+            bounds = (0, *cuts, len(values))
+            parts = [_json_numbers(values[a:b])
+                     for a, b in zip(bounds, bounds[1:])]
+            assert sum(parts, []) == whole, cuts
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_case_sweep_memory_does_not_grow_with_the_output(fmt, tmp_path,
+                                                         monkeypatch):
+    # rows are encoded and written a chunk at a time, so the peak grows only
+    # by the sweep's own columns (about 60 B a draw here); encoding the
+    # whole text before writing it cost 350 B a row in CSV and 802 in JSON
+    monkeypatch.setattr(cli, "_SWEEP_ROWS", 256)
+
+    def peak(count):
+        argv = ["case-sweep", "--form", "jordan3", "--count", str(count),
+                "--format", fmt, "--out", str(tmp_path / "sweep")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # builds the parser and first-call caches
+    per_row = (peak(8000) - peak(2000)) / 6000
+    assert per_row < 200, per_row

@@ -48,6 +48,17 @@ def test_parse_errors():
                 exprs.parse(bad).eval({"u": 1.0, "v": 1.0})
 
 
+def test_division_by_zero_is_a_domain_error():
+    for text, env, message in (
+            ("1/c", {"c": 0.0}, "division by 'c' = 0"),
+            ("u/(c - c)", {"c": 2.0, "u": 1.0}, "division by zero"),
+            ("c^-2", {"c": 0.0}, "negative power of 'c' = 0"),
+            ("1/u", {"u": np.array([1.0, 0.0])}, "division by 'u' = 0")):
+        with pytest.raises(jets.DomainError, match=re.escape(message)):
+            exprs.parse(text).eval(env)
+    assert _num_eval("c^2 + c^0", c=0.0) == 1.0
+
+
 def test_jet_and_numeric_paths_agree():
     text = "sinh(u)*cos(v) + sqrt(w*w + 1.5) / (2 + u^2)"
     e = exprs.parse(text)
@@ -287,10 +298,11 @@ def test_cli_installed_entry_point():
     # ``pythonpath`` setting (not the environment) put it on sys.path.
     path = [str(Path(minksoliton.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, "-m", "minksoliton.cli", "list"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert "de_sitter" in proc.stdout
+    for module in ("minksoliton.cli", "minksoliton"):
+        proc = subprocess.run([sys.executable, "-m", module, "list"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, module
+        assert "de_sitter" in proc.stdout
 
 
 def test_cli_exit_two_on_identity_failure(monkeypatch, capsys):
@@ -308,10 +320,38 @@ def test_cli_exit_two_on_identity_failure(monkeypatch, capsys):
 
 
 def test_cli_write_failure_is_usage_error(tmp_path, capsys):
-    code = main(["analyze", "--entry", "de_sitter", "--grid", "3,3,3",
-                 "--out", str(tmp_path / "missing_dir" / "x.json")])
-    capsys.readouterr()
+    out = str(tmp_path / "missing_dir" / "x.json")
+    for argv in (["analyze", "--entry", "de_sitter", "--grid", "3,3,3"],
+                 ["case-sweep", "--form", "jordan2", "--count", "20"],
+                 ["case-sweep", "--form", "jordan2", "--count", "20",
+                  "--format", "json"]):
+        code = main(argv + ["--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot write report to "), err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["case-sweep", "--form", "diagonalizable", "--count", "30"],
+    ["case-sweep", "--form", "jordan3", "--count", "30", "--format", "json"],
+    ["list", "--format", "json"],
+])
+def test_cli_out_dash_writes_what_out_file_writes(argv, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+def test_cli_division_by_a_zero_parameter_names_it(tmp_path, capsys):
+    chart = tmp_path / "de_sitter.txt"
+    chart.write_text(catalog.CHARTS["de_sitter"])
+    code = main(["analyze", "--entry", str(chart), "--grid", "3,3,3",
+                 "--param", "c=0"])
+    err = capsys.readouterr().err
     assert code == 1
+    assert "'c' = 0" in err and "ZeroDivisionError" not in err, err
 
 
 def test_cli_param_passthrough(capsys):

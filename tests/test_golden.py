@@ -7,7 +7,8 @@ The files in tests/golden/ are:
 * CLI JSON reports at 5^3 of the chart file hyperbolic_graph_chart.txt, on
   the default box and on a given ``--box``;
 * ``case-sweep`` output of each canonical form, CSV and JSON, for
-  ``--count 60 --seed 11`` and the default ``--epsilon``;
+  ``--count 60 --seed 11`` and the default ``--epsilon``, at several
+  sizes of the chunks its rows are written in;
 * the chart file hyperbolic_graph_chart.txt itself;
 * the catalog manifest that ``list`` prints, as text and as JSON.
 
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from minksoliton import catalog
+from minksoliton import catalog, cli
 from minksoliton.cli import main
 from minksoliton.lorentz import FormVariant
 
@@ -61,13 +62,18 @@ def test_report_matches_golden(tmp_path, name, n, fmt):
 
 
 @pytest.mark.parametrize("form,fmt", SWEEP_CASES)
-def test_case_sweep_matches_golden(tmp_path, form, fmt):
+def test_case_sweep_matches_golden(tmp_path, monkeypatch, form, fmt):
+    # rows are written cli._SWEEP_ROWS draws at a time; for the 60 draws of
+    # a sweep these sizes put chunk boundaries inside it, at its end, and
+    # for diagonalizable at the switch from epsilon +1 to epsilon -1
     out = tmp_path / f"sweep.{fmt}"
-    code = main(["case-sweep", "--form", form, "--count", "60", "--seed", "11",
-                 "--format", fmt, "--out", str(out)])
-    assert code == 0
-    assert out.read_bytes() == \
-        (GOLDEN / f"case_sweep_{form}.{fmt}").read_bytes()
+    golden = (GOLDEN / f"case_sweep_{form}.{fmt}").read_bytes()
+    for rows in (cli._SWEEP_ROWS, 1, 7, 60, 61):
+        monkeypatch.setattr(cli, "_SWEEP_ROWS", rows)
+        code = main(["case-sweep", "--form", form, "--count", "60",
+                     "--seed", "11", "--format", fmt, "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == golden, rows
 
 
 def _analyze(tmp_path, *argv):
