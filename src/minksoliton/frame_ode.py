@@ -61,21 +61,19 @@ class WindowExceeded(ValueError):
 class BFunction:
     """Scalar coefficient B(s) with the derivatives the jet lift needs.
 
-    The callables take floats or arrays.  ``params`` holds the exact
-    parameters of a named family (``label`` rounds them) for the table cache.
+    The callables take floats or arrays.
     """
 
     value: Callable[[float], float]
     d1: Callable[[float], float]
     d2: Callable[[float], float]
     label: str = "B"
-    params: tuple | None = None
 
     @classmethod
     def constant(cls, c):
         c = float(c)
         return cls(lambda s: c + 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s,
-                   label=f"{c:g}", params=("constant", c))
+                   label=f"{c:g}")
 
     @classmethod
     def offset_sin(cls, offset=2.0, amplitude=1.0):
@@ -83,7 +81,7 @@ class BFunction:
         return cls(lambda s: o + amp * np.sin(s),
                    lambda s: amp * np.cos(s),
                    lambda s: -amp * np.sin(s),
-                   label=f"{o:g}+{amp:g}*sin(s)", params=("offset_sin", o, amp))
+                   label=f"{o:g}+{amp:g}*sin(s)")
 
 
 @dataclass
@@ -110,7 +108,8 @@ class FrameODESpec:
         """The ruled constructions need B bounded away from zero."""
         lo, hi = self.window
         vals = np.asarray(self.b.value(np.linspace(lo, hi, 101)))
-        if not (np.min(np.abs(vals)) >= 1e-9 and vals.max() * vals.min() > 0.0):
+        if not (np.min(np.abs(vals)) >= 1e-9
+                and (vals.min() > 0.0 or vals.max() < 0.0)):
             raise ValueError("B(s) must be bounded away from zero on the window")
 
     def coefficient_matrix(self, s, order=0):
@@ -202,10 +201,12 @@ class FrameTable:
         n_bwd = int(round(-lo / step)) if lo < 0 else 0
         self.s_grid = np.arange(-n_bwd, n_fwd + 1) * step
         # one chain at a time, each leaving s = 0: stacking them would hold
-        # both chains' step maps at once
-        self.states = np.concatenate([_rk4(spec, n_bwd, -step)[:0:-1],
-                                      _rk4(spec, n_fwd, step)])
-        self.max_drift = _checked_drift(self.states, spec.tau_frame)
+        # both chains' step maps at once; a non-finite state fails the drift
+        # gate, so it needs no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.states = np.concatenate([_rk4(spec, n_bwd, -step)[:0:-1],
+                                          _rk4(spec, n_fwd, step)])
+            self.max_drift = _checked_drift(self.states, spec.tau_frame)
 
     def values_at(self, s):
         """Frame states at parameters s (batched) via local quintic Lagrange."""
@@ -264,26 +265,6 @@ class FrameTable:
         return jets.Jet(c)
 
 
-_TABLE_CACHE = {}
-# Tables kept, oldest evicted first; a default table is about 0.3 MiB, and
-# the catalog's default parameters need three.
-_TABLE_CACHE_SIZE = 32
-
-
-def _table_for(spec):
-    # exact B parameters (the label rounds them); a table holds for its tau
-    b = spec.b if spec.b.params is None else spec.b.params
-    key = (spec.a, b, tuple(spec.alpha0), spec.window, spec.step,
-           spec.tau_frame)
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        tab = FrameTable(spec)
-        if len(_TABLE_CACHE) >= _TABLE_CACHE_SIZE:
-            del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
-        _TABLE_CACHE[key] = tab
-    return tab
-
-
 def build_generalized_umbilical(spec):
     """Ruled hypersurface x = alpha + u Y + v W + (sqrt(1/a^2 - v^2) + 1/a) Z.
 
@@ -297,7 +278,7 @@ def build_generalized_umbilical(spec):
     if spec.a == 0.0:
         raise ValueError("generalized umbilical hypersurface needs a != 0")
     spec.require_b_nonzero()
-    table = _table_for(spec)
+    table = FrameTable(spec)
     a = spec.a
 
     def chart(js, ju, jv):
@@ -316,7 +297,7 @@ def build_generalized_cylinder_I(spec):
     if spec.a != 0.0:
         raise ValueError("type-I generalized cylinder needs a = 0")
     spec.require_b_nonzero()
-    table = _table_for(spec)
+    table = FrameTable(spec)
 
     def chart(js, ju, jv):
         frame = table.component_jets(js.value)

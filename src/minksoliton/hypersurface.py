@@ -173,15 +173,17 @@ class GeometryBatch:
         self.points = np.ascontiguousarray(pts)
         n = len(pts)
         normals = np.empty((n, 5))  # raw normal and its square, per point
-        try:
-            for lo in range(0, n, _BLOCK):
-                self._block(imm, slice(lo, lo + _BLOCK), normals)
-        except Exception:
-            if n <= _BLOCK:
-                raise
-            # The first error over the whole batch may come from an earlier
-            # step in a later block: raise what one block raises.
-            self._block(imm, slice(0, n), normals)
+        # non-finite values need no warning: every gate fails closed on them
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for lo in range(0, n, _BLOCK):
+                    self._block(imm, slice(lo, lo + _BLOCK), normals)
+            except Exception:
+                if n <= _BLOCK:
+                    raise
+                # The first error over the whole batch may come from an
+                # earlier step in a later block: raise what one block raises.
+                self._block(imm, slice(0, n), normals)
         # each block passed the gates on its own scales; so must the batch
         _check_metric(imm.name, self.g, self.det)
         self.epsilon = _check_normal(imm.name, normals[:, :4], normals[:, 4])

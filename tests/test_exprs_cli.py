@@ -404,6 +404,19 @@ def test_cli_rejects_non_finite_param(bad, capsys):
     assert "must be finite" in err and bad in err
 
 
+@pytest.mark.parametrize("name, param, error", [
+    ("generalized_cylinder_I", "b_const=1e300", "StepTooLarge"),
+    ("generalized_cylinder_I", "b_const=-1e300", "StepTooLarge"),
+    ("generalized_umbilical", "a=1e6", "StepTooLarge"),
+    ("de_sitter", "c=1e-300", "DegenerateMetric")])
+def test_cli_extreme_param_fails_its_gate_without_warnings(name, param, error,
+                                                          capsys):
+    # the overflow reaches a gate that fails closed; numpy adds nothing
+    assert main(["analyze", "--entry", name, "--param", param]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), lines
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_cli_rejects_non_finite_box(tmp_path, bad, capsys):
     f = tmp_path / "graph.txt"

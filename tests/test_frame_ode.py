@@ -112,6 +112,11 @@ def test_step_too_large_raises():
         fo.FrameTable(dataclasses.replace(spec, step=0.25))
     with pytest.raises(fo.StepTooLarge):  # a NaN drift fails closed
         fo.FrameTable(dataclasses.replace(spec, b=fo.BFunction.constant(np.nan)))
+    # a build holds its table to its own tolerance
+    loose = dataclasses.replace(spec, step=0.25, tau_frame=1.0)
+    fo.build_generalized_umbilical(loose)
+    with pytest.raises(fo.StepTooLarge):
+        fo.build_generalized_umbilical(dataclasses.replace(loose, tau_frame=1e-9))
 
 
 def test_window_exceeded_raises():
@@ -166,7 +171,6 @@ def test_autonomous_scan_matches_scan_over_all_maps(monkeypatch, n, h, a, c):
     ("generalized_umbilical_varB", [1000, 1000])])
 def test_catalog_defaults_form_one_step_map_for_constant_b(monkeypatch, name,
                                                            maps):
-    monkeypatch.setattr(fo, "_TABLE_CACHE", {})
     calls = spy_step_maps(monkeypatch)
     catalog.get(name).build()
     assert calls == maps
@@ -371,7 +375,6 @@ def test_frame_entry_reports_track_scalar_loop(tmp_path, monkeypatch, name,
     # the table agrees with the scalar loop to round-off, so the reports
     # built on it (and pinned by the goldens) must agree to round-off too
     def report():
-        monkeypatch.setattr(fo, "_TABLE_CACHE", {})
         out = tmp_path / f"report.{fmt}"
         assert main(["analyze", "--entry", name, "--grid", "5,5,5",
                      "--format", fmt, "--out", str(out)]) == 0
@@ -387,48 +390,16 @@ def test_frame_entry_reports_track_scalar_loop(tmp_path, monkeypatch, name,
     assert_close(report(), shipped)
 
 
-def test_table_cache_keys_on_exact_b_and_tolerance(monkeypatch):
-    monkeypatch.setattr(fo, "_TABLE_CACHE", {})
-    # labels round B to 6 digits; the tables must still differ
-    specs = [spec_umbilical(b=fo.BFunction.constant(c))
-             for c in (1.0000001, 1.0000004)]
-    assert specs[0].b.label == specs[1].b.label
-    tables = [fo._table_for(spec) for spec in specs]
-    assert tables[0] is not tables[1]
-    for spec, table in zip(specs, tables):
-        assert table.states.tobytes() == fo.FrameTable(spec).states.tobytes()
-    assert fo._table_for(spec_umbilical(b=fo.BFunction.constant(1.0000001))) \
-        is tables[0]
-    # a table cached under a loose tolerance does not pass a tight one
-    loose = fo.FrameODESpec(a=2.0, b=fo.BFunction.constant(3.0), step=0.25,
-                            tau_frame=1.0)
-    fo.build_generalized_umbilical(loose)
-    with pytest.raises(fo.StepTooLarge):
-        fo.build_generalized_umbilical(dataclasses.replace(loose, tau_frame=1e-9))
-
-
-def test_table_cache_is_bounded_and_still_hits(monkeypatch):
-    monkeypatch.setattr(fo, "_TABLE_CACHE", {})
-    for k in range(100):
-        catalog.generalized_umbilical_immersion(b_const=1.0 + 0.01 * k)
-        assert len(fo._TABLE_CACHE) <= fo._TABLE_CACHE_SIZE
-    assert len(fo._TABLE_CACHE) == fo._TABLE_CACHE_SIZE
-    # the newest tables survive; every default table still hits once built
-    builds = []
-    init = fo.FrameTable.__init__
-    monkeypatch.setattr(fo.FrameTable, "__init__",
-                        lambda self, spec: builds.append(spec) or init(self, spec))
-    catalog.generalized_umbilical_immersion(b_const=1.0 + 0.01 * 99)
-    assert builds == []
-    frame_entries = ("generalized_umbilical", "generalized_umbilical_varB",
-                     "generalized_cylinder_I")
-    for name in frame_entries:
-        catalog.get(name).build()
-    assert len(builds) == len(frame_entries)
-    for name in frame_entries:
-        catalog.get(name).build()
-    assert len(builds) == len(frame_entries)
-    assert len(fo._TABLE_CACHE) <= fo._TABLE_CACHE_SIZE
+def test_frame_builds_hold_no_tables():
+    catalog.generalized_umbilical_immersion()
+    tracemalloc.start()
+    try:
+        for k in range(40):
+            catalog.generalized_umbilical_immersion(b_const=1.0 + 0.01 * k)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
 
 
 def test_table_interpolation_matches_direct_integration():
