@@ -10,7 +10,7 @@ import numpy as np
 
 from . import canonical, catalog
 from .hypersurface import (GeometryBatch, grid_points, ricci_gauss,
-                           ricci_intrinsic_batch, structure_verdicts)
+                           structure_verdicts)
 from .lorentz import N_PARAMETERS, VARIANTS, classify_batch
 from .soliton import (RICCI_MODES, TAU, Verdict, fit_lambda_pointwise,
                       identity_residuals, lie_closed_form_batch)
@@ -63,7 +63,7 @@ def _analyze(imm, box, grid_counts, params, is_ode):
     # the two modes differ by the factor epsilon = +-1, which is exact
     paper = ricci_gauss(geo.A, geo.g)
     ric = {"corrected": geo.epsilon * paper, "paper_form": paper}
-    ric["intrinsic"] = ric_int = ricci_intrinsic_batch(geo)
+    ric["intrinsic"] = ric_int = geo.ric_intrinsic
 
     lie = lie_closed_form_batch(geo)
     table = identity_residuals(geo, ric["corrected"] - ric_int, lie)

@@ -147,23 +147,26 @@ class GeometryBatch:
     = g(A., .), the mean curvature ``H``, the Christoffel symbols ``Gamma``
     (Gamma[:, k, i, j] = Gamma^k_ij), the support function ``rho``, the
     tangential position field ``xT`` and the potential ``f`` = <x, x>/2.
-    First chart partials carry the derivative index on axis 1: ``dg``,
-    ``dN``, ``dA``, ``dGamma``, ``drho``, ``dxT`` and ``df`` (so
-    dg[:, m, i, j] = d_m g_ij).  ``metric_scale`` (n,) is
-    max(1, max_ij |g_ij|) per point, the scale that tensor residuals are
-    measured against.
+    First chart partials carry the derivative index on axis 1: ``dN``,
+    ``drho``, ``dxT`` and ``df`` (so dN[:, m, c] = d_m N^c).  From the
+    partials of g, A and Gamma: the intrinsic Ricci tensor
+    ``ric_intrinsic``, ``nabla_A`` (nabla_A[:, i, k, j] = (nabla_i A)^k_j)
+    and the chart-coordinate Lie derivative ``lie_coordinate`` = L_{xT} g.
+    ``metric_scale`` (n,) is max(1, max_ij |g_ij|) per point, the scale
+    that tensor residuals are measured against.
 
     The degree-3 jets they are computed from live one block of _BLOCK
     points at a time: each block writes its rows of the arrays, which are
-    allocated once.  Each tensor is one jet whose component axes come
-    before the point axis, e.g. Gamma's batch shape is (3, 3, 3, points).
-    Contractions sum over a component axis from index 0 in a fixed term
-    order, and Gamma^k_ij is formed for i <= j and mirrored to j > i, since
-    the jets g_ij and g_ji round differently.  Jet arithmetic is pointwise,
-    so a point gets the same bits in any block.  The metric and normal
-    gates run on each block and then on the whole batch.  A block that
-    raises stops the loop, and the batch is rerun as one block, so every
-    input raises what a one-block build raises.
+    allocated once, and forms the last three from its own partials of g, A
+    and Gamma, which no array keeps.  Each tensor is one jet whose
+    component axes come before the point axis, e.g. Gamma's batch shape is
+    (3, 3, 3, points).  Contractions sum over a component axis from index
+    0 in a fixed term order, and Gamma^k_ij is formed for i <= j and
+    mirrored to j > i, since the jets g_ij and g_ji round differently.  Jet
+    arithmetic is pointwise, so a point gets the same bits in any block.
+    The metric and normal gates run on each block and then on the whole
+    batch.  A block that raises stops the loop, and the batch is rerun as
+    one block, so every input raises what a one-block build raises.
     """
 
     def __init__(self, imm, pts):
@@ -191,18 +194,22 @@ class GeometryBatch:
         self.h = 0.5 * (gA + np.swapaxes(gA, -1, -2))
         self.metric_scale = np.maximum(1.0, np.max(np.abs(self.g), axis=(1, 2)))
 
+    def _keep(self, rows, name, part):
+        """Write ``part`` into array ``name`` at ``rows``, allocating the
+        array for the whole batch on first use."""
+        if name not in vars(self):
+            setattr(self, name, np.empty((len(self.points),) + part.shape[1:]))
+        getattr(self, name)[rows] = part
+
     def _put(self, rows, jet, name, dname=None):
-        """Write the values of ``jet`` into array ``name`` at ``rows``, and
-        with ``dname`` its first chart partials (coefficient rows 1-3) into
-        array ``dname``."""
+        """Keep the values of ``jet`` as ``name`` and, with ``dname``, its
+        first chart partials (coefficient rows 1-3) as ``dname``.  Returns
+        those partials."""
         coeffs = np.moveaxis(jet.coeffs, -1, 0)  # the point axis leads
-        parts = {name: coeffs[:, 0]}
+        self._keep(rows, name, coeffs[:, 0])
         if dname:
-            parts[dname] = coeffs[:, 1:4]
-        for attr, part in parts.items():
-            if attr not in vars(self):
-                setattr(self, attr, np.empty((len(self.points),) + part.shape[1:]))
-            getattr(self, attr)[rows] = part
+            self._keep(rows, dname, coeffs[:, 1:4])
+        return coeffs[:, 1:4]
 
     def _block(self, imm, rows, normals):
         """Fill the arrays and ``normals`` at ``rows`` from their jets."""
@@ -217,7 +224,7 @@ class GeometryBatch:
 
         # g to degree 2 gives dg; every other jet below is read to degree 1.
         g = _inner4(xi[:, None], xi)
-        self._put(rows, g, "g", "dg")
+        g_partials = np.ascontiguousarray(self._put(rows, g, "g"))
         adj, det = _adjugate(g.truncate(1))
         self._put(rows, det, "det")
         _check_metric(imm.name, self.g[rows], self.det[rows])
@@ -235,19 +242,24 @@ class GeometryBatch:
         # Weingarten: dN/du^j = -A^i_j (dx/du^i); solve through the metric.
         dN = jets.stack([N.deriv(j + 1) for j in range(3)])
         A = _contract(ginv[:, None], -_inner4(dN[:, None], xi))
-        self._put(rows, A, "A", "dA")
+        dA = self._put(rows, A, "A")
         self._put(rows, (A[0, 0] + A[1, 1] + A[2, 2]) / 3.0, "H")
 
         # Gamma^k_ij for i <= j, mirrored to j > i
         dg = jets.stack([g.deriv(m + 1) for m in range(3)])  # [m, i, j]
         i, j, l = _UPPER[0][:, None], _UPPER[1][:, None], np.arange(3)
         gamma = _contract(ginv[:, None], dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-        self._put(rows, (gamma * 0.5)[:, _PAIR], "Gamma", "dGamma")
+        dGamma = self._put(rows, (gamma * 0.5)[:, _PAIR], "Gamma")
+        Gv = self.Gamma[rows]
+        self._keep(rows, "ric_intrinsic", _ricci_intrinsic(Gv, dGamma))
+        self._keep(rows, "nabla_A", _nabla_A(self.A[rows], Gv, dA))
 
         x, xi = x.truncate(1), xi.truncate(1)
         self._put(rows, _inner4(x, N), "rho", "drho")
         self._put(rows, _contract(ginv, _inner4(x, xi)), "xT", "dxT")
         self._put(rows, _inner4(x, x) * 0.5, "f", "df")
+        self._keep(rows, "lie_coordinate", _lie_coordinate(
+            self.xT[rows], self.dxT[rows], self.g[rows], g_partials))
 
     def n_points(self):
         return self.points.shape[0]
@@ -268,12 +280,11 @@ def ricci_gauss(A, g):
     return 3.0 * H[..., None, None] * h - sq
 
 
-def ricci_intrinsic_batch(geo):
-    """Intrinsic Ricci from the Christoffel symbols and their first
-    partials: positive on the round sphere."""
-    n = geo.n_points()
+def _ricci_intrinsic(Gv, dG):
+    """Intrinsic Ricci (n, 3, 3) from the Christoffel symbols Gv and their
+    first partials dG[:, m] = d_m Gamma: positive on the round sphere."""
+    n = len(Gv)
     ric = np.zeros((n, 3, 3))
-    Gv, dG = geo.Gamma, geo.dGamma
     for j in range(3):
         for k in range(j, 3):
             term = np.zeros(n)
@@ -287,10 +298,10 @@ def ricci_intrinsic_batch(geo):
     return ric
 
 
-def covariant_shape_derivative(geo):
-    """(nabla_i A)^k_j as an (n, 3, 3, 3) array, indices [i, k, j]."""
-    n = geo.n_points()
-    Av, Gv = geo.A, geo.Gamma
+def _nabla_A(Av, Gv, dA):
+    """(nabla_i A)^k_j as an (n, 3, 3, 3) array, indices [i, k, j], from A,
+    the Christoffel symbols and dA[:, i] = d_i A."""
+    n = len(Av)
     out = np.zeros((n, 3, 3, 3))
     for i in range(3):
         for k in range(3):
@@ -298,8 +309,16 @@ def covariant_shape_derivative(geo):
                 corr = np.zeros(n)
                 for l in range(3):
                     corr += Gv[:, k, i, l] * Av[:, l, j] - Gv[:, l, i, j] * Av[:, k, l]
-                out[:, i, k, j] = geo.dA[:, i, k, j] + corr
+                out[:, i, k, j] = dA[:, i, k, j] + corr
     return out
+
+
+def _lie_coordinate(xT, dxT, g, dg):
+    """(L_{xT} g)_ij by chart differentiation, per point: (n, 3, 3)."""
+    lie = np.einsum('nk,nkij->nij', xT, dg)
+    lie += np.einsum('nik,nkj->nij', dxT, g)
+    lie += np.einsum('njk,nik->nij', dxT, g)
+    return lie
 
 
 # -- grids and structural verdicts --------------------------------------------

@@ -15,7 +15,6 @@ import enum
 
 import numpy as np
 
-from .hypersurface import covariant_shape_derivative
 from .lorentz import mink_inner
 
 # The gate tolerances, (identity gate, fit gate), keyed by whether the chart
@@ -34,14 +33,6 @@ class Verdict(enum.Enum):
 
 
 # -- Lie derivative routes -----------------------------------------------------
-
-def lie_coordinate_batch(geo):
-    """(L_{xT} g)_ij by chart differentiation, per point: (n, 3, 3)."""
-    lie = np.einsum('nk,nkij->nij', geo.xT, geo.dg)
-    lie += np.einsum('nik,nkj->nij', geo.dxT, geo.g)
-    lie += np.einsum('njk,nik->nij', geo.dxT, geo.g)
-    return lie
-
 
 def lie_closed_form_batch(geo):
     """Full Lie derivative from the concurrent-field identity: 2(g + eps*rho*gA)."""
@@ -116,7 +107,7 @@ def identity_residuals(geo, ric, lie):
     Ricci and Lie rows are measured against ``geo.metric_scale``.
     """
     Nv, tv, Av, xT, ginv = geo.N, geo.tangents, geo.A, geo.xT, geo.ginv
-    nab = covariant_shape_derivative(geo)
+    nab = geo.nabla_A
     codazzi = _sup(nab - np.swapaxes(nab, 1, 3))  # (i, k, j) - (j, k, i)
     return {
         "normal_orthogonality": _sup(mink_inner(Nv[:, None, :], tv)),
@@ -129,7 +120,7 @@ def identity_residuals(geo, ric, lie):
         "codazzi_residual": codazzi,
         "gauss_vs_intrinsic": _sup(ric) / geo.metric_scale,
         "route_agreement":
-            _sup(lie_coordinate_batch(geo) - lie) / geo.metric_scale,
+            _sup(geo.lie_coordinate - lie) / geo.metric_scale,
         # nabla xT = I + eps*rho*A, with (nabla_i xT)^k = d_i xT^k +
         # Gamma^k_{i l} xT^l, and grad rho = -A xT
         "lemma1": np.stack([

@@ -12,7 +12,10 @@ in ``src/`` did before it was vectorized or narrowed:
 * ``form`` reads one row of a ``lorentz.FormBatch`` as the analysis report's
   centre form does;
 * ``identity_table`` gives the identity rows of one geometry batch, from
-  the inputs an analysis passes to ``soliton.identity_residuals``.
+  the inputs an analysis passes to ``soliton.identity_residuals``;
+* ``ricci_intrinsic``, ``nabla_A`` and ``lie_coordinate`` write the
+  formulas of the arrays ``GeometryBatch`` forms from first partials as
+  whole-batch einsums, for partials taken by central differences.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from minksoliton.canonical import (_REQUIRED, TAU_COINCIDE, WITNESS,
                                    CaseSystem)
-from minksoliton.hypersurface import ricci_gauss, ricci_intrinsic_batch
+from minksoliton.hypersurface import ricci_gauss
 from minksoliton.jets import DEGREE, INDEX_OF, IndexOutOfRange
 from minksoliton.lorentz import N_PARAMETERS, VARIANTS, FormVariant
 from minksoliton.soliton import identity_residuals, lie_closed_form_batch
@@ -178,5 +181,28 @@ def form(forms, i):
 def identity_table(geo):
     """``identity_residuals`` of ``geo`` for the corrected minus intrinsic
     Ricci tensor and the closed-form Lie derivative."""
-    ric = geo.epsilon * ricci_gauss(geo.A, geo.g) - ricci_intrinsic_batch(geo)
+    ric = geo.epsilon * ricci_gauss(geo.A, geo.g) - geo.ric_intrinsic
     return identity_residuals(geo, ric, lie_closed_form_batch(geo))
+
+
+# -- arrays formed from first partials ------------------------------------------
+# Each partial argument carries the chart derivative on axis 1, as
+# GeometryBatch's d* arrays do, e.g. dGamma[:, m, k, i, j] = d_m Gamma^k_ij.
+
+def ricci_intrinsic(Gamma, dGamma):
+    """Ric_jk = d_i G^i_jk - d_j G^i_ik + G^i_il G^l_jk - G^i_jl G^l_ik."""
+    return (np.einsum('niijk->njk', dGamma) - np.einsum('njiik->njk', dGamma)
+            + np.einsum('niil,nljk->njk', Gamma, Gamma)
+            - np.einsum('nijl,nlik->njk', Gamma, Gamma))
+
+
+def nabla_A(A, Gamma, dA):
+    """(nabla_i A)^k_j = d_i A^k_j + G^k_il A^l_j - G^l_ij A^k_l, at [:, i, k, j]."""
+    return (dA + np.einsum('nkil,nlj->nikj', Gamma, A)
+            - np.einsum('nlij,nkl->nikj', Gamma, A))
+
+
+def lie_coordinate(xT, dxT, g, dg):
+    """(L_xT g)_ij = xT^k d_k g_ij + g_kj d_i xT^k + g_ik d_j xT^k."""
+    return (np.einsum('nk,nkij->nij', xT, dg) + np.einsum('nik,nkj->nij', dxT, g)
+            + np.einsum('njk,nik->nij', dxT, g))

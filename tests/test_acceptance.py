@@ -19,8 +19,7 @@ from scalar_reference import identity_table
 
 from minksoliton import analysis, catalog, frame_ode
 from minksoliton.canonical import sweep
-from minksoliton.hypersurface import (GeometryBatch, grid_points, ricci_gauss,
-                                      ricci_intrinsic_batch)
+from minksoliton.hypersurface import GeometryBatch, grid_points, ricci_gauss
 from minksoliton.lorentz import FormVariant, classify_batch
 from minksoliton.soliton import (TAU, fit_lambda_pointwise,
                                 lie_closed_form_batch)
@@ -137,7 +136,7 @@ def test_c05_ricci_cross_validation(reports, geometries):
         imm, grid, _ = geometries[(name, ())]
         geo = GeometryBatch(imm, grid)
         paper = ricci_gauss(geo.A, geo.g)  # the form without eps
-        ric_int = ricci_intrinsic_batch(geo)
+        ric_int = geo.ric_intrinsic
         seen_eps.add(ids["epsilon"])
         ok &= ids["gauss_vs_intrinsic"] < 1e-7
         if ids["epsilon"] == 1.0:

@@ -11,8 +11,7 @@ import pytest
 
 from minksoliton import analysis, canonical, catalog, exprs, lorentz
 from minksoliton.cli import CHART_BOX
-from minksoliton.hypersurface import (GeometryBatch, grid_points,
-                                      ricci_intrinsic_batch)
+from minksoliton.hypersurface import GeometryBatch, grid_points
 
 
 def test_histogram_sums_to_grid_size():
@@ -106,7 +105,7 @@ def test_de_sitter_general_radius_constant_curvature():
     c = 1.5
     imm = catalog.get("de_sitter").build(c=c)[0]
     geo = GeometryBatch(imm, np.array([[0.3, 1.0, 0.8]]))
-    assert np.allclose(ricci_intrinsic_batch(geo)[0], 2 * c * c * geo.g[0],
+    assert np.allclose(geo.ric_intrinsic[0], 2 * c * c * geo.g[0],
                        atol=1e-10)
     rep = analysis.analyze_entry("de_sitter", params={"c": c},
                                  grid_counts=(3, 3, 3))
@@ -186,8 +185,7 @@ def test_one_pass_per_analysis(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    targets = [(analysis, "GeometryBatch"),
-               (analysis, "ricci_intrinsic_batch")]
+    targets = [(analysis, "GeometryBatch")]
     # these under every name a package module binds them to
     for fn in (lorentz.char_poly, hypersurface.ricci_gauss,
                soliton.lie_closed_form_batch, soliton.identity_residuals):
@@ -200,15 +198,15 @@ def test_one_pass_per_analysis(monkeypatch):
     rep = analysis.analyze_entry("de_sitter", params={"c": 1.5},
                                  grid_counts=(3, 3, 3))
     analysis.pointwise_table(rep)
-    assert calls == {"GeometryBatch": 1, "ricci_intrinsic_batch": 1,
-                     "ricci_gauss": 1, "lie_closed_form_batch": 1,
-                     "identity_residuals": 1, "char_poly": 1}
+    assert calls == {"GeometryBatch": 1, "ricci_gauss": 1,
+                     "lie_closed_form_batch": 1, "identity_residuals": 1,
+                     "char_poly": 1}
 
 
 @pytest.mark.parametrize("name", ["hyperbolic_space",
                                   "generalized_umbilical_varB"])
 def test_analysis_peak_memory_at_21_cubed(name):
-    # the arrays a 21^3 analysis keeps take about 18 MiB; the jets they are
+    # the arrays a 21^3 analysis keeps take about 12 MiB; the jets they are
     # built from must not add a copy of them per intermediate
     analysis.analyze_entry(name)  # imports and the frame table, untraced
     tracemalloc.start()
@@ -217,7 +215,7 @@ def test_analysis_peak_memory_at_21_cubed(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20, peak / 2**20
+    assert peak < 24 * 2**20, peak / 2**20
 
 
 def test_public_names_resolve():

@@ -501,7 +501,7 @@ def test_umbilical_identities_within_ode_budget():
     rows = identity_table(geo)
     assert max(np.max(row) for row in rows.values()) < 1e-5
     assert np.max(rows["codazzi_residual"]) < 1e-5
-    ric_i = hs.ricci_intrinsic_batch(geo)
+    ric_i = geo.ric_intrinsic
     ric_g = geo.epsilon * hs.ricci_gauss(geo.A, geo.g)
     assert np.max(np.abs(ric_i - ric_g)) < 1e-5
 
@@ -532,7 +532,7 @@ def test_cylinder_flat_metric_and_ricci_zero():
     imm = fo.build_generalized_cylinder_I(spec)
     grid = hs.grid_points(((-0.85, 0.85), (-1, 1), (-1, 1)), (4, 3, 3))
     geo = hs.GeometryBatch(imm, grid)
-    assert np.max(np.abs(hs.ricci_intrinsic_batch(geo))) < 1e-10
+    assert np.max(np.abs(geo.ric_intrinsic)) < 1e-10
     assert np.max(np.abs(geo.epsilon * hs.ricci_gauss(geo.A, geo.g))) < 1e-10
     # det g = -1 identically in this chart
     assert np.allclose(geo.det, -1.0, atol=1e-11)
@@ -542,10 +542,9 @@ def test_cylinder_half_lie_equals_metric_on_central_slice():
     # the support function vanishes at s = 0, where x_T acts conformally
     spec = fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(1.0))
     imm = fo.build_generalized_cylinder_I(spec)
-    from minksoliton.soliton import lie_coordinate_batch
     slice_grid = hs.grid_points(((-1e-12, 1e-12), (-1, 1), (-1, 1)), (2, 3, 3))
     geo = hs.GeometryBatch(imm, slice_grid)
-    lie = lie_coordinate_batch(geo)
+    lie = geo.lie_coordinate
     assert np.max(np.abs(0.5 * lie - geo.g)) < 1e-9
     # off the slice the support function grows like the accumulated moment
     geo2 = hs.GeometryBatch(imm, np.array([[0.5, 0.0, 0.0], [0.85, 0.2, 0.1]]))

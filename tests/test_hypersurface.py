@@ -4,14 +4,14 @@ batches built in blocks of points."""
 
 import numpy as np
 import pytest
-from scalar_reference import PSEUDO_ORTHONORMAL_GRAM, identity_table
+from scalar_reference import (PSEUDO_ORTHONORMAL_GRAM, identity_table,
+                              lie_coordinate, nabla_A, ricci_intrinsic)
 
 from minksoliton import catalog, jets
 from minksoliton import hypersurface as hs
 from minksoliton.hypersurface import (DegenerateMetric, EmptyGrid,
                                       GeometryBatch, Immersion, grid_points,
-                                      ricci_gauss, ricci_intrinsic_batch,
-                                      structure_verdicts)
+                                      ricci_gauss, structure_verdicts)
 from minksoliton.lorentz import classify_batch
 
 
@@ -34,7 +34,7 @@ def test_plane_sample():
     assert np.max(np.abs(geo.A[0])) == 0.0
     assert geo.rho[0] == pytest.approx(1.0)
     assert np.allclose(geo.xT[0], [0.3, -0.2, 0.9])
-    assert np.max(np.abs(ricci_intrinsic_batch(geo)[0])) < 1e-14
+    assert np.max(np.abs(geo.ric_intrinsic[0])) < 1e-14
     geo = at_point(plane_immersion(), [0.1, 0.2, 0.3])
     assert identity_table(geo)["codazzi_residual"][0] < 1e-14
 
@@ -87,7 +87,7 @@ def test_de_sitter_constant_curvature_ricci():
     imm = catalog.get("de_sitter").build(c=1.0)[0]
     p = [0.2, 1.3, 0.8]
     geo = at_point(imm, p)
-    ric_int = ricci_intrinsic_batch(geo)[0]
+    ric_int = geo.ric_intrinsic[0]
     ric_ext = (geo.epsilon * ricci_gauss(geo.A, geo.g))[0]
     ric_paper = ricci_gauss(geo.A, geo.g)[0]
     assert np.allclose(ric_int, 2.0 * geo.g[0], atol=1e-12)
@@ -100,7 +100,7 @@ def test_hyperbolic_space_ricci_sign():
     # spacelike case: corrected = intrinsic = -2c^2 g, verbatim differs by -1
     imm = catalog.get("hyperbolic_space").build(c=1.0)[0]
     geo = at_point(imm, [0.5, 1.1, 0.9])
-    ric_int = ricci_intrinsic_batch(geo)[0]
+    ric_int = geo.ric_intrinsic[0]
     ric_ext = (geo.epsilon * ricci_gauss(geo.A, geo.g))[0]
     ric_paper = ricci_gauss(geo.A, geo.g)[0]
     assert np.allclose(ric_int, -2.0 * geo.g[0], atol=1e-11)
@@ -114,7 +114,7 @@ def test_product_metric_ricci_blocks():
         imm = catalog.get("hyperbolic_cylinder").build(c=c)[0]
         p = [0.7, 0.6, 0.4]
         geo = at_point(imm, p)
-        ric = ricci_intrinsic_batch(geo)[0]
+        ric = geo.ric_intrinsic[0]
         g = geo.g[0]
         assert ric[0, 0] == pytest.approx(-c * c * g[0, 0], abs=1e-10)
         assert ric[1, 1] == pytest.approx(-c * c * g[1, 1], abs=1e-10)
@@ -157,22 +157,20 @@ def test_codazzi_universal_and_perturbation():
     assert np.max(identity_table(geo)["codazzi_residual"]) < 1e-12
 
     # inject an asymmetric constant perturbation into the shape operator and
-    # recompute the covariant antisymmetry by hand: residual ~ noise scale
+    # recompute the covariant antisymmetry by hand: nabla is linear in A, so
+    # nabla(A + delta) adds Gamma's commutator with delta to nabla_A, and the
+    # residual is of the noise scale
     noise = 1e-3
     delta = np.zeros((3, 3))
     delta[0, 1] = noise
     Gv = geo.Gamma
-    nab = np.zeros((grid.shape[0], 3, 3, 3))
+    nab = geo.nabla_A.copy()
     for i in range(3):
         for k in range(3):
             for j in range(3):
-                d = geo.dA[:, i, k, j]
-                corr = np.zeros(grid.shape[0])
-                Apert = geo.A + delta
                 for l in range(3):
-                    corr += (Gv[:, k, i, l] * Apert[:, l, j]
-                             - Gv[:, l, i, j] * Apert[:, k, l])
-                nab[:, i, k, j] = d + corr
+                    nab[:, i, k, j] += (Gv[:, k, i, l] * delta[l, j]
+                                        - Gv[:, l, i, j] * delta[k, l])
     res = np.max(np.abs(nab - np.transpose(nab, (0, 3, 2, 1))))
     assert 1e-5 < res < 1e-1
 
@@ -350,8 +348,14 @@ def test_identity_suite_batches():
 
 def test_geometry_batch_holds_values_and_first_partials():
     # d* arrays carry the chart derivative on axis 1: d*[:, m] = d_m value
-    partials = {"dg": "g", "dN": "N", "dA": "A", "dGamma": "Gamma",
-                "drho": "rho", "dxT": "xT", "df": "f"}
+    partials = {"dN": "N", "drho": "rho", "dxT": "xT", "df": "f"}
+    # arrays formed from the block's partials of g, A and Gamma: each equals
+    # its formula applied to central differences of those values
+    formed = {"ric_intrinsic": lambda geo, fd: ricci_intrinsic(
+                  geo.Gamma, fd["Gamma"]),
+              "nabla_A": lambda geo, fd: nabla_A(geo.A, geo.Gamma, fd["A"]),
+              "lie_coordinate": lambda geo, fd: lie_coordinate(
+                  geo.xT, geo.dxT, geo.g, fd["g"])}
     step = 1e-5
     for name in ("hyperbolic_space", "generalized_umbilical"):
         entry = catalog.get(name)
@@ -366,16 +370,25 @@ def test_geometry_batch_holds_values_and_first_partials():
                 assert val.dtype == np.float64, attr
                 assert val.flags.c_contiguous, attr
                 assert val.shape[0] == len(grid), attr
-        assert set(partials) | set(partials.values()) <= set(vars(geo))
+        assert set(partials) | set(partials.values()) | set(formed) \
+            <= set(vars(geo))
+        fd = {"g": [], "A": [], "Gamma": []}
         for m in range(3):
             shift = np.zeros(3)
             shift[m] = step
             up = GeometryBatch(imm, grid + shift)
             down = GeometryBatch(imm, grid - shift)
             for d, value in partials.items():
-                fd = (getattr(up, value) - getattr(down, value)) / (2 * step)
-                assert np.max(np.abs(getattr(geo, d)[:, m] - fd)) < 1e-6, \
+                diff = (getattr(up, value) - getattr(down, value)) / (2 * step)
+                assert np.max(np.abs(getattr(geo, d)[:, m] - diff)) < 1e-6, \
                     (name, d, m)
+            for value, diffs in fd.items():
+                diffs.append((getattr(up, value) - getattr(down, value))
+                             / (2 * step))
+        fd = {value: np.stack(diffs, axis=1) for value, diffs in fd.items()}
+        for attr, formula in formed.items():
+            assert np.max(np.abs(getattr(geo, attr) - formula(geo, fd))) \
+                < 1e-6, (name, attr)
 
 
 def test_grid_points_validation():
@@ -392,9 +405,10 @@ def test_mean_curvature_is_exactly_trace_over_three():
 
 # -- blocks of points ------------------------------------------------------------
 
-GEOMETRY_ARRAYS = ("points", "x", "tangents", "g", "dg", "det", "ginv", "N",
-                   "dN", "A", "dA", "H", "gA", "h", "Gamma", "dGamma", "rho",
-                   "drho", "xT", "dxT", "f", "df", "metric_scale")
+GEOMETRY_ARRAYS = ("points", "x", "tangents", "g", "det", "ginv", "N", "dN",
+                   "A", "H", "gA", "h", "Gamma", "ric_intrinsic", "nabla_A",
+                   "rho", "drho", "xT", "dxT", "f", "df", "lie_coordinate",
+                   "metric_scale")
 
 CHART_FILE = """\
 x1 = sqrt(1 + u^2 + v^2 + w^2) + 0.05 * sin(3 * u) * cos(2 * w)
@@ -443,10 +457,8 @@ def test_christoffel_symbols_are_mirrored_bit_for_bit(tmp_path):
     for imm, box in _block_immersions(tmp_path):
         lo, hi = np.array(box, dtype=float).T
         geo = GeometryBatch(imm, lo + (hi - lo) * rng.random((300, 3)))
-        for attr in ("Gamma", "dGamma"):
-            sym = getattr(geo, attr)
-            swapped = np.ascontiguousarray(np.swapaxes(sym, -1, -2))
-            assert sym.tobytes() == swapped.tobytes(), (imm.name, attr)
+        swapped = np.ascontiguousarray(np.swapaxes(geo.Gamma, -1, -2))
+        assert geo.Gamma.tobytes() == swapped.tobytes(), imm.name
 
 
 def test_one_block_build_runs_few_jet_products(monkeypatch):

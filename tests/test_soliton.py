@@ -11,8 +11,7 @@ from minksoliton import catalog, jets
 from minksoliton.hypersurface import (GeometryBatch, Immersion, grid_points,
                                       ricci_gauss)
 from minksoliton.soliton import (TAU, Verdict,
-                                 fit_lambda_pointwise, lie_closed_form_batch,
-                                 lie_coordinate_batch)
+                                 fit_lambda_pointwise, lie_closed_form_batch)
 
 ENTRY_GRIDS = {}
 
@@ -51,7 +50,7 @@ def entry_grid(name, counts=(3, 3, 3), **params):
 
 def test_lie_derivative_zero_field_on_de_sitter():
     imm, grid, _ = entry_grid("de_sitter")
-    lie = lie_coordinate_batch(GeometryBatch(imm, grid[4]))[0]
+    lie = GeometryBatch(imm, grid[4]).lie_coordinate[0]
     assert np.max(np.abs(lie)) < 1e-12
 
 
@@ -59,7 +58,7 @@ def test_lie_derivative_ruling_component():
     # x_T = w * d/dw on the Lorentzian cylinder: (L g)(dw, dw)/2 = 1
     imm, grid, _ = entry_grid("pseudospherical_cylinder")
     geo = GeometryBatch(imm, [0.3, 1.0, 0.7])
-    lie = lie_coordinate_batch(geo)[0]
+    lie = geo.lie_coordinate[0]
     assert lie[2, 2] / 2.0 == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(lie, lie_closed_form_batch(geo)[0], atol=1e-11)
 
@@ -69,7 +68,7 @@ def test_lie_derivative_flat_plane_euler_field():
         return [u, v, w, jets.constant(1.0, u.shape)]
     imm = Immersion("plane", chart)
     geo = GeometryBatch(imm, [0.4, -0.2, 0.7])
-    lie = lie_coordinate_batch(geo)[0]
+    lie = geo.lie_coordinate[0]
     assert np.allclose(lie / 2.0, geo.g[0], atol=1e-13)
 
 
@@ -179,7 +178,7 @@ def test_identity_rows_keep_a_nan_component():
     imm, grid, _ = entry_grid("de_sitter")
     geo = GeometryBatch(imm, grid)
     geo.gA[-1, 0, 1] = np.nan
-    geo.dA[-1, 2, 2, 2] = np.nan
+    geo.nabla_A[-1, 2, 2, 2] = np.nan
     rows = identity_table(geo)
     for key in ("shape_self_adjoint", "codazzi_residual"):
         assert np.isnan(rows[key][-1]), key
