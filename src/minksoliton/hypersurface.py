@@ -224,6 +224,7 @@ class GeometryBatch:
 
         # g to degree 2 gives dg; every other jet below is read to degree 1.
         g = _inner4(xi[:, None], xi)
+        # C-contiguous: an einsum's summation order may follow its strides
         g_partials = np.ascontiguousarray(self._put(rows, g, "g"))
         adj, det = _adjugate(g.truncate(1))
         self._put(rows, det, "det")
@@ -299,8 +300,7 @@ def _ricci_intrinsic(Gv, dG):
 
 
 def _nabla_A(Av, Gv, dA):
-    """(nabla_i A)^k_j as an (n, 3, 3, 3) array, indices [i, k, j], from A,
-    the Christoffel symbols and dA[:, i] = d_i A."""
+    """(nabla_i A)^k_j at [:, i, k, j], from A, Gamma and dA[:, i] = d_i A."""
     n = len(Av)
     out = np.zeros((n, 3, 3, 3))
     for i in range(3):
