@@ -9,11 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import canonical, catalog
-from .hypersurface import (GeometryBatch, grid_points, ricci_gauss,
-                           structure_verdicts)
+from .hypersurface import GeometryBatch, grid_points, structure_verdicts
 from .lorentz import N_PARAMETERS, VARIANTS, classify_batch
-from .soliton import (RICCI_MODES, TAU, Verdict, fit_lambda_pointwise,
-                      identity_residuals, lie_closed_form_batch)
+from .soliton import RICCI_MODES, TAU, Verdict, fit_lambda_pointwise
 
 
 class Report(dict):
@@ -30,19 +28,19 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     imm, merged = entry.build(**(params or {}))
     if orientation_override is not None:
         imm = imm.with_orientation(orientation_override)
-    report, geo, ric = _analyze(imm, entry.safe_box(merged), grid_counts,
-                                merged, entry.is_ode)
+    report, geo = _analyze(imm, entry.safe_box(merged), grid_counts, merged,
+                           entry.is_ode)
     report["entry"] = name
     ids = report["identities"]
     if entry.constraint is not None:
         res = entry.constraint(geo.x, merged)
         ids["level_set_residual"] = float(np.max(res))
     ids["tangent_position_sup"] = float(np.max(np.abs(geo.xT)))
-    ids["ricci_sup"] = float(np.max(np.abs(ric["corrected"])))
+    ids["ricci_sup"] = float(np.max(np.abs(geo.ric_gauss)))  # |eps x| = |x|
     if "c" in merged:
         c = merged["c"]
         ids["ricci_intrinsic_vs_2c2_g"] = float(
-            np.max(np.abs(ric["intrinsic"] - 2.0 * c * c * geo.g)))
+            np.max(np.abs(geo.ric_intrinsic - 2.0 * c * c * geo.g)))
     report["expectations"] = entry.expectation_table(merged, report)
     return report
 
@@ -55,21 +53,14 @@ def analyze_immersion(imm, box, grid_counts=(5, 5, 5), params=None):
 
 def _analyze(imm, box, grid_counts, params, is_ode):
     """One pass over the geometry batch of ``imm`` sampled on ``box``: the
-    Report, the batch, and the Ricci tensors it was built from, keyed by
-    Ricci mode and "intrinsic".  ``is_ode`` picks the gate tolerances from
-    TAU."""
+    Report and the batch.  ``is_ode`` picks the gate tolerances from TAU."""
     tau_identity, tau_sol = TAU[is_ode]
     geo = GeometryBatch(imm, grid_points(box, grid_counts))
     # the two modes differ by the factor epsilon = +-1, which is exact
-    paper = ricci_gauss(geo.A, geo.g)
-    ric = {"corrected": geo.epsilon * paper, "paper_form": paper}
-    ric["intrinsic"] = ric_int = geo.ric_intrinsic
-
-    lie = lie_closed_form_batch(geo)
-    table = identity_residuals(geo, ric["corrected"] - ric_int, lie)
+    ric = {"corrected": geo.epsilon * geo.ric_gauss, "paper_form": geo.ric_gauss}
     # a row's max over the points is exact, and keeps a NaN
     identities = {key: np.max(row, axis=-1).tolist()
-                  for key, row in table.items()}
+                  for key, row in geo.identities.items()}
     gate = np.hstack(list(identities.values()))
     identities["pass"] = bool(np.all(np.isfinite(gate))
                               and np.max(gate) < tau_identity)
@@ -78,7 +69,7 @@ def _analyze(imm, box, grid_counts, params, is_ode):
 
     # One fit per Ricci convention; the headline is the corrected one.
     (fit_c, lam_c, res_c), (fit_p, lam_p, _) = (
-        fit_lambda_pointwise(geo, lie, ric[mode], tau_sol)
+        fit_lambda_pointwise(geo, geo.lie_closed_form, ric[mode], tau_sol)
         for mode in RICCI_MODES)
     soliton_block = {**_fit_block(fit_c, tau=tau_sol),
                      "headline_mode": "corrected",
@@ -95,17 +86,17 @@ def _analyze(imm, box, grid_counts, params, is_ode):
                     for k, v in params.items()},
         grid={"counts": list(grid_counts),
               "box": [list(map(float, iv)) for iv in box],
-              "n_points": geo.n_points()},
+              "n_points": len(geo.points)},
         identities=identities,
         classification=_classification_block(geo, forms),
         soliton=soliton_block,
         expectations=[],
     )
     report.pointwise = np.column_stack([
-        geo.points, np.full(geo.n_points(), geo.epsilon), geo.H, geo.rho,
-        geo.det, lam_c, lam_p, table["codazzi_residual"],
+        geo.points, np.full(len(geo.points), geo.epsilon), geo.H, geo.rho,
+        geo.det, lam_c, lam_p, geo.identities["codazzi_residual"],
         np.linalg.norm(geo.xT, axis=-1), res_c])
-    return report, geo, ric
+    return report, geo
 
 
 def _fit_block(summary, **tau):

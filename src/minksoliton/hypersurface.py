@@ -10,18 +10,21 @@ and the Ricci tensor by two independent routes:
 * an intrinsic oracle straight from the Christoffel symbols of the induced
   metric (sign convention: the round sphere has positive Ricci).
 
-Everything is computed for a whole batch of chart points at once.
+Everything is computed for one block of chart points at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from . import jets
 from .lorentz import METRIC_SIGNS, TAU_DEGENERATE
+from .soliton import identity_residuals, lie_closed_form_batch
 
 
 class DegenerateMetric(ArithmeticError):
@@ -136,37 +139,20 @@ def _check_normal(name, raw_n, nn):
     return float(signs.flat[0])
 
 
+KEPT = ("x", "g", "det", "A", "H", "h", "rho", "xT", "metric_scale",
+        "ric_intrinsic", "ric_gauss", "lie_closed_form")  # besides points
+
+
 class GeometryBatch:
-    """Geometric data of a batch of n chart points.
+    """What an analysis reads of the geometry of n chart points: ``points``,
+    the arrays of KEPT that ``geometry_block`` documents (C-contiguous
+    float64, leading axis n), the identity table ``identities`` (rows (n,),
+    (2, n) for ``lemma1``) and the normal sign ``epsilon``.
 
-    Every array is C-contiguous float64 with leading axis n.  Values: the
-    point ``x`` (n, 4), ``tangents`` (n, 3, 4) with rows dx/du^i, the metric
-    ``g``, its inverse ``ginv`` and determinant ``det``, the unit normal
-    ``N``, the shape operator ``A`` (A[:, i, j] = A^i_j), the product
-    ``gA`` = g A and its symmetric part, the second fundamental form ``h``
-    = g(A., .), the mean curvature ``H``, the Christoffel symbols ``Gamma``
-    (Gamma[:, k, i, j] = Gamma^k_ij), the support function ``rho``, the
-    tangential position field ``xT`` and the potential ``f`` = <x, x>/2.
-    First chart partials carry the derivative index on axis 1: ``dN``,
-    ``drho``, ``dxT`` and ``df`` (so dN[:, m, c] = d_m N^c).  From the
-    partials of g, A and Gamma: the intrinsic Ricci tensor
-    ``ric_intrinsic``, ``nabla_A`` (nabla_A[:, i, k, j] = (nabla_i A)^k_j)
-    and the chart-coordinate Lie derivative ``lie_coordinate`` = L_{xT} g.
-    ``metric_scale`` (n,) is max(1, max_ij |g_ij|) per point, the scale
-    that tensor residuals are measured against.
-
-    The degree-3 jets they are computed from live one block of _BLOCK
-    points at a time: each block writes its rows of the arrays, which are
-    allocated once, and forms the last three from its own partials of g, A
-    and Gamma, which no array keeps.  Each tensor is one jet whose
-    component axes come before the point axis, e.g. Gamma's batch shape is
-    (3, 3, 3, points).  Contractions sum over a component axis from index
-    0 in a fixed term order, and Gamma^k_ij is formed for i <= j and
-    mirrored to j > i, since the jets g_ij and g_ji round differently.  Jet
-    arithmetic is pointwise, so a point gets the same bits in any block.
-    The metric and normal gates run on each block and then on the whole
-    batch.  A block that raises stops the loop, and the batch is rerun as
-    one block, so every input raises what a one-block build raises.
+    Each block of _BLOCK points writes its rows of these arrays.  The gates
+    run on each block, then on the whole batch.  A block that raises stops
+    the loop and the batch is rerun as one block, so every input raises
+    what a one-block build raises.
     """
 
     def __init__(self, imm, pts):
@@ -179,91 +165,129 @@ class GeometryBatch:
         # non-finite values need no warning: every gate fails closed on them
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for lo in range(0, n, _BLOCK):
-                    self._block(imm, slice(lo, lo + _BLOCK), normals)
+                for rows in (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)):
+                    self._keep(rows, geometry_block(imm, self.points[rows]), normals)
             except Exception:
                 if n <= _BLOCK:
                     raise
                 # The first error over the whole batch may come from an
                 # earlier step in a later block: raise what one block raises.
-                self._block(imm, slice(0, n), normals)
+                self._keep(slice(0, n), geometry_block(imm, self.points), normals)
         # each block passed the gates on its own scales; so must the batch
         _check_metric(imm.name, self.g, self.det)
         self.epsilon = _check_normal(imm.name, normals[:, :4], normals[:, 4])
-        self.gA = gA = self.g @ self.A
-        self.h = 0.5 * (gA + np.swapaxes(gA, -1, -2))
-        self.metric_scale = np.maximum(1.0, np.max(np.abs(self.g), axis=(1, 2)))
 
-    def _keep(self, rows, name, part):
-        """Write ``part`` into array ``name`` at ``rows``, allocating the
-        array for the whole batch on first use."""
-        if name not in vars(self):
-            setattr(self, name, np.empty((len(self.points),) + part.shape[1:]))
-        getattr(self, name)[rows] = part
+    def _keep(self, rows, block, normals):
+        """Write the kept arrays of ``block`` and its normals at ``rows``,
+        allocating the arrays for the whole batch on first use."""
+        if "identities" not in vars(self):
+            n = len(self.points)
+            shapes = {**{k: (n,) + getattr(block, k).shape[1:] for k in KEPT},
+                      **{k: r.shape[:-1] + (n,) for k, r in block.identities.items()}}
+            # One allocation: freeing it lifts glibc's dynamic mmap and trim
+            # thresholds past a block's heap, which later batches then reuse.
+            sizes = [math.prod(shape) for shape in shapes.values()]
+            parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+            arrays = {k: part.reshape(shapes[k]) for k, part in zip(shapes, parts)}
+            vars(self).update((k, arrays[k]) for k in KEPT)
+            self.identities = {k: arrays[k] for k in block.identities}
+        for name in KEPT:
+            getattr(self, name)[rows] = getattr(block, name)
+        for key, row in block.identities.items():
+            self.identities[key][..., rows] = row
+        normals[rows] = block.normals
 
-    def _put(self, rows, jet, name, dname=None):
-        """Keep the values of ``jet`` as ``name`` and, with ``dname``, its
-        first chart partials (coefficient rows 1-3) as ``dname``.  Returns
-        those partials."""
-        coeffs = np.moveaxis(jet.coeffs, -1, 0)  # the point axis leads
-        self._keep(rows, name, coeffs[:, 0])
-        if dname:
-            self._keep(rows, dname, coeffs[:, 1:4])
-        return coeffs[:, 1:4]
 
-    def _block(self, imm, rows, normals):
-        """Fill the arrays and ``normals`` at ``rows`` from their jets."""
-        pts = self.points[rows]
-        x = list(imm.chart_map(*(jets.variable(i + 1, pts[:, i]) for i in range(3))))
-        if len(x) != 4:
-            raise ValueError("chart map must return four components")
-        x = jets.stack(x)
-        xi = jets.stack([x.deriv(i + 1) for i in range(3)])  # [i, c] = d_i x^c
-        self._put(rows, x, "x")
-        self._put(rows, xi, "tangents")
+def _value(jet):
+    """The values of ``jet`` with the point axis first, C-contiguous: an
+    einsum's summation order may follow its strides."""
+    return np.ascontiguousarray(np.moveaxis(jet.value, -1, 0))
 
-        # g to degree 2 gives dg; every other jet below is read to degree 1.
-        g = _inner4(xi[:, None], xi)
-        # C-contiguous: an einsum's summation order may follow its strides
-        g_partials = np.ascontiguousarray(self._put(rows, g, "g"))
-        adj, det = _adjugate(g.truncate(1))
-        self._put(rows, det, "det")
-        _check_metric(imm.name, self.g[rows], self.det[rows])
-        ginv = adj / det  # after the gate: a singular g raises DegenerateMetric
-        self._put(rows, ginv, "ginv")
 
-        raw_n = _cross4(xi)
-        nn = _inner4(raw_n, raw_n)
-        normals[rows, :4] = raw_n.value.T
-        normals[rows, 4] = nn.value
-        epsilon = _check_normal(imm.name, normals[rows, :4], normals[rows, 4])
-        N = raw_n * float(imm.orientation_sign) / jets.sqrt(nn * epsilon)
-        self._put(rows, N, "N", "dN")
+def _partials(jet):
+    """Its first chart partials, likewise, the derivative index on axis 1."""
+    return np.ascontiguousarray(np.moveaxis(jet.coeffs[1:4], -1, 0))
 
-        # Weingarten: dN/du^j = -A^i_j (dx/du^i); solve through the metric.
-        dN = jets.stack([N.deriv(j + 1) for j in range(3)])
-        A = _contract(ginv[:, None], -_inner4(dN[:, None], xi))
-        dA = self._put(rows, A, "A")
-        self._put(rows, (A[0, 0] + A[1, 1] + A[2, 2]) / 3.0, "H")
 
-        # Gamma^k_ij for i <= j, mirrored to j > i
-        dg = jets.stack([g.deriv(m + 1) for m in range(3)])  # [m, i, j]
-        i, j, l = _UPPER[0][:, None], _UPPER[1][:, None], np.arange(3)
-        gamma = _contract(ginv[:, None], dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-        dGamma = self._put(rows, (gamma * 0.5)[:, _PAIR], "Gamma")
-        Gv = self.Gamma[rows]
-        self._keep(rows, "ric_intrinsic", _ricci_intrinsic(Gv, dGamma))
-        self._keep(rows, "nabla_A", _nabla_A(self.A[rows], Gv, dA))
+def geometry_block(imm, pts):
+    """Every per-point array of the chart points ``pts`` (m, 3), from their
+    degree-3 jets, as attributes of a namespace.  Values: the point ``x``
+    (m, 4), ``tangents`` (m, 3, 4) with rows dx/du^i, the metric ``g``, its
+    inverse ``ginv`` and determinant ``det``, the unit normal ``N``, the
+    shape operator ``A`` (A[:, i, j] = A^i_j), ``gA`` = g A, the second
+    fundamental form ``h`` = g(A., .), the mean curvature ``H``, the
+    Christoffel symbols ``Gamma`` (Gamma[:, k, i, j] = Gamma^k_ij), the
+    support function ``rho``, the tangential position field ``xT`` and the
+    potential ``f`` = <x, x>/2, with first partials ``dN``, ``drho``,
+    ``dxT`` and ``df`` (dN[:, m, c] = d_m N^c).  From the partials of g, A
+    and Gamma, which no array keeps: ``ric_intrinsic``, ``nabla_A``
+    (nabla_A[:, i, k, j] = (nabla_i A)^k_j) and the chart-coordinate
+    ``lie_coordinate`` = L_{xT} g.  ``metric_scale`` = max(1, max_ij |g_ij|)
+    scales tensor residuals.  Then ``ric_gauss`` = ricci_gauss(A, g),
+    ``lie_closed_form`` and the identity table ``identities``.  The gates
+    judge the block: ``epsilon`` is its normal sign, and ``normals`` (m, 5)
+    holds each raw normal and square.
 
-        x, xi = x.truncate(1), xi.truncate(1)
-        self._put(rows, _inner4(x, N), "rho", "drho")
-        self._put(rows, _contract(ginv, _inner4(x, xi)), "xT", "dxT")
-        self._put(rows, _inner4(x, x) * 0.5, "f", "df")
-        self._keep(rows, "lie_coordinate", _lie_coordinate(
-            self.xT[rows], self.dxT[rows], self.g[rows], g_partials))
+    Each tensor is one jet whose component axes come before the point axis,
+    e.g. Gamma's batch shape is (3, 3, 3, points).  Contractions sum over a
+    component axis from index 0 in a fixed term order, and Gamma^k_ij is
+    formed for i <= j and mirrored to j > i, since the jets g_ij and g_ji
+    round differently.  Jet arithmetic is pointwise, so a point gets the
+    same bits in any block.
+    """
+    b = SimpleNamespace(points=pts)
+    x = list(imm.chart_map(*(jets.variable(i + 1, pts[:, i]) for i in range(3))))
+    if len(x) != 4:
+        raise ValueError("chart map must return four components")
+    x = jets.stack(x)
+    xi = jets.stack([x.deriv(i + 1) for i in range(3)])  # [i, c] = d_i x^c
+    b.x, b.tangents = _value(x), _value(xi)
 
-    def n_points(self):
-        return self.points.shape[0]
+    # g to degree 2 gives dg; every other jet below is read to degree 1.
+    g = _inner4(xi[:, None], xi)
+    adj, det = _adjugate(g.truncate(1))
+    b.g, b.det = _value(g), _value(det)
+    _check_metric(imm.name, b.g, b.det)
+    ginv = adj / det  # after the gate: a singular g raises DegenerateMetric
+    b.ginv = _value(ginv)
+
+    raw_n = _cross4(xi)
+    nn = _inner4(raw_n, raw_n)
+    b.normals = np.stack([*raw_n.value, nn.value], axis=-1)
+    b.epsilon = _check_normal(imm.name, b.normals[:, :4], b.normals[:, 4])
+    N = raw_n * float(imm.orientation_sign) / jets.sqrt(nn * b.epsilon)
+    b.N, b.dN = _value(N), _partials(N)
+
+    # Weingarten: dN/du^j = -A^i_j (dx/du^i); solve through the metric.
+    dN = jets.stack([N.deriv(j + 1) for j in range(3)])
+    A = _contract(ginv[:, None], -_inner4(dN[:, None], xi))
+    b.A, b.H = _value(A), _value((A[0, 0] + A[1, 1] + A[2, 2]) / 3.0)
+    del adj, det, raw_n, nn, dN  # read no further: freed before the peak at Gamma
+    b.gA = b.g @ b.A
+    b.h = 0.5 * (b.gA + np.swapaxes(b.gA, -1, -2))
+    b.metric_scale = np.maximum(1.0, np.max(np.abs(b.g), axis=(1, 2)))
+
+    # Gamma^k_ij for i <= j, mirrored to j > i
+    dg = jets.stack([g.deriv(m + 1) for m in range(3)])  # [m, i, j]
+    i, j, l = _UPPER[0][:, None], _UPPER[1][:, None], np.arange(3)
+    gamma = _contract(ginv[:, None], dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+    Gamma = (gamma * 0.5)[:, _PAIR]
+    b.Gamma = _value(Gamma)
+    b.ric_intrinsic = _ricci_intrinsic(b.Gamma, _partials(Gamma))
+    b.nabla_A = _nabla_A(b.A, b.Gamma, _partials(A))
+
+    x, xi = x.truncate(1), xi.truncate(1)
+    rho, xT, f = _inner4(x, N), _contract(ginv, _inner4(x, xi)), _inner4(x, x) * 0.5
+    b.rho, b.drho = _value(rho), _partials(rho)
+    b.xT, b.dxT = _value(xT), _partials(xT)
+    b.f, b.df = _value(f), _partials(f)
+    b.lie_coordinate = _lie_coordinate(b.xT, b.dxT, b.g, _partials(g))
+
+    b.ric_gauss = ricci_gauss(b.A, b.g)
+    b.lie_closed_form = lie_closed_form_batch(b)
+    b.identities = identity_residuals(
+        b, b.epsilon * b.ric_gauss - b.ric_intrinsic, b.lie_closed_form)
+    return b
 
 
 def ricci_gauss(A, g):

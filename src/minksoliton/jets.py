@@ -19,10 +19,10 @@ same sums degree by degree (Griewank & Walther, Evaluating Derivatives,
 
 A jet indexes its batch axes as numpy does, and ``stack`` joins jets along
 a new leading batch axis, so one jet holds a whole tensor.
-``GeometryBatch`` puts the component axes before the point axis, sums each
-contraction over a component axis in a fixed term order, and mirrors the
-Christoffel symbols in their lower indices rather than computing both
-halves: a product is not commutative bit for bit.
+``hypersurface.geometry_block`` puts the component axes before the point
+axis, sums each contraction over a component axis in a fixed term order,
+and mirrors the Christoffel symbols in their lower indices rather than
+computing both halves: a product is not commutative bit for bit.
 """
 
 from __future__ import annotations

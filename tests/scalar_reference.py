@@ -11,8 +11,8 @@ in ``src/`` did before it was vectorized or narrowed:
 * ``extract_derivative`` reads one true partial derivative off a jet;
 * ``form`` reads one row of a ``lorentz.FormBatch`` as the analysis report's
   centre form does;
-* ``identity_table`` gives the identity rows of one geometry batch, from
-  the inputs an analysis passes to ``soliton.identity_residuals``;
+* ``identity_table`` recomputes the identity rows of one geometry block
+  from the inputs that block passes to ``soliton.identity_residuals``;
 * ``ricci_intrinsic``, ``nabla_A`` and ``lie_coordinate`` write the
   formulas of the arrays ``GeometryBatch`` forms from first partials as
   whole-batch einsums, for partials taken by central differences.
@@ -29,10 +29,9 @@ import numpy as np
 
 from minksoliton.canonical import (_REQUIRED, TAU_COINCIDE, WITNESS,
                                    CaseSystem)
-from minksoliton.hypersurface import ricci_gauss
 from minksoliton.jets import DEGREE, INDEX_OF, IndexOutOfRange
 from minksoliton.lorentz import N_PARAMETERS, VARIANTS, FormVariant
-from minksoliton.soliton import identity_residuals, lie_closed_form_batch
+from minksoliton.soliton import identity_residuals
 
 # -- case systems --------------------------------------------------------------
 
@@ -178,16 +177,17 @@ def form(forms, i):
 
 # -- identity rows -------------------------------------------------------------
 
-def identity_table(geo):
-    """``identity_residuals`` of ``geo`` for the corrected minus intrinsic
-    Ricci tensor and the closed-form Lie derivative."""
-    ric = geo.epsilon * ricci_gauss(geo.A, geo.g) - geo.ric_intrinsic
-    return identity_residuals(geo, ric, lie_closed_form_batch(geo))
+def identity_table(block):
+    """``identity_residuals`` of a ``hypersurface.geometry_block`` for the
+    corrected minus intrinsic Ricci tensor and the closed-form Lie
+    derivative, from the block's arrays as they stand."""
+    ric = block.epsilon * block.ric_gauss - block.ric_intrinsic
+    return identity_residuals(block, ric, block.lie_closed_form)
 
 
 # -- arrays formed from first partials ------------------------------------------
 # Each partial argument carries the chart derivative on axis 1, as
-# GeometryBatch's d* arrays do, e.g. dGamma[:, m, k, i, j] = d_m Gamma^k_ij.
+# geometry_block's d* arrays do, e.g. dGamma[:, m, k, i, j] = d_m Gamma^k_ij.
 
 def ricci_intrinsic(Gamma, dGamma):
     """Ric_jk = d_i G^i_jk - d_j G^i_ik + G^i_il G^l_jk - G^i_jl G^l_ik."""

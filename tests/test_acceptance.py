@@ -15,7 +15,6 @@ import time
 
 import numpy as np
 import pytest
-from scalar_reference import identity_table
 
 from minksoliton import analysis, catalog, frame_ode
 from minksoliton.canonical import sweep
@@ -68,7 +67,7 @@ def test_c01_universal_identity_suite(geometries):
     worst = {}
     for (name, params), (_, grid, entry) in geometries.items():
         imm = entry.build(**dict(params))[0]  # timed: integration included
-        rows = identity_table(GeometryBatch(imm, grid)).values()
+        rows = GeometryBatch(imm, grid).identities.values()
         worst[name] = (max(np.max(row) for row in rows), TAU[entry.is_ode][0])
     elapsed = time.perf_counter() - t0
     ok = all(v < tau for v, tau in worst.values()) and elapsed < 5.0

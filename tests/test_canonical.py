@@ -121,6 +121,29 @@ def test_jordan2_distinct_infeasible():
     assert sol.witness_value == pytest.approx(0.25)
 
 
+# Every row of every form at lambda = 11 and rho = 7, worked by hand.  Each
+# term is a non-zero integer, so it is exact, and a flipped sign in any term
+# moves its row by twice that term.
+HAND_WORKED_ROWS = [
+    # 10 - e*7*a_i - a_i (sum of the other two)
+    (FormVariant.DIAGONALIZABLE, 1, dict(a1=2, a2=3, a3=5), [-20, -32, -50]),
+    (FormVariant.DIAGONALIZABLE, -1, dict(a1=2, a2=3, a3=5), [8, 10, 20]),
+    # 10 - 14 - (4 + 6 + 25), 10 - 21 - 12, 35 + 15
+    (FormVariant.COMPLEX_PAIR, 1, dict(a1=2, b1=5, a2=3), [-39, -23, 50]),
+    # 7 + 3, (1 - 11 + 14) + 2 * 5, (10 - 21) - 12
+    (FormVariant.JORDAN_2, 1, dict(a1=2, a2=3), [10, 14, -23]),
+    # 1, 7 + 2, (1 - 11 + 14) + 8
+    (FormVariant.JORDAN_3, 1, dict(a1=2), [1, 9, 12]),
+]
+
+
+@pytest.mark.parametrize("form, epsilon, params, rows", HAND_WORKED_ROWS)
+def test_case_system_rows_match_hand_worked_values(form, epsilon, params,
+                                                   rows):
+    system = build_case_system(form, epsilon, **params)
+    assert system.residuals(11.0, 7.0) == rows
+
+
 def test_nondiagonalizable_forms_reject_negative_epsilon():
     with pytest.raises(ValueError):
         build_case_system(FormVariant.JORDAN_2, -1, a1=1.0, a2=1.0)

@@ -9,7 +9,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scalar_reference import identity_table
 
 from minksoliton import catalog
 from minksoliton import frame_ode as fo
@@ -448,7 +447,7 @@ def test_builders_require_nonzero_b():
 
 def test_umbilical_unit_lorentzian_normal():
     imm = fo.build_generalized_umbilical(spec_umbilical())
-    geo = hs.GeometryBatch(imm, np.array([[0.2, 0.5, 0.3]]))
+    geo = hs.geometry_block(imm, np.array([[0.2, 0.5, 0.3]]))
     assert geo.epsilon == 1.0
     assert abs(mink_inner(geo.N[0], geo.N[0]) - 1.0) < 1e-12
 
@@ -459,7 +458,7 @@ def test_umbilical_normal_matches_closed_form():
     imm = fo.build_generalized_umbilical(spec)
     table = fo.FrameTable(spec)
     pts = np.array([[0.3, 0.4, 0.25], [-0.6, -0.7, 0.1], [0.0, 0.2, -0.5]])
-    geo = hs.GeometryBatch(imm, pts)
+    geo = hs.geometry_block(imm, pts)
     for p, normal in zip(pts, geo.N):
         F = table.values_at(np.array([p[0]]))[0]
         _, X, Y, Z, W = F
@@ -498,7 +497,7 @@ def test_umbilical_identities_within_ode_budget():
         spec_umbilical(b=fo.BFunction.offset_sin()))
     grid = hs.grid_points(((-0.8, 0.8), (-0.7, 0.7), (-0.6, 0.6)), (3, 3, 3))
     geo = hs.GeometryBatch(imm, grid)
-    rows = identity_table(geo)
+    rows = geo.identities
     assert max(np.max(row) for row in rows.values()) < 1e-5
     assert np.max(rows["codazzi_residual"]) < 1e-5
     ric_i = geo.ric_intrinsic
@@ -518,7 +517,7 @@ def test_cylinder_normal_is_Z_and_nilpotent_operator():
     imm = fo.build_generalized_cylinder_I(spec)
     table = fo.FrameTable(spec)
     p = [0.4, 0.3, -0.5]
-    geo = hs.GeometryBatch(imm, np.array([p]))
+    geo = hs.geometry_block(imm, np.array([p]))
     Z = table.values_at(np.array([p[0]]))[0][3]
     N = geo.N[0]
     assert min(np.max(np.abs(N - Z)), np.max(np.abs(N + Z))) < 1e-11
@@ -543,7 +542,7 @@ def test_cylinder_half_lie_equals_metric_on_central_slice():
     spec = fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(1.0))
     imm = fo.build_generalized_cylinder_I(spec)
     slice_grid = hs.grid_points(((-1e-12, 1e-12), (-1, 1), (-1, 1)), (2, 3, 3))
-    geo = hs.GeometryBatch(imm, slice_grid)
+    geo = hs.geometry_block(imm, slice_grid)
     lie = geo.lie_coordinate
     assert np.max(np.abs(0.5 * lie - geo.g)) < 1e-9
     # off the slice the support function grows like the accumulated moment

@@ -13,11 +13,17 @@ from minksoliton.hypersurface import (DegenerateMetric, EmptyGrid,
                                       GeometryBatch, Immersion, grid_points,
                                       ricci_gauss, structure_verdicts)
 from minksoliton.lorentz import classify_batch
+from minksoliton.soliton import lie_closed_form_batch
 
 
 def at_point(imm, p):
     """The geometry batch of the single chart point p."""
     return GeometryBatch(imm, np.array(p, dtype=float)[None])
+
+
+def block_at(imm, p):
+    """Every per-point array of the single chart point p."""
+    return hs.geometry_block(imm, np.array(p, dtype=float)[None])
 
 
 def plane_immersion(height=1.0, sign=1.0):
@@ -28,7 +34,7 @@ def plane_immersion(height=1.0, sign=1.0):
 
 def test_plane_sample():
     # orientation chosen so the normal is +e4
-    geo = at_point(plane_immersion(sign=-1.0), [0.3, -0.2, 0.9])
+    geo = block_at(plane_immersion(sign=-1.0), [0.3, -0.2, 0.9])
     assert np.allclose(geo.N[0], [0, 0, 0, 1], atol=1e-14)
     assert geo.epsilon == 1.0
     assert np.max(np.abs(geo.A[0])) == 0.0
@@ -36,7 +42,7 @@ def test_plane_sample():
     assert np.allclose(geo.xT[0], [0.3, -0.2, 0.9])
     assert np.max(np.abs(geo.ric_intrinsic[0])) < 1e-14
     geo = at_point(plane_immersion(), [0.1, 0.2, 0.3])
-    assert identity_table(geo)["codazzi_residual"][0] < 1e-14
+    assert geo.identities["codazzi_residual"][0] < 1e-14
 
 
 def test_de_sitter_sample():
@@ -153,8 +159,8 @@ def test_null_normal_raises():
 def test_codazzi_universal_and_perturbation():
     imm = catalog.get("de_sitter").build(c=1.0)[0]
     grid = grid_points(((-0.5, 0.5), (0.6, 2.2), (0.3, 5.0)), (3, 3, 3))
-    geo = GeometryBatch(imm, grid)
-    assert np.max(identity_table(geo)["codazzi_residual"]) < 1e-12
+    geo = hs.geometry_block(imm, grid)
+    assert np.max(geo.identities["codazzi_residual"]) < 1e-12
 
     # inject an asymmetric constant perturbation into the shape operator and
     # recompute the covariant antisymmetry by hand: nabla is linear in A, so
@@ -186,7 +192,7 @@ def connection_forms(imm, p, frame_field, kind):
     covariant derivative reads the Christoffel symbols of the geometry batch,
     and the pairing runs through the inverse Gram matrix.
     """
-    geo = at_point(imm, p)
+    geo = block_at(imm, p)
     chart = [jets.variable(m + 1, np.array([p[m]], dtype=float))
              for m in range(3)]
     E = frame_field(*chart)
@@ -343,7 +349,7 @@ def test_identity_suite_batches():
     imm = catalog.get("pseudospherical_cylinder").build(c=2.0)[0]
     grid = grid_points(((-0.8, 0.8), (0.2, 6.0), (0.15, 1.1)), (4, 4, 4))
     geo = GeometryBatch(imm, grid)
-    assert max(np.max(row) for row in identity_table(geo).values()) < 1e-9
+    assert max(np.max(row) for row in geo.identities.values()) < 1e-9
 
 
 def test_geometry_batch_holds_values_and_first_partials():
@@ -363,21 +369,27 @@ def test_geometry_batch_holds_values_and_first_partials():
         box = [(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
                for lo, hi in entry.safe_box(merged)]
         grid = grid_points(box, (2, 2, 2))
-        geo = GeometryBatch(imm, grid)
-        for attr, val in vars(geo).items():
-            assert not isinstance(val, (jets.Jet, list, tuple)), attr
-            if isinstance(val, np.ndarray):
-                assert val.dtype == np.float64, attr
-                assert val.flags.c_contiguous, attr
-                assert val.shape[0] == len(grid), attr
+        # the kept arrays, and every array of the block they come from
+        geo = hs.geometry_block(imm, grid)
+        for held in (GeometryBatch(imm, grid), geo):
+            for attr, val in vars(held).items():
+                assert not isinstance(val, (jets.Jet, list, tuple)), attr
+                if isinstance(val, np.ndarray):
+                    assert val.dtype == np.float64, attr
+                    assert val.flags.c_contiguous, attr
+                    assert val.shape[0] == len(grid), attr
+            for key, row in held.identities.items():
+                assert row.dtype == np.float64, key
+                assert row.flags.c_contiguous, key
+                assert row.shape[-1] == len(grid), key
         assert set(partials) | set(partials.values()) | set(formed) \
             <= set(vars(geo))
         fd = {"g": [], "A": [], "Gamma": []}
         for m in range(3):
             shift = np.zeros(3)
             shift[m] = step
-            up = GeometryBatch(imm, grid + shift)
-            down = GeometryBatch(imm, grid - shift)
+            up = hs.geometry_block(imm, grid + shift)
+            down = hs.geometry_block(imm, grid - shift)
             for d, value in partials.items():
                 diff = (getattr(up, value) - getattr(down, value)) / (2 * step)
                 assert np.max(np.abs(getattr(geo, d)[:, m] - diff)) < 1e-6, \
@@ -405,10 +417,12 @@ def test_mean_curvature_is_exactly_trace_over_three():
 
 # -- blocks of points ------------------------------------------------------------
 
-GEOMETRY_ARRAYS = ("points", "x", "tangents", "g", "det", "ginv", "N", "dN",
-                   "A", "H", "gA", "h", "Gamma", "ric_intrinsic", "nabla_A",
-                   "rho", "drho", "xT", "dxT", "f", "df", "lie_coordinate",
-                   "metric_scale")
+GEOMETRY_ARRAYS = ("points", "x", "g", "det", "A", "H", "h", "rho", "xT",
+                   "metric_scale", "ric_intrinsic", "ric_gauss",
+                   "lie_closed_form")
+# per-point arrays that live one block at a time, in geometry_block only
+BLOCK_ONLY_ARRAYS = ("tangents", "ginv", "N", "dN", "gA", "Gamma", "nabla_A",
+                     "drho", "dxT", "f", "df", "lie_coordinate")
 
 CHART_FILE = """\
 x1 = sqrt(1 + u^2 + v^2 + w^2) + 0.05 * sin(3 * u) * cos(2 * w)
@@ -443,20 +457,47 @@ def test_blocked_build_equals_one_block_bit_for_bit(n, tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(hs, "_BLOCK", n)
             whole = GeometryBatch(imm, pts)
-        assert set(vars(blocked)) == set(GEOMETRY_ARRAYS) | {"epsilon"}
+        assert set(vars(blocked)) == \
+            set(GEOMETRY_ARRAYS) | {"epsilon", "identities"}
+        for attr in BLOCK_ONLY_ARRAYS:
+            assert not hasattr(blocked, attr), attr
         assert blocked.epsilon == whole.epsilon
         for attr in GEOMETRY_ARRAYS:
             got, want = getattr(blocked, attr), getattr(whole, attr)
             assert got.flags.c_contiguous, (imm.name, attr)
             assert got.shape == want.shape, (imm.name, attr)
             assert got.tobytes() == want.tobytes(), (imm.name, attr, n)
+        assert list(blocked.identities) == list(whole.identities)
+        for key, got in blocked.identities.items():
+            want = whole.identities[key]
+            assert got.flags.c_contiguous, (imm.name, key)
+            assert got.shape == want.shape == \
+                ((2, n) if key == "lemma1" else (n,)), (imm.name, key)
+            assert got.tobytes() == want.tobytes(), (imm.name, key, n)
+
+
+def test_kept_tables_equal_the_functions_that_form_them(tmp_path):
+    # what the analysis once formed from the whole batch, the blocks keep
+    rng = np.random.default_rng(11)
+    for imm, box in _block_immersions(tmp_path):
+        lo, hi = np.array(box, dtype=float).T
+        pts = lo + (hi - lo) * rng.random((1500, 3))
+        geo = GeometryBatch(imm, pts)
+        assert geo.ric_gauss.tobytes() == \
+            ricci_gauss(geo.A, geo.g).tobytes(), imm.name
+        assert geo.lie_closed_form.tobytes() == \
+            lie_closed_form_batch(geo).tobytes(), imm.name
+        table = identity_table(hs.geometry_block(imm, pts[1024:]))
+        for key, row in table.items():
+            assert row.tobytes() == \
+                geo.identities[key][..., 1024:].tobytes(), (imm.name, key)
 
 
 def test_christoffel_symbols_are_mirrored_bit_for_bit(tmp_path):
     rng = np.random.default_rng(5)
     for imm, box in _block_immersions(tmp_path):
         lo, hi = np.array(box, dtype=float).T
-        geo = GeometryBatch(imm, lo + (hi - lo) * rng.random((300, 3)))
+        geo = hs.geometry_block(imm, lo + (hi - lo) * rng.random((300, 3)))
         swapped = np.ascontiguousarray(np.swapaxes(geo.Gamma, -1, -2))
         assert geo.Gamma.tobytes() == swapped.tobytes(), imm.name
 

@@ -8,7 +8,8 @@ import pytest
 from scalar_reference import identity_table
 
 from minksoliton import catalog, jets
-from minksoliton.hypersurface import (GeometryBatch, Immersion, grid_points,
+from minksoliton.hypersurface import (GeometryBatch, Immersion,
+                                      geometry_block, grid_points,
                                       ricci_gauss)
 from minksoliton.soliton import (TAU, Verdict,
                                  fit_lambda_pointwise, lie_closed_form_batch)
@@ -50,14 +51,14 @@ def entry_grid(name, counts=(3, 3, 3), **params):
 
 def test_lie_derivative_zero_field_on_de_sitter():
     imm, grid, _ = entry_grid("de_sitter")
-    lie = GeometryBatch(imm, grid[4]).lie_coordinate[0]
+    lie = geometry_block(imm, grid[4:5]).lie_coordinate[0]
     assert np.max(np.abs(lie)) < 1e-12
 
 
 def test_lie_derivative_ruling_component():
     # x_T = w * d/dw on the Lorentzian cylinder: (L g)(dw, dw)/2 = 1
     imm, grid, _ = entry_grid("pseudospherical_cylinder")
-    geo = GeometryBatch(imm, [0.3, 1.0, 0.7])
+    geo = geometry_block(imm, np.array([[0.3, 1.0, 0.7]]))
     lie = geo.lie_coordinate[0]
     assert lie[2, 2] / 2.0 == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(lie, lie_closed_form_batch(geo)[0], atol=1e-11)
@@ -67,7 +68,7 @@ def test_lie_derivative_flat_plane_euler_field():
     def chart(u, v, w):
         return [u, v, w, jets.constant(1.0, u.shape)]
     imm = Immersion("plane", chart)
-    geo = GeometryBatch(imm, [0.4, -0.2, 0.7])
+    geo = geometry_block(imm, np.array([[0.4, -0.2, 0.7]]))
     lie = geo.lie_coordinate[0]
     assert np.allclose(lie / 2.0, geo.g[0], atol=1e-13)
 
@@ -83,7 +84,7 @@ def test_closed_form_zero_operator():
 def test_route_agreement_all_entries():
     for name in catalog.ENTRIES:
         imm, grid, _ = entry_grid(name)
-        route = identity_table(GeometryBatch(imm, grid))["route_agreement"]
+        route = GeometryBatch(imm, grid).identities["route_agreement"]
         assert np.max(route) < 1e-7, name
 
 
@@ -151,14 +152,14 @@ def test_position_field_identities_universal():
     for name in catalog.ENTRIES:
         imm, grid, entry = entry_grid(name)
         first, second = np.max(
-            identity_table(GeometryBatch(imm, grid))["lemma1"], axis=1)
+            GeometryBatch(imm, grid).identities["lemma1"], axis=1)
         assert first < TAU[entry.is_ode][0], name
         assert second < TAU[entry.is_ode][0], name
 
 
 def test_position_identity_pieces_vanish_on_de_sitter():
     imm, grid, _ = entry_grid("de_sitter")
-    geo = GeometryBatch(imm, grid)
+    geo = geometry_block(imm, grid)
     assert np.max(np.abs(geo.drho)) < 1e-11
     AxT = np.einsum('nkl,nl->nk', geo.A, geo.xT)
     assert np.max(np.abs(AxT)) < 1e-11
@@ -168,15 +169,15 @@ def test_position_identity_plane_exact():
     def chart(u, v, w):
         return [u, v, w, jets.constant(1.0, u.shape)]
     imm = Immersion("plane", chart)
-    first, second = np.max(identity_table(GeometryBatch(
-        imm, grid_points(((-1, 1),) * 3, (3, 3, 3))))["lemma1"], axis=1)
+    geo = GeometryBatch(imm, grid_points(((-1, 1),) * 3, (3, 3, 3)))
+    first, second = np.max(geo.identities["lemma1"], axis=1)
     assert first < 1e-13 and second < 1e-13
 
 
 def test_identity_rows_keep_a_nan_component():
     # a NaN in any component at one point is that point's residual
     imm, grid, _ = entry_grid("de_sitter")
-    geo = GeometryBatch(imm, grid)
+    geo = geometry_block(imm, grid)
     geo.gA[-1, 0, 1] = np.nan
     geo.nabla_A[-1, 2, 2, 2] = np.nan
     rows = identity_table(geo)
@@ -188,7 +189,7 @@ def test_identity_rows_keep_a_nan_component():
 def test_gradient_check_universal():
     for name in catalog.ENTRIES:
         imm, grid, _ = entry_grid(name)
-        rows = identity_table(GeometryBatch(imm, grid))
+        rows = GeometryBatch(imm, grid).identities
         assert np.max(rows["gradient_check"]) < 1e-7, name
 
 
@@ -201,14 +202,14 @@ def test_gradient_check_cylinder_field_is_ruling():
     assert np.max(np.abs(xT[:, 1])) < 1e-11
     assert np.allclose(xT[:, 2], grid[:, 2], atol=1e-11)
     f = 0.5 * (-1.0 + grid[:, 2] ** 2)  # <x,x>/2 on the unit-c chart
-    assert np.allclose(geo.f, f, atol=1e-11)
+    assert np.allclose(geometry_block(imm, grid).f, f, atol=1e-11)
 
 
 def test_hyperbolic_space_gradient_constant_potential():
     imm, grid, _ = entry_grid("hyperbolic_space")
-    geo = GeometryBatch(imm, grid)
+    geo = geometry_block(imm, grid)
     assert np.allclose(geo.f, -0.5, atol=1e-12)
-    assert np.max(identity_table(geo)["gradient_check"]) < 1e-11
+    assert np.max(geo.identities["gradient_check"]) < 1e-11
 
 
 def test_negative_controls_fail_soliton_pass_identities():
@@ -218,7 +219,7 @@ def test_negative_controls_fail_soliton_pass_identities():
         rep = fit(geo, tau=TAU[entry.is_ode][1])
         assert rep.verdict is Verdict.NOT_A_SOLITON
         assert rep.lambda_spread > 1e-2
-        rows = identity_table(geo)
+        rows = geo.identities
         first, second = np.max(rows["lemma1"], axis=1)
         assert max(first, second, np.max(rows["gradient_check"]),
                    np.max(rows["route_agreement"])) < 1e-7
