@@ -109,7 +109,7 @@ def _adjugate(m):
     return cof_t * _CHECKER, _expand(m[0], cof_t[:, 0])
 
 
-_BLOCK = 1024  # points per block: an order-3 product's 84 pair rows stay in L2
+_BLOCK = 1024  # points per block, where most jet products add slice runs (see jets.py)
 
 
 def _check_metric(name, g, det):

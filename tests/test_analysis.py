@@ -210,7 +210,9 @@ def test_one_pass_per_analysis(monkeypatch):
 def test_analysis_peak_memory_at_21_cubed(name):
     # a 21^3 analysis keeps 79 doubles per point, about 5.6 MiB; the jets
     # and arrays of one block come on top, and an array that only the block
-    # reads must not be kept for the whole batch
+    # reads must not be kept for the whole batch.  Products in slice runs
+    # hold no gathered pair rows: the peaks read 13.57 and 13.89 MiB, and
+    # 14.43 and 15.22 MiB while every product gathered
     analysis.analyze_entry(name)  # imports and the frame table, untraced
     tracemalloc.start()
     try:
@@ -218,7 +220,7 @@ def test_analysis_peak_memory_at_21_cubed(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak / 2**20
+    assert peak < 14.5 * 2**20, peak / 2**20
 
 
 def test_public_names_resolve():

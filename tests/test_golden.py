@@ -4,6 +4,9 @@ The files in tests/golden/ are:
 
 * CLI reports of every catalog entry: JSON at 5^3 and 11^3 grid points, and
   CSV and text at 5^3;
+* CLI JSON reports at 21^3 of hyperbolic_space and
+  generalized_umbilical_varB, whose 9261 points run in ten geometry blocks
+  and whose larger jet products add slice runs rather than gathering;
 * CLI JSON reports at 5^3 of the chart file hyperbolic_graph_chart.txt, on
   the default box and on a given ``--box``;
 * ``case-sweep`` output of each canonical form, CSV and JSON, for
@@ -17,13 +20,13 @@ holds no other file.
 
 The bytes also depend on numpy's SIMD dispatch.  The files were written with
 numpy 2.4.6 running its AVX-512 kernels; with
-NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", 8 of the 27 analyze
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", 9 of the 29 analyze
 reports differ in round-off-sized residuals: de_sitter 5^3 and 11^3 JSON and
-5^3 CSV, hyperbolic_space and hyperbolic_cylinder 11^3 JSON, and
-pseudospherical_cylinder 5^3 and 11^3 JSON and 5^3 CSV (lambda_spread in
+5^3 CSV, hyperbolic_space 11^3 and 21^3 JSON, hyperbolic_cylinder 11^3 JSON,
+and pseudospherical_cylinder 5^3 and 11^3 JSON and 5^3 CSV (lambda_spread in
 de_sitter_5.json, for one, reads 1.55e-15 against 1.33e-15).  Of the other
 reports, the 5^3 text reports of de_sitter and pseudospherical_cylinder
-differ there too.  The 11 reports of the three frame-ODE entries are the
+differ there too.  The 12 reports of the three frame-ODE entries are the
 same under both dispatches; test_frame_ode.py bounds how far they sit from
 the reports of the step-by-step RK4 loop.  CI prints numpy.show_runtime()
 before the tests, to tell such a failure from a change of the code, and
@@ -45,6 +48,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CHART = "hyperbolic_graph_chart.txt"
 
 CASES = ([(name, n, "json") for name in catalog.ENTRIES for n in (5, 11)]
+         + [(name, 21, "json") for name in ("hyperbolic_space",
+                                            "generalized_umbilical_varB")]
          + [(name, 5, "csv") for name in catalog.ENTRIES])
 SWEEP_CASES = [(v.value, fmt) for v in FormVariant for fmt in ("csv", "json")]
 CHART_CASES = [(None, "hyperbolic_graph_5.json"),
@@ -113,4 +118,4 @@ def test_golden_directory_holds_only_named_files():
              | {golden for _, golden in CHART_CASES} | {CHART}
              | {golden for _, golden in LIST_CASES})
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(named)
-    assert len(named) == 49
+    assert len(named) == 51

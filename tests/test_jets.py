@@ -382,6 +382,89 @@ def test_scalar_lifted_operands_match_blas_reference(n):
     assert _same_bits(jets.Jet(single) * scale, tiled * scale[:, None])
 
 
+# A plan sums by a gather of pair rows below jets._SLICE_RUNS_FROM pair
+# products and by slice runs from there on; both forms must give the bits of
+# the reference at every shape.  The cases below run order 1-3 products of
+# (3, 1, n) by (1, 3, n) jets, 7 * 9 * 125 to 84 * 9 * 1024 pair products,
+# under the module's constant and with every product forced to either form.
+
+def _expand_runs(runs, n_slots):
+    """Per slot, the pairs (a, b) the slice runs add, in the order they add them."""
+    got = [[] for _ in range(n_slots)]
+    for a, b, to in runs:
+        n = to.stop - to.start
+        assert n >= 1 and {a.step, b.step, to.step} == {None}
+        assert a.stop - a.start in (1, n) and b.stop - b.start in (1, n)
+        for i in range(n):
+            got[to.start + i].append((a.start + i * (a.stop - a.start > 1),
+                                      b.start + i * (b.stop - b.start > 1)))
+    return got
+
+
+def _expand_gather(plan, n_slots):
+    """Per slot, the pairs (a, b) the gather adds, in the order it adds them."""
+    ia, ib, width, adds, order, _ = plan
+    by_rank = [[(int(ia[r]), int(ib[r]))] for r in range(width)]
+    for to, terms in adds:
+        for r in range(to.stop):
+            by_rank[r].append((int(ia[terms.start + r]), int(ib[terms.start + r])))
+    return [by_rank[order[s]] for s in range(n_slots)] if width else [[]] * n_slots
+
+
+def _plan_cases():
+    """Every plan, with each of its slots' pairs in pair-table order."""
+    table = list(zip(REF_A.tolist(), REF_B.tolist(), REF_OUT.tolist()))
+    deg = REF_DEG.tolist()
+    for d, plan in enumerate(jets._MUL_PLANS):
+        yield plan, [[(a, b) for a, b, c in table if c == s] for s in range(jets.ROWS[d])]
+    for both, groups in ((False, jets._DIV_GROUPS), (True, jets._SQRT_GROUPS)):
+        for slots, plan in groups:
+            yield plan, [[(a, b) for a, b, c in table
+                          if c == s and deg[a] > 0 and (deg[b] > 0 or not both)]
+                         for s in slots.tolist()]
+
+
+def test_both_plan_forms_add_each_pair_once_in_pair_table_order():
+    cases = list(_plan_cases())
+    assert len(cases) == 10
+    for plan, pairs in cases:
+        assert _expand_runs(plan[5], len(pairs)) == pairs
+        assert _expand_gather(plan, len(pairs)) == pairs
+    assert [len(plan[5]) for plan in jets._MUL_PLANS] == [1, 2, 6, 18]
+
+
+@pytest.mark.parametrize("runs_from", [1, jets._SLICE_RUNS_FROM, 2 ** 62])
+@pytest.mark.parametrize("n", [125, 1024])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_tensor_products_match_blas_reference_bitwise(monkeypatch, order, n, runs_from):
+    monkeypatch.setattr(jets, "_SLICE_RUNS_FROM", runs_from)
+    rng = np.random.default_rng(1000 * order + n)
+    rows = jets.ROWS[order]
+    a, b = [_draw_coeffs(rng, n) for _ in range(3)], [_draw_coeffs(rng, n) for _ in range(3)]
+    for c in a:
+        c[:, 0] *= rng.choice([-1.0, 1.0], size=n)
+    lift = [_draw_coeffs(rng, 1) for _ in range(3)]  # one point each
+
+    def tensor(cs):
+        return jets.stack([jets.Jet(c.T.copy()) for c in cs]).truncate(order)
+
+    ja, jb, jl = tensor(a)[:, None], tensor(b)[None], tensor(lift)[:, None]
+    assert ja.shape == (3, 1, n) and jl.shape == (3, 1, 1)
+    root = jets.sqrt(jb * jb + ja * 0.0)  # (3, 3, n): sqrt groups on 9n elements
+    results = [(ja * jb, ref_mul, a), (ja / jb, ref_div, a),
+               (jl * jb, ref_mul, lift), (jl / jb, ref_div, lift)]
+    for i in range(3):
+        for j in range(3):
+            for got, ref, left in results:
+                want = ref(np.broadcast_to(left[i], b[j].shape), b[j])[:, :rows]
+                assert _same_bits(got[i, j], np.ascontiguousarray(want))
+            square = np.zeros((n, 20))  # rows past the order feed no kept row
+            square[:, :rows] = (jb * jb)[0, j].coeffs.T
+            assert _same_bits(root[i, j], np.ascontiguousarray(ref_sqrt(square)[:, :rows]))
+    assert _same_bits((jb * jl)[0, 0], np.ascontiguousarray(
+        ref_mul(b[0], np.broadcast_to(lift[0], b[0].shape))[:, :rows]))
+
+
 def test_one_point_batch_matches_same_row_of_larger_batches():
     rng = np.random.default_rng(11)
     for _ in range(200):
