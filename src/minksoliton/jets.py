@@ -78,8 +78,8 @@ _MUL_A, _MUL_B, _MUL_OUT = _build_pair_table()
 
 
 # From this many pair products (pairs times batch elements) on, a product adds
-# slice runs.  Inside 21^3 analyses they took 0.54-0.92 of the gather's time
-# there, but 1.08-1.17 on scalar products of 9-36 pairs (2-vCPU Xeon, numpy 2.4.6).
+# slice runs.  Inside 21^3 analyses they took 0.51-0.92 of the gather's time
+# there, but 1.03-1.17 on scalar products of 9-36 pairs (2-vCPU Xeon, numpy 2.4.6).
 _SLICE_RUNS_FROM = 2 ** 15
 
 
