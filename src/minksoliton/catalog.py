@@ -4,8 +4,9 @@ Each entry packages a chart builder, the box on which sampling is known to
 be nondegenerate, the normal orientation that reproduces the curvature
 signs quoted for it, whether it is integrated from the frame ODE (which
 picks its gate tolerances from soliton.TAU), and a list of expectations.
-The six closed-form charts are text in the chart-file grammar of exprs.py;
-the three others integrate the frame ODE.
+Eight charts are closed-form text in the chart-file grammar of exprs.py,
+two of them the constant-B null-curve hypersurfaces of frame_ode.py; the
+ninth, with B(s) = 2 + sin s, integrates the frame ODE.
 Expectations record claimed values next to their provenance ("claimed" for
 constants quoted in the source literature, "derived" for values established
 by an independent calculation here, "exact" for direct arithmetic facts);
@@ -67,8 +68,6 @@ class CatalogEntry:
         if unknown:
             raise KeyError(f"unknown parameters for {self.name}: {sorted(unknown)}")
         params.update(overrides)
-        if "b_const" in overrides and params["b_kind"] != "constant":
-            raise ValueError("b_const is read only with b_kind=constant")
         imm = self.builder(**params)
         return imm.with_orientation(self.orientation_sign), params
 
@@ -138,49 +137,72 @@ CHARTS = {
         x3 = v
         x4 = w
     """,
+    "generalized_umbilical": """
+        # alpha + v Y + w W + (sqrt(1 - a^2 w^2) + 1)/a Z over the frame of
+        # frame_ode.py with B = b_const and alpha(0) = -Z(0)/a; its system M
+        # has M^3 = k^2 M, k^2 = 2 a B, so exp(u M) = I + sinh(k u)/k M
+        # + (cosh(k u) - 1)/k^2 M^2
+        x1 = (1/2 - b_const/(4*a))*u - (1 + b_const/(2*a))*(sqrt(1 - a*a*w*w) + 1/2)*sinh(sqrt(2*a*b_const)*u)/sqrt(2*a*b_const) + (1/2 + (a/(2*b_const) + 1/4)*(cosh(sqrt(2*a*b_const)*u) - 1))*v
+        x2 = (1/2 + b_const/(4*a))*u - (1 - b_const/(2*a))*(sqrt(1 - a*a*w*w) + 1/2)*sinh(sqrt(2*a*b_const)*u)/sqrt(2*a*b_const) - (1/2 - (a/(2*b_const) - 1/4)*(cosh(sqrt(2*a*b_const)*u) - 1))*v
+        x3 = ((sqrt(1 - a*a*w*w) + 1/2)*cosh(sqrt(2*a*b_const)*u) - 1/2)/a - a*v*sinh(sqrt(2*a*b_const)*u)/sqrt(2*a*b_const)
+        x4 = w
+    """,
+    "generalized_cylinder_I": """
+        # alpha + v Y + w W over the frame of frame_ode.py with a = 0 and
+        # B = b_const, whose system is nilpotent: a cubic in u
+        x1 = u + b_const*b_const*u*u*u/12 + v/2
+        x2 = u - b_const*b_const*u*u*u/12 - v/2
+        x3 = -b_const*u*u/2
+        x4 = w
+    """,
 }
+
+# Where a*b_const < 0 the frame turns by sin and cos: the same text with
+# k = sqrt(-2 a B), every coefficient unchanged.
+TRIGONOMETRIC = {"generalized_umbilical": CHARTS["generalized_umbilical"]
+                 .replace("sqrt(2*a*b_const)", "sqrt(-2*a*b_const)")
+                 .replace("sinh(", "sin(").replace("cosh(", "cos(")}
+
+_NONZERO = {"c": "curvature constant c", "a": "Jordan eigenvalue a",
+            "b_const": "Jordan coefficient b_const"}
 
 
 def _closed_form(name):
-    """A builder of the chart ``CHARTS[name]``, named after the entry and
-    its parameters; a curvature constant c must be nonzero."""
+    """A builder of the chart ``CHARTS[name]``, or of ``TRIGONOMETRIC[name]``
+    where the parameters a and b_const differ in sign, named after the entry
+    and its parameters; the parameters of _NONZERO must be nonzero."""
     components = exprs.parse_chart_file(CHARTS[name])
+    trigonometric = (exprs.parse_chart_file(TRIGONOMETRIC[name])
+                     if name in TRIGONOMETRIC else components)
 
     def builder(**params):
-        if "c" in params:
-            params["c"] = _nonzero(params["c"], "curvature constant c")
+        params = {k: _nonzero(v, _NONZERO[k]) if k in _NONZERO else v
+                  for k, v in params.items()}
+        # signs, not the product, which may round to zero
+        turns = (params.get("a", 0.0) < 0.0) != (params.get("b_const", 0.0) < 0.0)
         label = ", ".join(f"{k}={v:g}" for k, v in params.items())
         return Immersion(f"{name}({label})" if label else name,
-                         exprs.chart_from_expressions(components, params))
+                         exprs.chart_from_expressions(
+                             trigonometric if turns else components, params))
 
     return builder
 
 
-# -- frame-ODE charts ---------------------------------------------------------
+# -- frame-ODE chart ----------------------------------------------------------
 
-def _b_function(b_kind, b_const):
-    if b_kind == "constant":
-        return frame_ode.BFunction.constant(b_const)
-    if b_kind == "offset_sin":
-        return frame_ode.BFunction.offset_sin()
-    raise ValueError(f"unknown B kind {b_kind!r}")
-
-
-def generalized_umbilical_immersion(a=1.0, b_kind="constant", b_const=1.0):
+def generalized_umbilical_immersion(a=1.0):
+    """The generalized umbilical hypersurface over the frame ODE with
+    B(s) = 2 + sin s."""
     a = _nonzero(a, "Jordan eigenvalue a")
     # alpha(0) = -Z0/a makes the support function constant, -1/a, on the
     # s = 0 slice.  The quoted constant a^2 + 1 needs -a there, so the
     # soliton equation holds on that slice only for a = +-1; no alpha(0)
     # reaches -a for other a, since only <alpha(0), Z0> = -1/a cancels the
-    # v-dependence of the support function.
-    spec = frame_ode.FrameODESpec(a=a, b=_b_function(b_kind, b_const),
+    # v-dependence of the support function.  The constant-B chart text
+    # starts from the same point.
+    spec = frame_ode.FrameODESpec(a=a, b=frame_ode.BFunction.offset_sin(),
                                   alpha0=np.array([0.0, 0.0, -1.0 / a, 0.0]))
     return frame_ode.build_generalized_umbilical(spec)
-
-
-def generalized_cylinder_immersion(b_kind="constant", b_const=1.0):
-    spec = frame_ode.FrameODESpec(a=0.0, b=_b_function(b_kind, b_const))
-    return frame_ode.build_generalized_cylinder_I(spec)
 
 
 # -- level-set constraints ----------------------------------------------------
@@ -437,20 +459,19 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="generalized_umbilical",
-        builder=generalized_umbilical_immersion,
-        defaults={"a": 1.0, "b_kind": "constant", "b_const": 1.0},
+        builder=_closed_form("generalized_umbilical"),
+        defaults={"a": 1.0, "b_const": 1.0},
         safe_box=lambda p: ((-0.85, 0.85), (-0.8, 0.8),
                             (-0.7 / abs(p["a"]), 0.7 / abs(p["a"]))),
         description="ruled Lorentzian hypersurface over a null curve with a "
                     "2-step Jordan shape operator",
         orientation_sign=-1.0,
-        is_ode=True,
         expectations=_generalized_umbilical_expectations,
     ),
     CatalogEntry(
         name="generalized_umbilical_varB",
         builder=generalized_umbilical_immersion,
-        defaults={"a": 1.0, "b_kind": "offset_sin"},
+        defaults={"a": 1.0},
         safe_box=lambda p: ((-0.85, 0.85), (-0.8, 0.8),
                             (-0.7 / abs(p["a"]), 0.7 / abs(p["a"]))),
         description="generalized umbilical hypersurface with varying "
@@ -461,12 +482,11 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="generalized_cylinder_I",
-        builder=generalized_cylinder_immersion,
-        defaults={"b_kind": "constant", "b_const": 1.0},
+        builder=_closed_form("generalized_cylinder_I"),
+        defaults={"b_const": 1.0},
         safe_box=lambda p: ((-0.85, 0.85), (-1.0, 1.0), (-1.0, 1.0)),
         description="ruled Lorentzian hypersurface with nilpotent shape "
                     "operator and flat induced metric",
-        is_ode=True,
         expectations=_generalized_cylinder_expectations,
     ),
     CatalogEntry(

@@ -55,8 +55,8 @@ class UsageError(ValueError):
 
 def _parse_params(items, defaults=None):
     """``--param`` values as floats.  Given a catalog entry's ``defaults``,
-    a name whose default is text keeps a value that is not a number, and
-    so does a name the entry lacks, for the entry to report."""
+    a name the entry lacks keeps a value that is not a number, for the
+    entry to report."""
     out = {}
     for item in items or []:
         if "=" not in item:
@@ -66,7 +66,7 @@ def _parse_params(items, defaults=None):
         try:
             out[k] = value = float(v)
         except ValueError:
-            if defaults is None or not isinstance(defaults.get(k, ""), str):
+            if defaults is None or k in defaults:
                 raise UsageError(
                     f"--param {k} must be a number, got {v!r}") from None
             out[k] = v.strip()

@@ -60,12 +60,17 @@ def _tokenize(text):
     return tokens
 
 
-def _check_nonzero(node, value, what):
+_OUTSIDE = {"=": (np.equal, "zero"), "<": (np.less, "a negative number")}
+
+
+def _check_domain(node, value, what, relation):
     """Raise ``DomainError`` if ``value``, the plain number or array that
-    ``node`` evaluated to, holds a zero; the message names a parameter."""
-    if not isinstance(value, jets.Jet) and np.any(np.equal(value, 0.0)):
-        zero = f"{node.payload!r} = 0" if node.kind == "var" else "zero"
-        raise jets.DomainError(f"{what} {zero}")
+    ``node`` evaluated to, holds an entry x with x ``relation`` 0; the
+    message names a parameter."""
+    outside, noun = _OUTSIDE[relation]
+    if not isinstance(value, jets.Jet) and np.any(outside(value, 0.0)):
+        name = f"{node.payload!r} {relation} 0" if node.kind == "var" else noun
+        raise jets.DomainError(f"{what} {name}")
 
 
 class Expr:
@@ -99,16 +104,20 @@ class Expr:
         if k == "*":
             return a * b
         if k == "/":
-            _check_nonzero(self.children[1], b, "division by")
+            _check_domain(self.children[1], b, "division by", "=")
             return a / b
         if k == "^":
             if isinstance(b, jets.Jet):
                 raise ParseError("exponent must be a constant")
             if b < 0:
-                _check_nonzero(self.children[0], a, "negative power of")
-            if float(b).is_integer():
-                return a ** int(b)
-            return a ** float(b)
+                _check_domain(self.children[0], a, "negative power of", "=")
+            b = int(b) if float(b).is_integer() else float(b)
+            if isinstance(b, float):
+                _check_domain(self.children[0], a, "real power of", "<")
+            if isinstance(a, jets.Jet):
+                return a ** b
+            with np.errstate(over="ignore"):  # to inf, as a product does
+                return np.float64(a) ** b
         raise ParseError(f"unknown node kind {k!r}")
 
     def names(self):

@@ -10,12 +10,12 @@ Only alpha' and Z' are prescribed by the hypersurface class; the remaining
 derivatives are the minimal completion that preserves every Gram relation
 (each d/ds <.,.> cancels identically, which the tests verify).
 
-Integration is classical fixed-step RK4 over a declared window.  The system
-is linear, so each step is a 5x5 matrix, and the dense state table is the
-prefix products of those matrices, formed in ceil(log2 n) doubling passes
-per direction from s = 0; for constant B the system is autonomous, one step
-map serves every step, and the passes cost about n matrix products, not
-n log2 n, with the same bits.  The table is interpolated locally (degree-5
+For constant B the flow has a closed form, which the catalog writes as
+chart text; this module integrates a varying B(s).  Integration is
+classical fixed-step RK4 over a declared window.  The system is linear, so
+each step is a 5x5 matrix, and the dense state table is the prefix
+products of those matrices, formed in ceil(log2 n) doubling passes per
+direction from s = 0.  The table is interpolated locally (degree-5
 Lagrange) for values, and s-derivatives up to order 3 come from the
 structure equations themselves, so jet coefficients stay at integrator
 accuracy instead of amplifying node roundoff through divided differences.
@@ -68,12 +68,6 @@ class BFunction:
     d1: Callable[[float], float]
     d2: Callable[[float], float]
     label: str = "B"
-
-    @classmethod
-    def constant(cls, c):
-        c = float(c)
-        return cls(lambda s: c + 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s,
-                   label=f"{c:g}")
 
     @classmethod
     def offset_sin(cls, offset=2.0, amplitude=1.0):
@@ -154,25 +148,11 @@ def _rk4(spec, n, h):
     composes each P_k with P_{k-d}, so ceil(log2 n) passes leave
     I + P_k = (I + Q_k) ... (I + Q_0).  Carrying the increment P rather
     than I + P keeps its small entries clear of the identity's round-off.
-
-    When B has one bit pattern at all 3n stage points (-0.0 differs from
-    0.0) the system is autonomous and every Q_k is Q_0.  Then only the first
-    r entries of P differ, the rest equal P_{r-1}, and a pass composes only
-    P[d:r + d]: about n matrix products in all, not n log2 n, for the same
-    bits.  For varying B, r = n and each pass is the full one.
     """
-    s = np.arange(n) * h
-    bits = np.asarray(spec.b.value(np.stack([s, s + 0.5 * h, s + h])),
-                      dtype=float).view(np.int64)
-    r = min(n, 1) if np.all(bits == bits.flat[:1]) else n
-    P = np.empty((n, 5, 5))
-    P[:r] = _step_maps(spec, r, h)
+    P = _step_maps(spec, n, h)
     d = 1
     while d < n:
-        hi = min(n, r + d)
-        P[r:hi] = P[r - 1]
-        P[d:hi] = P[d:hi] + P[:hi - d] + P[d:hi] @ P[:hi - d]
-        r = hi
+        P[d:] = P[d:] + P[:-d] + P[d:] @ P[:-d]
         d *= 2
     state0 = np.vstack([spec.alpha0, DEFAULT_INITIAL_FRAME])
     return np.concatenate([state0[None], state0 + P @ state0])
@@ -289,21 +269,4 @@ def build_generalized_umbilical(spec):
         return [x[m] for m in range(4)]
 
     label = f"generalized_umbilical(a={a:g}, B={spec.b.label})"
-    return Immersion(label, chart)
-
-
-def build_generalized_cylinder_I(spec):
-    """Ruled hypersurface x = alpha + u Y + v W over a frame with a = 0."""
-    if spec.a != 0.0:
-        raise ValueError("type-I generalized cylinder needs a = 0")
-    spec.require_b_nonzero()
-    table = FrameTable(spec)
-
-    def chart(js, ju, jv):
-        frame = table.component_jets(js.value)
-        alpha, X, Y, Z, W = (frame[k] for k in range(5))
-        x = alpha + ju * Y + jv * W
-        return [x[m] for m in range(4)]
-
-    label = f"generalized_cylinder_I(B={spec.b.label})"
     return Immersion(label, chart)

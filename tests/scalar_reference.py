@@ -15,11 +15,15 @@ in ``src/`` did before it was vectorized or narrowed:
   from the inputs that block passes to ``soliton.identity_residuals``;
 * ``ricci_intrinsic``, ``nabla_A`` and ``lie_coordinate`` write the
   formulas of the arrays ``GeometryBatch`` forms from first partials as
-  whole-batch einsums, for partials taken by central differences.
+  whole-batch einsums, for partials taken by central differences;
+* ``constant_b``, ``build_generalized_cylinder_I`` and ``frame_route_entry``
+  build the constant-B null-curve entries on the frame ODE, the route their
+  closed-form chart text replaced.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -27,8 +31,10 @@ from typing import Optional
 
 import numpy as np
 
+from minksoliton import catalog, frame_ode
 from minksoliton.canonical import (_REQUIRED, TAU_COINCIDE, WITNESS,
                                    CaseSystem)
+from minksoliton.hypersurface import Immersion
 from minksoliton.jets import DEGREE, INDEX_OF, IndexOutOfRange
 from minksoliton.lorentz import N_PARAMETERS, VARIANTS, FormVariant
 from minksoliton.soliton import identity_residuals
@@ -206,3 +212,42 @@ def lie_coordinate(xT, dxT, g, dg):
     """(L_xT g)_ij = xT^k d_k g_ij + g_kj d_i xT^k + g_ik d_j xT^k."""
     return (np.einsum('nk,nkij->nij', xT, dg) + np.einsum('nik,nkj->nij', dxT, g)
             + np.einsum('njk,nik->nij', dxT, g))
+
+
+# -- the frame ODE for a constant B ----------------------------------------------
+
+def constant_b(c):
+    """The coefficient B(s) = c of the frame system."""
+    c = float(c)
+    return frame_ode.BFunction(lambda s: c + 0.0 * s, lambda s: 0.0 * s,
+                               lambda s: 0.0 * s, label=f"{c:g}")
+
+
+def build_generalized_cylinder_I(spec):
+    """Ruled hypersurface x = alpha + u Y + v W over a frame with a = 0."""
+    if spec.a != 0.0:
+        raise ValueError("type-I generalized cylinder needs a = 0")
+    spec.require_b_nonzero()
+    table = frame_ode.FrameTable(spec)
+
+    def chart(js, ju, jv):
+        frame = table.component_jets(js.value)
+        alpha, X, Y, Z, W = (frame[k] for k in range(5))
+        x = alpha + ju * Y + jv * W
+        return [x[m] for m in range(4)]
+
+    return Immersion(f"generalized_cylinder_I(B={spec.b.label})", chart)
+
+
+def frame_route_entry(name):
+    """The catalog entry ``name``, generalized_umbilical or
+    generalized_cylinder_I, built on the frame ODE with its tolerances."""
+    def builder(a=None, b_const=1.0):
+        b = constant_b(b_const)
+        if name == "generalized_cylinder_I":
+            return build_generalized_cylinder_I(
+                frame_ode.FrameODESpec(a=0.0, b=b))
+        return frame_ode.build_generalized_umbilical(frame_ode.FrameODESpec(
+            a=a, b=b, alpha0=np.array([0.0, 0.0, -1.0 / a, 0.0])))
+
+    return dataclasses.replace(catalog.get(name), builder=builder, is_ode=True)

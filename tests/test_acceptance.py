@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from scalar_reference import constant_b
 
 from minksoliton import analysis, catalog, frame_ode
 from minksoliton.canonical import sweep
@@ -25,9 +26,9 @@ from minksoliton.soliton import (TAU, fit_lambda_pointwise,
 
 CLOSED_FORM = ("hyperbolic_space", "de_sitter", "hyperbolic_cylinder",
                "pseudospherical_cylinder", "graph_lorentzian",
-               "graph_spacelike")
-ODE_ENTRIES = ("generalized_umbilical", "generalized_umbilical_varB",
+               "graph_spacelike", "generalized_umbilical",
                "generalized_cylinder_I")
+ODE_ENTRIES = ("generalized_umbilical_varB",)
 ALL_SPECS = [(name, {}) for name in CLOSED_FORM + ODE_ENTRIES]
 ALL_SPECS += [("hyperbolic_cylinder", {"c": 2.0}),
               ("pseudospherical_cylinder", {"c": 2.0})]
@@ -311,7 +312,7 @@ def test_c09_geometry_algebra_consistency(reports):
 
 def test_c10_frame_ode_quality():
     # the default window runs one chain to s = 1 and one to s = -1
-    spec = frame_ode.FrameODESpec(a=1.0, b=frame_ode.BFunction.constant(1.0))
+    spec = frame_ode.FrameODESpec(a=1.0, b=constant_b(1.0))
     drift = frame_ode.FrameTable(spec).max_drift
     spec2 = frame_ode.FrameODESpec(a=1.0, b=frame_ode.BFunction.offset_sin(),
                                    window=(0.0, 1.0), tau_frame=1.0)

@@ -1,16 +1,18 @@
 """Catalog entries: defining constraints, identity suites, manifest shape,
-the tolerance table every gate reads, and the chart text of the closed-form
-entries."""
+the tolerance table every gate reads, the chart text of the closed-form
+entries, and the constant-B null-curve entries against the frame ODE."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scalar_reference import frame_route_entry
 
 from minksoliton import analysis, catalog, exprs
 from minksoliton.cli import main
-from minksoliton.hypersurface import GeometryBatch, grid_points
+from minksoliton.hypersurface import KEPT, GeometryBatch, grid_points
 from minksoliton.lorentz import is_self_adjoint
 from minksoliton.soliton import TAU
 
@@ -53,7 +55,8 @@ def test_chart_text_as_a_file_gives_the_catalog_report(name, tmp_path):
                      "--out", str(out)]) == 0
         return json.loads(out.read_text())
 
-    from_file = report("--entry", str(chart), f"--box={box}", *params)
+    from_file = report("--entry", str(chart), f"--box={box}",
+                       f"--orientation={entry.orientation_sign:g}", *params)
     from_entry = report("--entry", name)
     assert from_file["soliton"] == from_entry["soliton"]
     shared = from_file["identities"].keys() & from_entry["identities"].keys()
@@ -151,3 +154,62 @@ def test_principal_curvatures_compare_at_the_given_tolerance():
     assert agrees((1.0, 1.0, 0.0), (1.0, 0.0, 1.0), tol)
     assert not agrees((1.0, 1.0, 0.0), (1.0, 1.0 + 1e-5, 0.0), tol)
     assert not agrees((1.0, 1.0, 0.0), (1.0, 1.0), tol)
+
+
+# -- the constant-B null-curve entries against the frame ODE --------------------
+# Their chart text is the closed-form flow of the frame system; the frame-ODE
+# route integrates the same system by RK4, so the two agree to its error.
+
+SECOND_ROUTE = (
+    [("generalized_umbilical", {"a": a, "b_const": b})
+     for a, b in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7), (2.0, 2.0), (-1.0, 1.0),
+                  (1.0, -1.5), (0.01, 1.0))]
+    + [("generalized_cylinder_I", {"b_const": b}) for b in (1.0, -1.5, 0.5, 2.0)])
+
+
+@pytest.mark.parametrize("name, params", SECOND_ROUTE, ids=lambda v: (
+    ",".join(f"{k}={x:g}" for k, x in v.items()) if isinstance(v, dict) else v))
+def test_closed_form_entry_matches_frame_route(name, params):
+    entry = catalog.get(name)
+    imm, merged = entry.build(**params)
+    pts = grid_points(entry.safe_box(merged), (11, 11, 11))
+    closed = GeometryBatch(imm, pts)
+    ode = GeometryBatch(frame_route_entry(name).build(**params)[0], pts)
+    for key in KEPT:
+        want, got = getattr(ode, key), getattr(closed, key)
+        bound = 1e-10 * max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= bound, (key, bound)
+
+
+def leaves(obj, path=""):
+    """(path, value) of every leaf of a report."""
+    if isinstance(obj, dict):
+        return [leaf for k, v in obj.items() for leaf in leaves(v, f"{path}.{k}")]
+    if isinstance(obj, list):
+        return [leaf for k, v in enumerate(obj) for leaf in leaves(v, f"{path}[{k}]")]
+    return [(path, obj)]
+
+
+@pytest.mark.parametrize("name", ["generalized_umbilical",
+                                  "generalized_cylinder_I"])
+def test_closed_form_report_matches_frame_route(name, monkeypatch):
+    closed = analysis.analyze_entry(name)
+    monkeypatch.setitem(catalog.ENTRIES, name, frame_route_entry(name))
+    ode = analysis.analyze_entry(name)
+    # what the text report prints of the classification is the same
+    for rep in (closed, ode):
+        form = rep["classification"]["center_form"]
+        form["parameters"] = [f"{p:.9g}" for p in form["parameters"]]
+        form["minimal_polynomial"] = [round(c, 9) + 0.0
+                                      for c in form["minimal_polynomial"]]
+    want, got = leaves(ode), leaves(closed)
+    assert [path for path, _ in got] == [path for path, _ in want]
+    for (path, w), (_, g) in zip(want, got):
+        if path in (".identities.tau", ".soliton.tau"):
+            assert g < w, path  # the closed-form gates are the tighter
+        elif isinstance(w, float):
+            assert isinstance(g, float), path
+            assert (math.isnan(w) and math.isnan(g)) or \
+                abs(g - w) <= 1e-10 * max(1.0, abs(w)), (path, w, g)
+        else:  # verdicts, forms, histogram counts, flags and text
+            assert g == w, (path, w, g)

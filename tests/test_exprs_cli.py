@@ -59,6 +59,17 @@ def test_division_by_zero_is_a_domain_error():
     assert _num_eval("c^2 + c^0", c=0.0) == 1.0
 
 
+def test_power_of_a_plain_number_stays_real():
+    # a power overflows to inf as a product does, and takes no complex value
+    assert _num_eval("k^2", k=1e200) == np.inf
+    assert _num_eval("k^3", k=-1e200) == -np.inf
+    assert _num_eval("k^0.5", k=0.0) == 0.0
+    for text, message in (("k^0.5", "real power of 'k' < 0"),
+                          ("(k - 2)^1.5", "real power of a negative number")):
+        with pytest.raises(jets.DomainError, match=re.escape(message)):
+            _num_eval(text, k=-1.0)
+
+
 def test_jet_and_numeric_paths_agree():
     text = "sinh(u)*cos(v) + sqrt(w*w + 1.5) / (2 + u^2)"
     e = exprs.parse(text)
@@ -172,12 +183,6 @@ def test_cli_param_value_must_be_a_number(capsys, tmp_path):
     assert "--param k" in capsys.readouterr().err
     assert main(["analyze", "--entry", "de_sitter", "--param", "zz=abc"]) == 1
     assert "unknown parameters" in capsys.readouterr().err
-    # a name whose default is text takes text
-    assert main(["analyze", "--entry", "generalized_cylinder_I", "--grid",
-                 "3,3,3", "--param", "b_kind=constant", "--format",
-                 "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["parameters"]["b_kind"] == \
-        "constant"
 
 
 def test_cli_param_cannot_name_a_chart_variable(capsys):
@@ -200,16 +205,23 @@ def test_cli_rejects_b_const_for_varying_b(capsys):
 
 @pytest.mark.parametrize("name", ["generalized_umbilical",
                                   "generalized_cylinder_I"])
-def test_cli_rejects_b_const_that_the_b_kind_ignores(name, capsys):
-    # B(s) = 2 + sin s reads no constant; b_const=-3 gave the b_const=1 report
-    assert main(["analyze", "--entry", name, "--param", "b_kind=offset_sin",
-                 "--param", "b_const=-3"]) == 1
+def test_cli_rejects_b_kind(name, capsys):
+    # B is the constant b_const; the varying B(s) = 2 + sin s is the entry
+    # generalized_umbilical_varB
+    assert main(["analyze", "--entry", name,
+                 "--param", "b_kind=offset_sin"]) == 1
     err = capsys.readouterr().err
-    assert "b_const" in err and "Error" not in err, err
-    with pytest.raises(ValueError, match="b_const"):
-        catalog.get(name).build(b_kind="offset_sin", b_const=1.0)
-    catalog.get(name).build(b_kind="offset_sin")
-    catalog.get(name).build(b_const=2.0)
+    assert "unknown parameters" in err and "b_kind" in err, err
+    assert "Error" not in err, err
+
+
+@pytest.mark.parametrize("name, param", [
+    ("generalized_umbilical", "a"), ("generalized_umbilical", "b_const"),
+    ("generalized_cylinder_I", "b_const"), ("generalized_umbilical_varB", "a")])
+def test_cli_zero_jordan_parameter_is_a_usage_error(name, param, capsys):
+    assert main(["analyze", "--entry", name, "--param", f"{param}=0"]) == 1
+    err = capsys.readouterr().err
+    assert f"{param} must be nonzero" in err and "Error" not in err, err
 
 
 def test_cli_unknown_parameter_message_is_bare(capsys):
@@ -405,9 +417,10 @@ def test_cli_rejects_non_finite_param(bad, capsys):
 
 
 @pytest.mark.parametrize("name, param, error", [
-    ("generalized_cylinder_I", "b_const=1e300", "StepTooLarge"),
-    ("generalized_cylinder_I", "b_const=-1e300", "StepTooLarge"),
-    ("generalized_umbilical", "a=1e6", "StepTooLarge"),
+    ("generalized_cylinder_I", "b_const=1e300", "DegenerateMetric"),
+    ("generalized_cylinder_I", "b_const=-1e300", "DegenerateMetric"),
+    ("generalized_umbilical", "a=1e6", "DegenerateMetric"),
+    ("generalized_umbilical_varB", "a=1e6", "StepTooLarge"),
     ("de_sitter", "c=1e-300", "DegenerateMetric")])
 def test_cli_extreme_param_fails_its_gate_without_warnings(name, param, error,
                                                           capsys):
@@ -415,6 +428,20 @@ def test_cli_extreme_param_fails_its_gate_without_warnings(name, param, error,
     assert main(["analyze", "--entry", name, "--param", param]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), lines
+
+
+@pytest.mark.parametrize("power, k, error", [
+    ("k^2", "1e200", "error: DegenerateMetric: "),
+    ("k^0.5", "-1", "error: DomainError: real power of 'k' < 0")])
+def test_cli_power_of_a_parameter_fails_closed(tmp_path, capsys, power, k,
+                                               error):
+    # k^2 overflows to inf, as k*k does, and the metric gate fails closed;
+    # a fractional power of a negative number has no real value
+    chart = tmp_path / "power.txt"
+    chart.write_text(f"x1 = u\nx2 = v\nx3 = w\nx4 = {power}*u*u\n")
+    assert main(["analyze", "--entry", str(chart), "--param", f"k={k}"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(error), lines
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

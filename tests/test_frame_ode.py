@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scalar_reference import (build_generalized_cylinder_I, constant_b,
+                              frame_route_entry)
 
 from minksoliton import catalog
 from minksoliton import frame_ode as fo
@@ -20,7 +22,7 @@ from minksoliton.lorentz import classify_batch, mink_inner
 
 def spec_umbilical(a=1.0, b=None, alpha0=None):
     return fo.FrameODESpec(
-        a=a, b=b or fo.BFunction.constant(1.0),
+        a=a, b=b or constant_b(1.0),
         alpha0=np.array([0.0, 0.0, -1.0 / a, 0.0]) if alpha0 is None else alpha0)
 
 
@@ -42,7 +44,7 @@ def test_system_matrix_preserves_gram_algebraically():
     rng = np.random.default_rng(1)
     for _ in range(50):
         spec = fo.FrameODESpec(a=rng.uniform(-3, 3),
-                               b=fo.BFunction.constant(rng.uniform(-3, 3)))
+                               b=constant_b(rng.uniform(-3, 3)))
         s = rng.uniform(-1, 1)
         M = spec.coefficient_matrix(s)[1:, 1:]
         G = fo.GRAM_TARGET
@@ -50,7 +52,7 @@ def test_system_matrix_preserves_gram_algebraically():
 
 
 def test_degenerate_zero_system_keeps_frame_constant():
-    spec = fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(0.0))
+    spec = fo.FrameODESpec(a=0.0, b=constant_b(0.0))
     state, drift = end_state(spec, 0.9, 1e-2)
     assert drift < 1e-15
     assert np.allclose(state[1:], fo.DEFAULT_INITIAL_FRAME)
@@ -74,7 +76,7 @@ def test_drift_small_at_default_step():
 
 
 def test_x_minus_y_constant_when_a_equals_b():
-    spec = spec_umbilical(a=1.0, b=fo.BFunction.constant(1.0))
+    spec = spec_umbilical(a=1.0, b=constant_b(1.0))
     state, _ = end_state(spec, 1.0, 1e-3)
     diff0 = fo.DEFAULT_INITIAL_FRAME[0] - fo.DEFAULT_INITIAL_FRAME[1]
     assert np.max(np.abs((state[1] - state[2]) - diff0)) < 1e-12
@@ -104,13 +106,13 @@ def test_rk4_convergence_order():
 
 
 def test_step_too_large_raises():
-    spec = fo.FrameODESpec(a=2.0, b=fo.BFunction.constant(3.0), tau_frame=1e-9)
+    spec = fo.FrameODESpec(a=2.0, b=constant_b(3.0), tau_frame=1e-9)
     with pytest.raises(fo.StepTooLarge):
         end_state(spec, 1.0, 0.25)
     with pytest.raises(fo.StepTooLarge):
         fo.FrameTable(dataclasses.replace(spec, step=0.25))
     with pytest.raises(fo.StepTooLarge):  # a NaN drift fails closed
-        fo.FrameTable(dataclasses.replace(spec, b=fo.BFunction.constant(np.nan)))
+        fo.FrameTable(dataclasses.replace(spec, b=constant_b(np.nan)))
     # a build holds its table to its own tolerance
     loose = dataclasses.replace(spec, step=0.25, tau_frame=1.0)
     fo.build_generalized_umbilical(loose)
@@ -123,69 +125,6 @@ def test_window_exceeded_raises():
     for s in (1.5, -1.5, np.nan, np.inf, -np.inf, [0.1, np.nan]):
         with pytest.raises(fo.WindowExceeded):
             table.values_at(s)
-
-
-# -- the autonomous scan --------------------------------------------------------
-#
-# For constant B every RK4 step is the same map, and ``_rk4`` forms it once
-# and composes only the leading entries that differ.  ``scan_all_maps`` is
-# the scan over all n maps that it must reproduce byte for byte.
-
-def scan_all_maps(spec, n, h):
-    P = fo._step_maps(spec, n, h)
-    d = 1
-    while d < n:
-        P[d:] = P[d:] + P[:-d] + P[d:] @ P[:-d]
-        d *= 2
-    state0 = ref_initial_state(spec)
-    return np.concatenate([state0[None], state0 + P @ state0])
-
-
-def spy_step_maps(monkeypatch):
-    """The n of every ``_step_maps`` call from here on."""
-    calls = []
-    step_maps = fo._step_maps
-    monkeypatch.setattr(fo, "_step_maps", lambda spec, n, h:
-                        calls.append(n) or step_maps(spec, n, h))
-    return calls
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, 1337])
-@pytest.mark.parametrize("h", [1e-3, -0.037])
-@pytest.mark.parametrize("a, c", [(1.0, 1.0), (0.0, -2.0), (-1.7, 1.3)])
-def test_autonomous_scan_matches_scan_over_all_maps(monkeypatch, n, h, a, c):
-    spec = fo.FrameODESpec(a=a, b=fo.BFunction.constant(c), tau_frame=1.0,
-                           alpha0=np.array([0.1, 0.2, -0.3, 0.4]))
-    want = scan_all_maps(spec, n, h)
-    calls = spy_step_maps(monkeypatch)
-    got = fo._rk4(spec, n, h)
-    assert calls == [min(n, 1)]
-    assert got.shape == want.shape == (n + 1, 5, 4)
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("name, maps", [
-    ("generalized_umbilical", [1, 1]),
-    ("generalized_cylinder_I", [1, 1]),
-    ("generalized_umbilical_varB", [1000, 1000])])
-def test_catalog_defaults_form_one_step_map_for_constant_b(monkeypatch, name,
-                                                           maps):
-    calls = spy_step_maps(monkeypatch)
-    catalog.get(name).build()
-    assert calls == maps
-
-
-@pytest.mark.parametrize("b2", [np.nextafter(2.0, 3.0), -0.0])
-def test_b_off_by_one_bit_takes_the_general_scan(monkeypatch, b2):
-    # one bit apart from s = 0.5 on: 1 ulp, or a zero of the other sign
-    b1 = 2.0 if b2 > 0.0 else 0.0
-    zero = fo.BFunction.constant(0.0)
-    b = fo.BFunction(lambda s: np.where(s < 0.5, b1, b2), zero.d1, zero.d2)
-    spec = fo.FrameODESpec(a=1.0, b=b, tau_frame=1.0)
-    calls = spy_step_maps(monkeypatch)
-    got = fo._rk4(spec, 1000, 1e-3)
-    assert calls == [1000]
-    assert got.tobytes() == scan_all_maps(spec, 1000, 1e-3).tobytes()
 
 
 # -- reference: the scalar per-step RK4 loop -----------------------------------
@@ -261,7 +200,7 @@ def ref_integrate(spec, s, step):
     return state, drift
 
 
-REFERENCE_B = {"constant": fo.BFunction.constant(1.3),
+REFERENCE_B = {"constant": constant_b(1.3),
                "offset_sin": fo.BFunction.offset_sin(0.5, 0.3)}
 
 
@@ -363,8 +302,10 @@ def csv_cells(text):
     return [[cell(c) for c in row] for row in csv.reader(text.splitlines())]
 
 
-FRAME_ENTRIES = [name for name, entry in catalog.ENTRIES.items()
-                 if entry.is_ode]
+# the constant-B entries are closed-form text; these run their frame-ODE
+# route, the reference test_catalog.py holds the text to
+FRAME_ENTRIES = ["generalized_umbilical", "generalized_umbilical_varB",
+                 "generalized_cylinder_I"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -373,6 +314,9 @@ def test_frame_entry_reports_track_scalar_loop(tmp_path, monkeypatch, name,
                                                fmt):
     # the table agrees with the scalar loop to round-off, so the reports
     # built on it (and pinned by the goldens) must agree to round-off too
+    if not catalog.get(name).is_ode:
+        monkeypatch.setitem(catalog.ENTRIES, name, frame_route_entry(name))
+
     def report():
         out = tmp_path / f"report.{fmt}"
         assert main(["analyze", "--entry", name, "--grid", "5,5,5",
@@ -394,7 +338,7 @@ def test_frame_builds_hold_no_tables():
     tracemalloc.start()
     try:
         for k in range(40):
-            catalog.generalized_umbilical_immersion(b_const=1.0 + 0.01 * k)
+            catalog.generalized_umbilical_immersion(a=1.0 + 0.01 * k)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -430,19 +374,19 @@ def test_taylor_derivatives_match_finite_differences():
 def test_umbilical_requires_nonzero_a():
     with pytest.raises(ValueError):
         fo.build_generalized_umbilical(
-            fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(1.0)))
+            fo.FrameODESpec(a=0.0, b=constant_b(1.0)))
 
 
 def test_builders_require_nonzero_b():
     with pytest.raises(ValueError):
         fo.build_generalized_umbilical(
-            fo.FrameODESpec(a=1.0, b=fo.BFunction.constant(0.0)))
+            fo.FrameODESpec(a=1.0, b=constant_b(0.0)))
     with pytest.raises(ValueError):
-        fo.build_generalized_cylinder_I(
+        build_generalized_cylinder_I(
             fo.FrameODESpec(a=0.0, b=fo.BFunction.offset_sin(0.5, 1.0)))
     with pytest.raises(ValueError):
-        fo.build_generalized_cylinder_I(
-            fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(np.nan)))
+        build_generalized_cylinder_I(
+            fo.FrameODESpec(a=0.0, b=constant_b(np.nan)))
 
 
 def test_umbilical_unit_lorentzian_normal():
@@ -469,7 +413,7 @@ def test_umbilical_normal_matches_closed_form():
         assert diff < 1e-10
 
 
-@pytest.mark.parametrize("b", [fo.BFunction.constant(1.0),
+@pytest.mark.parametrize("b", [constant_b(1.0),
                                fo.BFunction.offset_sin()])
 def test_umbilical_minimal_polynomial(b):
     a = 1.0
@@ -509,12 +453,12 @@ def test_umbilical_identities_within_ode_budget():
 
 def test_cylinder_requires_zero_a():
     with pytest.raises(ValueError):
-        fo.build_generalized_cylinder_I(spec_umbilical())
+        build_generalized_cylinder_I(spec_umbilical())
 
 
 def test_cylinder_normal_is_Z_and_nilpotent_operator():
-    spec = fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(1.0))
-    imm = fo.build_generalized_cylinder_I(spec)
+    spec = fo.FrameODESpec(a=0.0, b=constant_b(1.0))
+    imm = build_generalized_cylinder_I(spec)
     table = fo.FrameTable(spec)
     p = [0.4, 0.3, -0.5]
     geo = hs.geometry_block(imm, np.array([p]))
@@ -528,7 +472,7 @@ def test_cylinder_normal_is_Z_and_nilpotent_operator():
 
 def test_cylinder_flat_metric_and_ricci_zero():
     spec = fo.FrameODESpec(a=0.0, b=fo.BFunction.offset_sin())
-    imm = fo.build_generalized_cylinder_I(spec)
+    imm = build_generalized_cylinder_I(spec)
     grid = hs.grid_points(((-0.85, 0.85), (-1, 1), (-1, 1)), (4, 3, 3))
     geo = hs.GeometryBatch(imm, grid)
     assert np.max(np.abs(geo.ric_intrinsic)) < 1e-10
@@ -539,8 +483,8 @@ def test_cylinder_flat_metric_and_ricci_zero():
 
 def test_cylinder_half_lie_equals_metric_on_central_slice():
     # the support function vanishes at s = 0, where x_T acts conformally
-    spec = fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(1.0))
-    imm = fo.build_generalized_cylinder_I(spec)
+    spec = fo.FrameODESpec(a=0.0, b=constant_b(1.0))
+    imm = build_generalized_cylinder_I(spec)
     slice_grid = hs.grid_points(((-1e-12, 1e-12), (-1, 1), (-1, 1)), (2, 3, 3))
     geo = hs.geometry_block(imm, slice_grid)
     lie = geo.lie_coordinate

@@ -20,15 +20,18 @@ holds no other file.
 
 The bytes also depend on numpy's SIMD dispatch.  The files were written with
 numpy 2.4.6 running its AVX-512 kernels; with
-NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", 9 of the 29 analyze
-reports differ in round-off-sized residuals: de_sitter 5^3 and 11^3 JSON and
-5^3 CSV, hyperbolic_space 11^3 and 21^3 JSON, hyperbolic_cylinder 11^3 JSON,
-and pseudospherical_cylinder 5^3 and 11^3 JSON and 5^3 CSV (lambda_spread in
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", 12 of the 29
+analyze reports differ in round-off-sized residuals: de_sitter 5^3 and 11^3
+JSON and 5^3 CSV, hyperbolic_space 11^3 and 21^3 JSON, hyperbolic_cylinder
+11^3 JSON, pseudospherical_cylinder 5^3 and 11^3 JSON and 5^3 CSV, and
+generalized_umbilical 5^3 and 11^3 JSON and 5^3 CSV (lambda_spread in
 de_sitter_5.json, for one, reads 1.55e-15 against 1.33e-15).  Of the other
-reports, the 5^3 text reports of de_sitter and pseudospherical_cylinder
-differ there too.  The 12 reports of the three frame-ODE entries are the
-same under both dispatches; test_frame_ode.py bounds how far they sit from
-the reports of the step-by-step RK4 loop.  CI prints numpy.show_runtime()
+reports, the 5^3 text reports of de_sitter, pseudospherical_cylinder and
+generalized_umbilical differ there too.  The reports of the polynomial
+chart generalized_cylinder_I and of the frame-ODE entry
+generalized_umbilical_varB are the same under both dispatches;
+test_frame_ode.py bounds how far the latter sit from the reports of the
+step-by-step RK4 loop.  CI prints numpy.show_runtime()
 before the tests, to tell such a failure from a change of the code, and
 runs the suite a second time with AVX-512 off under
 ``-k "not report_matches_golden"``: that deselects the analyze-report cases

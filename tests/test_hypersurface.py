@@ -4,8 +4,10 @@ batches built in blocks of points."""
 
 import numpy as np
 import pytest
-from scalar_reference import (PSEUDO_ORTHONORMAL_GRAM, identity_table,
-                              lie_coordinate, nabla_A, ricci_intrinsic)
+from scalar_reference import (PSEUDO_ORTHONORMAL_GRAM,
+                              build_generalized_cylinder_I, constant_b,
+                              identity_table, lie_coordinate, nabla_A,
+                              ricci_intrinsic)
 
 from minksoliton import catalog, jets
 from minksoliton import hypersurface as hs
@@ -284,8 +286,8 @@ def test_connection_forms_pseudo_orthonormal_cylinder_frame():
     """The chart frame of the nilpotent cylinder is pseudo-orthonormal and
     parallel (the induced metric is constant in these coordinates)."""
     from minksoliton import frame_ode as fo
-    spec = fo.FrameODESpec(a=0.0, b=fo.BFunction.constant(1.0))
-    imm = fo.build_generalized_cylinder_I(spec)
+    spec = fo.FrameODESpec(a=0.0, b=constant_b(1.0))
+    imm = build_generalized_cylinder_I(spec)
 
     def frame_field(u, v, w):
         one = jets.constant(1.0, u.shape)
