@@ -69,9 +69,8 @@ def _analyze(imm, box, grid_counts, params, is_ode):
 
     # One fit per Ricci convention; the headline is the corrected one.
     (fit_c, lam_c, res_c), (fit_p, lam_p, _) = (
-        fit_lambda_pointwise(geo, geo.lie_closed_form, ric[mode], tau_sol)
-        for mode in RICCI_MODES)
-    soliton_block = {**_fit_block(fit_c, tau=tau_sol),
+        fit_lambda_pointwise(geo, ric[mode], tau_sol) for mode in RICCI_MODES)
+    soliton_block = {**_fit_block(fit_c), "tau": tau_sol,
                      "headline_mode": "corrected",
                      "paper_form": _fit_block(fit_p)}
 
@@ -99,13 +98,11 @@ def _analyze(imm, box, grid_counts, params, is_ode):
     return report, geo
 
 
-def _fit_block(summary, **tau):
-    """The report fields of one soliton fit summary; a given ``tau`` goes
-    before the equation-equivalence gap."""
-    lam, spread, residual, verdict, gap = summary
+def _fit_block(summary):
+    """The report fields of one soliton fit summary."""
+    lam, spread, residual, verdict = summary
     return {"lambda_fit": lam, "lambda_spread": spread,
-            "residual_sup": residual, "verdict": verdict.value, **tau,
-            "equation_equivalence_gap": gap}
+            "residual_sup": residual, "verdict": verdict.value}
 
 
 def _classification_block(geo, forms):

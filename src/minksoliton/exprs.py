@@ -95,6 +95,8 @@ class Expr:
             return -a
         if k == "call":
             jet_fn, num_fn = FUNCTIONS[self.payload]
+            if self.payload == "sqrt":
+                _check_domain(self.children[0], a, "sqrt of", "<")
             return jet_fn(a) if isinstance(a, jets.Jet) else num_fn(a)
         b = self.children[1].eval(env)
         if k == "+":

@@ -255,6 +255,9 @@ def geometry_block(imm, pts):
     nn = _inner4(raw_n, raw_n)
     b.normals = np.stack([*raw_n.value, nn.value], axis=-1)
     b.epsilon = _check_normal(imm.name, b.normals[:, :4], b.normals[:, 4])
+    if not np.all(np.isfinite(b.x)):
+        raise jets.DomainError(
+            f"position of {imm.name!r} is not finite on the batch")
     N = raw_n * float(imm.orientation_sign) / jets.sqrt(nn * b.epsilon)
     b.N, b.dN = _value(N), _partials(N)
 
@@ -285,8 +288,7 @@ def geometry_block(imm, pts):
 
     b.ric_gauss = ricci_gauss(b.A, b.g)
     b.lie_closed_form = lie_closed_form_batch(b)
-    b.identities = identity_residuals(
-        b, b.epsilon * b.ric_gauss - b.ric_intrinsic, b.lie_closed_form)
+    b.identities = identity_residuals(b)
     return b
 
 

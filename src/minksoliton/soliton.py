@@ -50,25 +50,17 @@ def _per_point_lambda(lhs, gv):
     return num / den
 
 
-def fit_lambda_pointwise(geo, lie, ric, tau):
-    """Fit lambda against the Ricci tensor ``ric``, with ``lie`` =
-    lie_closed_form_batch(geo): (lambda, spread, residual sup, Verdict at
-    tolerance ``tau``, equation-equivalence gap), per-point lambda and
-    per-point residual."""
-    lhs = 0.5 * lie + ric
+def fit_lambda_pointwise(geo, ric, tau):
+    """Fit lambda against the Ricci tensor ``ric`` and the closed-form Lie
+    derivative ``geo.lie_closed_form``: (lambda, spread, residual sup,
+    Verdict at tolerance ``tau``), per-point lambda and per-point residual."""
+    lhs = 0.5 * geo.lie_closed_form + ric
     gv = geo.g
     lam_pt = _per_point_lambda(lhs, gv)
     lam = float(lam_pt.mean())
     spread = float(np.max(np.abs(lam_pt - lam)))
-    scale = geo.metric_scale
-    res_pt = np.max(np.abs(lhs - lam * gv), axis=(1, 2)) / scale
+    res_pt = np.max(np.abs(lhs - lam * gv), axis=(1, 2)) / geo.metric_scale
     residual = float(np.max(res_pt))
-
-    # Equivalence of the defining equation with the Ricci-tensor condition
-    # Ric = (lam - 1) g - eps*rho*g(A.,.): identical through the closed form.
-    alt = ric - (lam - 1.0) * gv + geo.epsilon * geo.rho[:, None, None] * geo.h
-    alt_res = float(np.max(np.max(np.abs(alt), axis=(1, 2)) / scale))
-    gap = abs(alt_res - residual)
 
     if residual < tau and spread < tau:
         if lam > tau:
@@ -80,7 +72,7 @@ def fit_lambda_pointwise(geo, lie, ric, tau):
     else:
         verdict = Verdict.NOT_A_SOLITON
 
-    return (lam, spread, residual, verdict, gap), lam_pt, res_pt
+    return (lam, spread, residual, verdict), lam_pt, res_pt
 
 
 # -- universal identities ------------------------------------------------------
@@ -98,15 +90,16 @@ def _sup(a):
     return acc
 
 
-def identity_residuals(geo, ric, lie):
+def identity_residuals(geo):
     """The identity table: each gated identity, in report order, mapped to
     its residual per point, an (n,) array (``lemma1`` is (2, n)).
 
-    ``ric`` is the corrected Ricci tensor minus the intrinsic one and
-    ``lie`` the closed-form Lie derivative (lie_closed_form_batch).  The
-    Ricci and Lie rows are measured against ``geo.metric_scale``.
+    The Ricci row compares the corrected Gauss Ricci tensor with the
+    intrinsic one, and the Lie row the chart-coordinate Lie derivative with
+    ``geo.lie_closed_form``, both against ``geo.metric_scale``.
     """
     Nv, tv, Av, xT, ginv = geo.N, geo.tangents, geo.A, geo.xT, geo.ginv
+    ric = geo.epsilon * geo.ric_gauss - geo.ric_intrinsic
     nab = geo.nabla_A
     codazzi = _sup(nab - np.swapaxes(nab, 1, 3))  # (i, k, j) - (j, k, i)
     return {
@@ -120,7 +113,7 @@ def identity_residuals(geo, ric, lie):
         "codazzi_residual": codazzi,
         "gauss_vs_intrinsic": _sup(ric) / geo.metric_scale,
         "route_agreement":
-            _sup(geo.lie_coordinate - lie) / geo.metric_scale,
+            _sup(geo.lie_coordinate - geo.lie_closed_form) / geo.metric_scale,
         # nabla xT = I + eps*rho*A, with (nabla_i xT)^k = d_i xT^k +
         # Gamma^k_{i l} xT^l, and grad rho = -A xT
         "lemma1": np.stack([

@@ -11,8 +11,6 @@ in ``src/`` did before it was vectorized or narrowed:
 * ``extract_derivative`` reads one true partial derivative off a jet;
 * ``form`` reads one row of a ``lorentz.FormBatch`` as the analysis report's
   centre form does;
-* ``identity_table`` recomputes the identity rows of one geometry block
-  from the inputs that block passes to ``soliton.identity_residuals``;
 * ``ricci_intrinsic``, ``nabla_A`` and ``lie_coordinate`` write the
   formulas of the arrays ``GeometryBatch`` forms from first partials as
   whole-batch einsums, for partials taken by central differences;
@@ -37,7 +35,6 @@ from minksoliton.canonical import (_REQUIRED, TAU_COINCIDE, WITNESS,
 from minksoliton.hypersurface import Immersion
 from minksoliton.jets import DEGREE, INDEX_OF, IndexOutOfRange
 from minksoliton.lorentz import N_PARAMETERS, VARIANTS, FormVariant
-from minksoliton.soliton import identity_residuals
 
 # -- case systems --------------------------------------------------------------
 
@@ -179,16 +176,6 @@ def form(forms, i):
     params = forms.parameters[i, :N_PARAMETERS[code]]
     return Form(VARIANTS[code], tuple(params.tolist()),
                 np.trim_zeros(forms.min_poly[i], "f"))
-
-
-# -- identity rows -------------------------------------------------------------
-
-def identity_table(block):
-    """``identity_residuals`` of a ``hypersurface.geometry_block`` for the
-    corrected minus intrinsic Ricci tensor and the closed-form Lie
-    derivative, from the block's arrays as they stand."""
-    ric = block.epsilon * block.ric_gauss - block.ric_intrinsic
-    return identity_residuals(block, ric, block.lie_closed_form)
 
 
 # -- arrays formed from first partials ------------------------------------------

@@ -355,8 +355,7 @@ def test_c11_falsifiability(reports):
 
 def _corrected_fit(geo, ric, tau):
     """(lambda, Verdict) of the fit against the corrected Ricci tensor."""
-    lam, _, _, verdict, _ = fit_lambda_pointwise(
-        geo, lie_closed_form_batch(geo), ric, tau)[0]
+    lam, _, _, verdict = fit_lambda_pointwise(geo, ric, tau)[0]
     return lam, verdict
 
 

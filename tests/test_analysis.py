@@ -66,10 +66,8 @@ def test_consistency_block_absent_for_non_solitons():
 
 
 HEADLINE_KEYS = ["lambda_fit", "lambda_spread", "residual_sup", "verdict",
-                 "tau", "equation_equivalence_gap", "headline_mode",
-                 "paper_form"]
-PAPER_FORM_KEYS = ["lambda_fit", "lambda_spread", "residual_sup", "verdict",
-                   "equation_equivalence_gap"]
+                 "tau", "headline_mode", "paper_form"]
+PAPER_FORM_KEYS = ["lambda_fit", "lambda_spread", "residual_sup", "verdict"]
 CHART = Path(__file__).parent / "golden" / "hyperbolic_graph_chart.txt"
 
 
@@ -159,8 +157,8 @@ def test_identity_gate_fails_closed_on_nan(monkeypatch, capsys):
     for key in IDENTITY_ROWS:
         seen = []
 
-        def nan_at_last_point(geo, ric, lie):
-            table = original(geo, ric, lie)
+        def nan_at_last_point(geo):
+            table = original(geo)
             seen.append(tuple(table))
             table[key][..., -1] = np.nan
             return table

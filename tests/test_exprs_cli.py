@@ -60,12 +60,16 @@ def test_division_by_zero_is_a_domain_error():
 
 
 def test_power_of_a_plain_number_stays_real():
-    # a power overflows to inf as a product does, and takes no complex value
+    # a power overflows to inf as a product does, and takes no complex
+    # value; nor does a sqrt
     assert _num_eval("k^2", k=1e200) == np.inf
     assert _num_eval("k^3", k=-1e200) == -np.inf
     assert _num_eval("k^0.5", k=0.0) == 0.0
+    assert _num_eval("sqrt(k)", k=0.0) == 0.0
     for text, message in (("k^0.5", "real power of 'k' < 0"),
-                          ("(k - 2)^1.5", "real power of a negative number")):
+                          ("(k - 2)^1.5", "real power of a negative number"),
+                          ("sqrt(k)", "sqrt of 'k' < 0"),
+                          ("sqrt(k - 2)", "sqrt of a negative number")):
         with pytest.raises(jets.DomainError, match=re.escape(message)):
             _num_eval(text, k=-1.0)
 
@@ -432,16 +436,32 @@ def test_cli_extreme_param_fails_its_gate_without_warnings(name, param, error,
 
 @pytest.mark.parametrize("power, k, error", [
     ("k^2", "1e200", "error: DegenerateMetric: "),
-    ("k^0.5", "-1", "error: DomainError: real power of 'k' < 0")])
+    ("k^0.5", "-1", "error: DomainError: real power of 'k' < 0"),
+    ("sqrt(k)", "-1", "error: DomainError: sqrt of 'k' < 0"),
+    ("sqrt(0 - k)", "1", "error: DomainError: sqrt of a negative number")])
 def test_cli_power_of_a_parameter_fails_closed(tmp_path, capsys, power, k,
                                                error):
     # k^2 overflows to inf, as k*k does, and the metric gate fails closed;
-    # a fractional power of a negative number has no real value
+    # a fractional power or a sqrt of a negative number has no real value
     chart = tmp_path / "power.txt"
     chart.write_text(f"x1 = u\nx2 = v\nx3 = w\nx4 = {power}*u*u\n")
     assert main(["analyze", "--entry", str(chart), "--param", f"k={k}"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(error), lines
+
+
+def test_cli_non_finite_position_fails_closed(tmp_path, capsys):
+    # the metric and normal of this chart are finite, its position is not;
+    # the gate stops the run before a NaN row or a numpy warning
+    chart = tmp_path / "far.txt"
+    chart.write_text("x1 = sqrt(1 + u*u + v*v + w*w) + sinh(1000)\n"
+                     "x2 = u\nx3 = v\nx4 = w\n")
+    assert main(["analyze", "--entry", str(chart)]) == 1
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert err.splitlines() == [
+        f"error: DomainError: position of {str(chart)!r} is not finite on "
+        "the batch"]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

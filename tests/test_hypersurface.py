@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scalar_reference import (PSEUDO_ORTHONORMAL_GRAM,
                               build_generalized_cylinder_I, constant_b,
-                              identity_table, lie_coordinate, nabla_A,
-                              ricci_intrinsic)
+                              lie_coordinate, nabla_A, ricci_intrinsic)
 
 from minksoliton import catalog, jets
 from minksoliton import hypersurface as hs
@@ -15,7 +14,7 @@ from minksoliton.hypersurface import (DegenerateMetric, EmptyGrid,
                                       GeometryBatch, Immersion, grid_points,
                                       ricci_gauss, structure_verdicts)
 from minksoliton.lorentz import classify_batch
-from minksoliton.soliton import lie_closed_form_batch
+from minksoliton.soliton import identity_residuals, lie_closed_form_batch
 
 
 def at_point(imm, p):
@@ -489,7 +488,7 @@ def test_kept_tables_equal_the_functions_that_form_them(tmp_path):
             ricci_gauss(geo.A, geo.g).tobytes(), imm.name
         assert geo.lie_closed_form.tobytes() == \
             lie_closed_form_batch(geo).tobytes(), imm.name
-        table = identity_table(hs.geometry_block(imm, pts[1024:]))
+        table = identity_residuals(hs.geometry_block(imm, pts[1024:]))
         for key, row in table.items():
             assert row.tobytes() == \
                 geo.identities[key][..., 1024:].tobytes(), (imm.name, key)
