@@ -15,15 +15,13 @@ from .lorentz import FormVariant, mink_inner
 from .jets import Jet
 from .hypersurface import Immersion, grid_points, ricci_gauss
 from .soliton import Verdict
-from .frame_ode import BFunction, FrameODESpec, build_generalized_umbilical
 from .canonical import CaseSystem, sweep
 from .analysis import analyze_entry, analyze_immersion
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFunction", "CaseSystem", "FormVariant", "FrameODESpec", "Immersion",
-    "Jet", "Verdict", "analyze_entry", "analyze_immersion",
-    "build_generalized_umbilical", "grid_points", "mink_inner", "ricci_gauss",
-    "sweep",
+    "CaseSystem", "FormVariant", "Immersion", "Jet", "Verdict",
+    "analyze_entry", "analyze_immersion", "grid_points", "mink_inner",
+    "ricci_gauss", "sweep",
 ]

@@ -28,8 +28,7 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
     imm, merged = entry.build(**(params or {}))
     if orientation_override is not None:
         imm = imm.with_orientation(orientation_override)
-    report, geo = _analyze(imm, entry.safe_box(merged), grid_counts, merged,
-                           entry.is_ode)
+    report, geo = _analyze(imm, entry.safe_box(merged), grid_counts, merged)
     report["entry"] = name
     ids = report["identities"]
     if entry.constraint is not None:
@@ -46,15 +45,16 @@ def analyze_entry(name, params=None, grid_counts=(5, 5, 5),
 
 
 def analyze_immersion(imm, box, grid_counts=(5, 5, 5), params=None):
-    """Analysis of a user-supplied chart on ``box``, at the closed-form
-    tolerances; ``params`` are reported as the chart's parameters."""
-    return _analyze(imm, box, grid_counts, params or {}, False)[0]
+    """Analysis of a user-supplied chart on ``box``; ``params`` are
+    reported as the chart's parameters."""
+    return _analyze(imm, box, grid_counts, params or {})[0]
 
 
-def _analyze(imm, box, grid_counts, params, is_ode):
+def _analyze(imm, box, grid_counts, params):
     """One pass over the geometry batch of ``imm`` sampled on ``box``: the
-    Report and the batch.  ``is_ode`` picks the gate tolerances from TAU."""
-    tau_identity, tau_sol = TAU[is_ode]
+    Report and the batch.  Whether ``imm`` is integrated picks the gate
+    tolerances from TAU."""
+    tau_identity, tau_sol = TAU[imm.integrated]
     geo = GeometryBatch(imm, grid_points(box, grid_counts))
     # the two modes differ by the factor epsilon = +-1, which is exact
     ric = {"corrected": geo.epsilon * geo.ric_gauss, "paper_form": geo.ric_gauss}

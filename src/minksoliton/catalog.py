@@ -1,12 +1,13 @@
 """Named parametrized hypersurfaces with safe sampling boxes and expectations.
 
-Each entry packages a chart builder, the box on which sampling is known to
-be nondegenerate, the normal orientation that reproduces the curvature
-signs quoted for it, whether it is integrated from the frame ODE (which
-picks its gate tolerances from soliton.TAU), and a list of expectations.
-Eight charts are closed-form text in the chart-file grammar of exprs.py,
-two of them the constant-B null-curve hypersurfaces of frame_ode.py; the
-ninth, with B(s) = 2 + sin s, integrates the frame ODE.
+Each entry packages a chart, written as text in the chart-file grammar of
+exprs.py (CHARTS, under the entry's name), the box on which sampling is
+known to be nondegenerate, the normal orientation that reproduces the
+curvature signs quoted for it, and a list of expectations.  Six charts
+are closed-form quadrics and graphs; three are ruled over the null-curve
+frame of frame_ode.py, two of them with a constant B in closed form, and
+one, whose text declares B(s) = 2 + sin s, integrates the frame ODE,
+which picks its gate tolerances from soliton.TAU.
 Expectations record claimed values next to their provenance ("claimed" for
 constants quoted in the source literature, "derived" for values established
 by an independent calculation here, "exact" for direct arithmetic facts);
@@ -21,8 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import exprs, frame_ode
-from .hypersurface import Immersion
+from . import exprs
 from .lorentz import mink_inner
 from .soliton import TAU
 
@@ -52,13 +52,11 @@ class Expectation:
 
 @dataclass
 class CatalogEntry:
-    name: str
-    builder: Callable
+    name: str  # and the key of its chart text in CHARTS
     defaults: dict
     safe_box: Callable
     description: str
     orientation_sign: float = 1.0
-    is_ode: bool = False
     expectations: Callable = lambda params: []
     constraint: Optional[Callable] = None  # residual of the defining level set
 
@@ -68,8 +66,13 @@ class CatalogEntry:
         if unknown:
             raise KeyError(f"unknown parameters for {self.name}: {sorted(unknown)}")
         params.update(overrides)
-        imm = self.builder(**params)
+        imm = _immersion(self.name, params)
         return imm.with_orientation(self.orientation_sign), params
+
+    @property
+    def is_ode(self):
+        """Whether the chart text declares B, and so integrates the frame ODE."""
+        return _PARSED[self.name].b is not None
 
     def expectation_table(self, params, report):
         """Claimed against computed, one row per expectation of ``params``."""
@@ -89,7 +92,7 @@ def _nonzero(c, what):
     return float(c)
 
 
-# -- closed-form charts -------------------------------------------------------
+# -- charts -------------------------------------------------------------------
 # Each chart is written in the chart-file grammar of exprs.py and parsed once,
 # at import.  Products read left to right with 1/c first, the order in which
 # the reports' numbers were first computed.
@@ -155,6 +158,17 @@ CHARTS = {
         x3 = -b_const*u*u/2
         x4 = w
     """,
+    "generalized_umbilical_varB": """
+        # alpha + v Y + w W + (sqrt(1 - a^2 w^2) + 1)/a Z - Z(0)/a over the
+        # frame of frame_ode.py, integrated from alpha(0) = 0; the offset
+        # puts the support function at -1/a on the s = 0 slice, as the
+        # constant-B chart does
+        B = 2 + sin(s)
+        x1 = alpha1 + v*Y1 + w*W1 + (sqrt(1 - (a*w)*(a*w)) + 1)/a*Z1
+        x2 = alpha2 + v*Y2 + w*W2 + (sqrt(1 - (a*w)*(a*w)) + 1)/a*Z2
+        x3 = alpha3 + v*Y3 + w*W3 + (sqrt(1 - (a*w)*(a*w)) + 1)/a*Z3 - 1/a
+        x4 = alpha4 + v*Y4 + w*W4 + (sqrt(1 - (a*w)*(a*w)) + 1)/a*Z4
+    """,
 }
 
 # Where a*b_const < 0 the frame turns by sin and cos: the same text with
@@ -165,44 +179,23 @@ TRIGONOMETRIC = {"generalized_umbilical": CHARTS["generalized_umbilical"]
 
 _NONZERO = {"c": "curvature constant c", "a": "Jordan eigenvalue a",
             "b_const": "Jordan coefficient b_const"}
+_PARSED = {name: exprs.parse_chart_file(text) for name, text in CHARTS.items()}
+_TURNED = {name: exprs.parse_chart_file(text)
+           for name, text in TRIGONOMETRIC.items()}
 
 
-def _closed_form(name):
-    """A builder of the chart ``CHARTS[name]``, or of ``TRIGONOMETRIC[name]``
-    where the parameters a and b_const differ in sign, named after the entry
-    and its parameters; the parameters of _NONZERO must be nonzero."""
-    components = exprs.parse_chart_file(CHARTS[name])
-    trigonometric = (exprs.parse_chart_file(TRIGONOMETRIC[name])
-                     if name in TRIGONOMETRIC else components)
-
-    def builder(**params):
-        params = {k: _nonzero(v, _NONZERO[k]) if k in _NONZERO else v
-                  for k, v in params.items()}
-        # signs, not the product, which may round to zero
-        turns = (params.get("a", 0.0) < 0.0) != (params.get("b_const", 0.0) < 0.0)
-        label = ", ".join(f"{k}={v:g}" for k, v in params.items())
-        return Immersion(f"{name}({label})" if label else name,
-                         exprs.chart_from_expressions(
-                             trigonometric if turns else components, params))
-
-    return builder
-
-
-# -- frame-ODE chart ----------------------------------------------------------
-
-def generalized_umbilical_immersion(a=1.0):
-    """The generalized umbilical hypersurface over the frame ODE with
-    B(s) = 2 + sin s."""
-    a = _nonzero(a, "Jordan eigenvalue a")
-    # alpha(0) = -Z0/a makes the support function constant, -1/a, on the
-    # s = 0 slice.  The quoted constant a^2 + 1 needs -a there, so the
-    # soliton equation holds on that slice only for a = +-1; no alpha(0)
-    # reaches -a for other a, since only <alpha(0), Z0> = -1/a cancels the
-    # v-dependence of the support function.  The constant-B chart text
-    # starts from the same point.
-    spec = frame_ode.FrameODESpec(a=a, b=frame_ode.BFunction.offset_sin(),
-                                  alpha0=np.array([0.0, 0.0, -1.0 / a, 0.0]))
-    return frame_ode.build_generalized_umbilical(spec)
+def _immersion(name, params):
+    """The chart ``CHARTS[name]``, or ``TRIGONOMETRIC[name]`` where the
+    parameters a and b_const differ in sign, at ``params``, named after the
+    entry and its parameters; the parameters of _NONZERO must be nonzero."""
+    params = {k: _nonzero(v, _NONZERO[k]) if k in _NONZERO else v
+              for k, v in params.items()}
+    # signs, not the product, which may round to zero
+    turns = (params.get("a", 0.0) < 0.0) != (params.get("b_const", 0.0) < 0.0)
+    chart = (_TURNED if turns and name in _TURNED else _PARSED)[name]
+    label = ", ".join(f"{k}={v:g}" for k, v in params.items())
+    return exprs.chart_immersion(f"{name}({label})" if label else name,
+                                 chart, params)
 
 
 # -- level-set constraints ----------------------------------------------------
@@ -423,7 +416,6 @@ def _negative_expectations(params):
 ENTRIES = {e.name: e for e in (
     CatalogEntry(
         name="hyperbolic_space",
-        builder=_closed_form("hyperbolic_space"),
         defaults={"c": 1.0},
         safe_box=lambda p: ((0.3, 1.2), (0.4, 2.7), (0.2, 6.0)),
         description="totally umbilical spacelike hyperbolic 3-space",
@@ -432,7 +424,6 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="de_sitter",
-        builder=_closed_form("de_sitter"),
         defaults={"c": 1.0},
         safe_box=lambda p: ((-0.8, 0.8), (0.4, 2.7), (0.2, 6.0)),
         description="totally umbilical Lorentzian sphere",
@@ -441,7 +432,6 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="hyperbolic_cylinder",
-        builder=_closed_form("hyperbolic_cylinder"),
         defaults={"c": 1.0},
         safe_box=lambda p: ((0.3, 1.2), (0.2, 6.0), (0.15, 1.1)),
         description="spacelike hyperbolic cylinder (plane factor times line)",
@@ -450,7 +440,6 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="pseudospherical_cylinder",
-        builder=_closed_form("pseudospherical_cylinder"),
         defaults={"c": 1.0},
         safe_box=lambda p: ((-0.8, 0.8), (0.2, 6.0), (0.15, 1.1)),
         description="Lorentzian spherical cylinder (sphere factor times line)",
@@ -459,7 +448,6 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="generalized_umbilical",
-        builder=_closed_form("generalized_umbilical"),
         defaults={"a": 1.0, "b_const": 1.0},
         safe_box=lambda p: ((-0.85, 0.85), (-0.8, 0.8),
                             (-0.7 / abs(p["a"]), 0.7 / abs(p["a"]))),
@@ -470,19 +458,16 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="generalized_umbilical_varB",
-        builder=generalized_umbilical_immersion,
         defaults={"a": 1.0},
         safe_box=lambda p: ((-0.85, 0.85), (-0.8, 0.8),
                             (-0.7 / abs(p["a"]), 0.7 / abs(p["a"]))),
         description="generalized umbilical hypersurface with varying "
                     "Jordan coefficient B(s) = 2 + sin s",
         orientation_sign=-1.0,
-        is_ode=True,
         expectations=_generalized_umbilical_expectations,
     ),
     CatalogEntry(
         name="generalized_cylinder_I",
-        builder=_closed_form("generalized_cylinder_I"),
         defaults={"b_const": 1.0},
         safe_box=lambda p: ((-0.85, 0.85), (-1.0, 1.0), (-1.0, 1.0)),
         description="ruled Lorentzian hypersurface with nilpotent shape "
@@ -491,7 +476,6 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="graph_lorentzian",
-        builder=_closed_form("graph_lorentzian"),
         defaults={},
         safe_box=lambda p: ((-0.45, 0.45), (-0.45, 0.45), (-0.45, 0.45)),
         description="negative control: quadratic graph over the Lorentzian "
@@ -501,7 +485,6 @@ ENTRIES = {e.name: e for e in (
     ),
     CatalogEntry(
         name="graph_spacelike",
-        builder=_closed_form("graph_spacelike"),
         defaults={},
         safe_box=lambda p: ((-0.25, 0.25), (-0.25, 0.25), (-0.25, 0.25)),
         description="negative control: offset quadratic graph over the "

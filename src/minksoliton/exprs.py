@@ -12,15 +12,21 @@ Names are chart variables (u, v, w), user parameters, or the functions
 sin, cos, sinh, cosh, sqrt.  Expressions evaluate over jets or plain
 numpy scalars/arrays with the same AST, so the same source serves both
 the chart pipeline and finite-difference cross-checks.
+
+A chart file may declare ``B = <expr in s and parameters>``.  Its
+component expressions then also read the 20 frame components (FRAME) of
+frame_ode.py, integrated for that B(s) and the parameter a, as jets in the
+curve parameter s = u.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 import numpy as np
 
-from . import jets
+from . import frame_ode, jets
 from .hypersurface import Immersion
 
 FUNCTIONS = {
@@ -206,56 +212,107 @@ def parse(text):
     return _Parser(_tokenize(text)).parse()
 
 
-def parse_chart_file(text):
-    """Four component expressions from chart-file text.
+Chart = namedtuple("Chart", "components b")
 
-    Lines may be bare expressions or ``x1 = expr``; ``#`` starts a comment.
+
+def parse_chart_file(text):
+    """The Chart of chart-file text: its four component expressions, in the
+    order of their labels, and its declaration of B, or None.
+
+    Component lines are ``xK = expr`` for K = 1..4, each label once, or
+    four bare expressions in order; ``B = expr`` declares B(s).  ``#``
+    starts a comment.
     """
-    exprs = []
+    labelled, bare = {}, []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = re.match(r"^x[1-4]\s*=\s*(.+)$", line)
-        exprs.append(parse(m.group(1) if m else line))
-    if len(exprs) != 4:
+        m = re.match(r"^(x[1-4]|B)\s*=\s*(.+)$", line)
+        if m is None:
+            bare.append(parse(line))
+        elif m.group(1) in labelled:
+            raise ParseError(f"chart file gives {m.group(1)} twice")
+        else:
+            labelled[m.group(1)] = parse(m.group(2))
+    b = labelled.pop("B", None)
+    if labelled and bare:
+        raise ParseError("chart file mixes labelled and bare component lines")
+    components = bare or [labelled[k] for k in sorted(labelled)]
+    if len(components) != 4:
         raise ParseError(f"chart file must hold 4 component expressions, "
-                         f"found {len(exprs)}")
-    return exprs
+                         f"found {len(components)}")
+    return Chart(components, b)
 
 
 VARIABLES = ("u", "v", "w")  # the chart coordinates, in argument order
+# the frame vectors' components, read by a chart that declares B
+FRAME = tuple(f"{vector}{k}" for vector in ("alpha", "X", "Y", "Z", "W")
+              for k in range(1, 5))
+RESERVED = VARIABLES + ("s",) + FRAME
 
 
-def chart_from_expressions(exprs, parameters):
-    """A chart map evaluating the four expressions on jets.  No parameter
-    may take the name of a chart variable."""
-    taken = sorted(set(VARIABLES) & set(parameters))
+def _like(value, like):
+    """``value`` as a jet or an array of the shape of ``like``, which is a
+    jet or an array: a plain number broadcasts."""
+    if isinstance(like, jets.Jet):
+        return (value if isinstance(value, jets.Jet)
+                else jets.constant(value, like.shape))
+    return np.broadcast_to(value, np.shape(like))
+
+
+def b_function(b, parameters):
+    """B(s) of the declaration ``b`` at ``parameters``, on arrays and on
+    jets of s."""
+    return lambda s: _like(b.eval({**parameters, "s": s}), s)
+
+
+def _frame_table(b, parameters):
+    """The frame table of the system with this B and the parameter a,
+    whose B stays away from zero at every node and stage the steps read."""
+    if "a" not in parameters:
+        raise ParseError("a chart that declares B needs the parameter a")
+    table = frame_ode.FrameTable(frame_ode.FrameODESpec(
+        float(parameters["a"]), b_function(b, parameters)))
+    lo, hi = table.b_range
+    if not (lo >= 1e-9 or hi <= -1e-9):  # a NaN fails closed
+        raise ValueError("B(s) must be bounded away from zero on the window")
+    return table
+
+
+def chart_immersion(name, chart, parameters):
+    """The Immersion ``name`` of the Chart ``chart`` at ``parameters``,
+    evaluating its four expressions on jets.  No parameter may take a name
+    of RESERVED.  A chart that declares B is integrated: each evaluation
+    reads the frame components at s = u off one FrameTable."""
+    components, b = chart
+    taken = sorted(set(RESERVED) & set(parameters))
     if taken:
-        raise ParseError(f"parameters named after chart variables: {taken}")
-    wanted = set().union(*(e.names() for e in exprs))
-    known = set(VARIABLES) | set(parameters)
-    missing = wanted - known
+        raise ParseError(f"parameters named after chart variables or frame "
+                         f"components: {taken}")
+    frame = set(FRAME) if b is not None else set()
+    missing = (set().union(*(e.names() for e in components))
+               - set(VARIABLES) - set(parameters) - frame)
+    if b is not None:
+        missing |= b.names() - {"s"} - set(parameters)
     if missing:
         raise ParseError(f"undefined names in chart expressions: "
                          f"{sorted(missing)}")
+    table = None if b is None else _frame_table(b, parameters)
 
-    def chart(ju, jv, jw):
+    def chart_map(ju, jv, jw):
         env = {"u": ju, "v": jv, "w": jw}
         env.update(parameters)
-        out = []
-        for e in exprs:
-            val = e.eval(env)
-            if not isinstance(val, jets.Jet):
-                val = jets.constant(val, ju.shape)
-            out.append(val)
-        return out
+        if table is not None:
+            vectors = table.component_jets(ju.value)
+            env.update(zip(FRAME, (vectors[k // 4, k % 4]
+                                   for k in range(len(FRAME)))))
+        return [_like(e.eval(env), ju) for e in components]
 
-    return chart
+    return Immersion(name, chart_map, integrated=table is not None)
 
 
 def immersion_from_file(path, parameters=None):
     with open(path, "r", encoding="utf-8") as fh:
-        exprs = parse_chart_file(fh.read())
-    parameters = dict(parameters or {})
-    return Immersion(str(path), chart_from_expressions(exprs, parameters))
+        chart = parse_chart_file(fh.read())
+    return chart_immersion(str(path), chart, dict(parameters or {}))

@@ -1,5 +1,4 @@
-"""Moving pseudo-orthonormal frames along a null curve, and the ruled
-hypersurfaces built from them.
+"""Moving pseudo-orthonormal frames along a null curve.
 
 The frame {X, Y, Z, W} satisfies <X,X> = <Y,Y> = 0, <X,Y> = -1,
 <Z,Z> = <W,W> = 1 with all other pairs zero, and evolves by
@@ -11,25 +10,28 @@ derivatives are the minimal completion that preserves every Gram relation
 (each d/ds <.,.> cancels identically, which the tests verify).
 
 For constant B the flow has a closed form, which the catalog writes as
-chart text; this module integrates a varying B(s).  Integration is
-classical fixed-step RK4 over a declared window.  The system is linear, so
-each step is a 5x5 matrix, and the dense state table is the prefix
-products of those matrices, formed in ceil(log2 n) doubling passes per
-direction from s = 0.  The table is interpolated locally (degree-5
-Lagrange) for values, and s-derivatives up to order 3 come from the
-structure equations themselves, so jet coefficients stay at integrator
-accuracy instead of amplifying node roundoff through divided differences.
+chart text; this module integrates a varying B(s), given as a callable
+that takes arrays and jets in s, for the chart files that declare it
+(exprs.py).  Integration is classical fixed-step RK4 over a declared
+window, from alpha(0) = 0.  The system is linear, so each step is a 5x5
+matrix, and the dense state table is the prefix products of those
+matrices, formed in ceil(log2 n) doubling passes per direction from
+s = 0.  The table is interpolated locally (degree-5 Lagrange) for values,
+and s-derivatives up to order 3 come from the structure equations
+themselves, with B' and B'' read off a jet of B, so jet coefficients stay
+at integrator accuracy instead of amplifying node roundoff through divided
+differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import jets
-from .hypersurface import Immersion
 from .lorentz import METRIC_SIGNS
 
 GRAM_TARGET = np.array([
@@ -48,6 +50,8 @@ DEFAULT_INITIAL_FRAME = np.array([
     [0.0, 0.0, 0.0, 1.0],     # W
 ])
 
+INITIAL_STATE = np.vstack([np.zeros(4), DEFAULT_INITIAL_FRAME])  # alpha(0) = 0
+
 
 class StepTooLarge(ArithmeticError):
     """Gram drift of the integrated frame exceeded the declared tolerance."""
@@ -57,77 +61,36 @@ class WindowExceeded(ValueError):
     """Requested curve parameter lies outside the integration window."""
 
 
-@dataclass(frozen=True)
-class BFunction:
-    """Scalar coefficient B(s) with the derivatives the jet lift needs.
-
-    The callables take floats or arrays.
-    """
-
-    value: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
-    label: str = "B"
-
-    @classmethod
-    def offset_sin(cls, offset=2.0, amplitude=1.0):
-        o, amp = float(offset), float(amplitude)
-        return cls(lambda s: o + amp * np.sin(s),
-                   lambda s: amp * np.cos(s),
-                   lambda s: -amp * np.sin(s),
-                   label=f"{o:g}+{amp:g}*sin(s)")
-
-
 @dataclass
 class FrameODESpec:
     """Data of one null-curve frame system.
 
     ``a`` is the constant in Z' = -a X - B Y (nonzero for the generalized
-    umbilical family, zero for the type-I cylinder); ``b`` must stay away
-    from zero on the window.  ``alpha0`` shifts the curve's starting point,
-    which matters because the soliton analysis reads the position vector.
+    umbilical family, zero for the type-I cylinder).  ``b`` is B(s): it
+    maps an array of s to the array of B's values, and a jet in s to the
+    jet of B.
     """
 
     a: float
-    b: BFunction
-    alpha0: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    b: Callable
     window: tuple = (-1.0, 1.0)
     step: float = 1e-3
     tau_frame: float = 1e-6
 
-    def __post_init__(self):
-        self.alpha0 = np.asarray(self.alpha0, dtype=float)
-
-    def require_b_nonzero(self):
-        """The ruled constructions need B bounded away from zero."""
-        lo, hi = self.window
-        vals = np.asarray(self.b.value(np.linspace(lo, hi, 101)))
-        if not (np.min(np.abs(vals)) >= 1e-9
-                and (vals.min() > 0.0 or vals.max() < 0.0)):
-            raise ValueError("B(s) must be bounded away from zero on the window")
-
-    def coefficient_matrix(self, s, order=0):
-        """d^order/ds^order of the 5x5 system matrix on (alpha,X,Y,Z,W), per s."""
-        s = np.asarray(s, dtype=float)
-        K = np.zeros(s.shape + (5, 5))
-        if order == 0:
-            b = self.b.value(s)
-            K[..., 0, 1] = 1.0
-            K[..., 1, 3] = -b
-            K[..., 2, 3] = -self.a
-            K[..., 3, 1] = -self.a
-            K[..., 3, 2] = -b
-        elif order in (1, 2):
-            db = (self.b.d1 if order == 1 else self.b.d2)(s)
-            K[..., 1, 3] = -db
-            K[..., 3, 2] = -db
-        else:
-            raise ValueError("coefficient matrix available to order 2 only")
+    def coefficient_matrix(self, b):
+        """The 5x5 system matrix on (alpha, X, Y, Z, W), per value of B in b."""
+        K = np.zeros(np.shape(b) + (5, 5))
+        K[..., 0, 1] = 1.0
+        K[..., 1, 3] = -b
+        K[..., 2, 3] = -self.a
+        K[..., 3, 1] = -self.a
+        K[..., 3, 2] = -b
         return K
 
 
 def _step_maps(spec, n, h):
-    """The n RK4 steps from s = 0 as maps y -> (I + Q_k) y; returns the Q_k.
+    """The n RK4 steps from s = 0 as maps y -> (I + Q_k) y: the Q_k, and
+    B at the (3, n) nodes and stages they read.
 
     The system is linear, so Q_k = h/6 (k1 + 2 k2 + 2 k3 + k4), with
     k1 = K(s_k), k2 = K(s_k + h/2)(I + h/2 k1), k3 = K(s_k + h/2)(I + h/2 k2)
@@ -135,27 +98,29 @@ def _step_maps(spec, n, h):
     the scan, which keeps a table's build under 2 MiB of temporaries.
     """
     s = np.arange(n) * h
-    K0, K1, K2 = spec.coefficient_matrix(np.stack([s, s + 0.5 * h, s + h]))
+    b = spec.b(np.stack([s, s + 0.5 * h, s + h]))
+    K0, K1, K2 = spec.coefficient_matrix(b)
     k2 = K1 + (0.5 * h) * (K1 @ K0)
     k3 = K1 + (0.5 * h) * (K1 @ k2)
-    return (h / 6.0) * (K0 + 2.0 * k2 + 2.0 * k3 + K2 + h * (K2 @ k3))
+    return (h / 6.0) * (K0 + 2.0 * k2 + 2.0 * k3 + K2 + h * (K2 @ k3)), b
 
 
 def _rk4(spec, n, h):
-    """Classical RK4 from s = 0 over n steps of h; the (n + 1, 5, 4) states.
+    """Classical RK4 from s = 0 over n steps of h: the (n + 1, 5, 4)
+    states, and B at the nodes and stages the steps read.
 
     The states are the prefix products of the step maps, a scan: pass d
     composes each P_k with P_{k-d}, so ceil(log2 n) passes leave
     I + P_k = (I + Q_k) ... (I + Q_0).  Carrying the increment P rather
     than I + P keeps its small entries clear of the identity's round-off.
     """
-    P = _step_maps(spec, n, h)
+    P, b = _step_maps(spec, n, h)
     d = 1
     while d < n:
         P[d:] = P[d:] + P[:-d] + P[d:] @ P[:-d]
         d *= 2
-    state0 = np.vstack([spec.alpha0, DEFAULT_INITIAL_FRAME])
-    return np.concatenate([state0[None], state0 + P @ state0])
+    states = np.concatenate([INITIAL_STATE[None], INITIAL_STATE + P @ INITIAL_STATE])
+    return states, b
 
 
 def _checked_drift(states, tau_frame):
@@ -171,7 +136,11 @@ def _checked_drift(states, tau_frame):
 
 
 class FrameTable:
-    """Dense RK4 integration of the frame over the full window."""
+    """Dense RK4 integration of the frame over the full window.
+
+    ``b_range`` holds the least and the greatest value of B at the nodes
+    and stages that the steps read (NaN if one was NaN).
+    """
 
     def __init__(self, spec):
         self.spec = spec
@@ -184,9 +153,13 @@ class FrameTable:
         # both chains' step maps at once; a non-finite state fails the drift
         # gate, so it needs no warning
         with np.errstate(over="ignore", invalid="ignore"):
-            self.states = np.concatenate([_rk4(spec, n_bwd, -step)[:0:-1],
-                                          _rk4(spec, n_fwd, step)])
+            back, b_back = _rk4(spec, n_bwd, -step)
+            ahead, b_ahead = _rk4(spec, n_fwd, step)
+            self.states = np.concatenate([back[:0:-1], ahead])
             self.max_drift = _checked_drift(self.states, spec.tau_frame)
+        b = np.concatenate([b_back.ravel(), b_ahead.ravel()])
+        self.b_range = (float(np.min(b, initial=np.inf)),
+                        float(np.max(b, initial=-np.inf)))
 
     def values_at(self, s):
         """Frame states at parameters s (batched) via local quintic Lagrange."""
@@ -194,7 +167,8 @@ class FrameTable:
         lo, hi = self.spec.window
         # NaN fails both comparisons, so it counts as outside
         if not np.all((s >= lo - 1e-9) & (s <= hi + 1e-9)):
-            raise WindowExceeded("sample parameter outside the integration window")
+            raise WindowExceeded(f"sample parameter outside the integration "
+                                 f"window [{lo:g}, {hi:g}]")
         h = self.spec.step
         n = len(self.s_grid)
         base = np.clip(np.round((s - self.s_grid[0]) / h).astype(int) - 2,
@@ -229,8 +203,15 @@ class FrameTable:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         distinct, back = np.unique(s, return_inverse=True)
         F0 = self.values_at(distinct)
-        K0, K1, K2 = (self.spec.coefficient_matrix(distinct, k)
-                      for k in range(3))
+        # the order-k coefficient of B's jet in s is B^(k)/k!; only B
+        # depends on s, so the k-th derivative of K holds -B^(k) where K
+        # holds -B, and zeros elsewhere
+        b = self.spec.b(jets.variable(1, distinct)).coeffs
+        K0 = self.spec.coefficient_matrix(b[0])
+        K1, K2 = np.zeros((2,) + K0.shape)
+        for k, K in ((1, K1), (2, K2)):
+            db = math.factorial(k) * b[jets.INDEX_OF[(k, 0, 0)]]
+            K[..., 1, 3] = K[..., 3, 2] = -db
         F1 = K0 @ F0
         F2 = K1 @ F0 + K0 @ F1
         F3 = K2 @ F0 + 2.0 * (K1 @ F1) + K0 @ F2
@@ -243,30 +224,3 @@ class FrameTable:
         c = np.zeros((jets.N_COEFFS, 5, 4, len(tay)))
         c[[jets.INDEX_OF[(k, 0, 0)] for k in range(4)]] = tay.transpose(1, 2, 3, 0)
         return jets.Jet(c)
-
-
-def build_generalized_umbilical(spec):
-    """Ruled hypersurface x = alpha + u Y + v W + (sqrt(1/a^2 - v^2) + 1/a) Z.
-
-    Requires a != 0.  The offset +1/a (rather than -1/a) is what makes the
-    stated frame system consistent with the closed-form unit normal
-    N = -a u Y - sqrt(1 - a^2 v^2) Z - a v W; with the opposite offset no
-    Gram-preserving frame completion admits that normal.  The shape operator
-    then satisfies A x_s = a x_s + B x_u, A x_u = a x_u, A x_v = a x_v, so
-    its minimal polynomial is (t - a)^2 wherever B != 0.
-    """
-    if spec.a == 0.0:
-        raise ValueError("generalized umbilical hypersurface needs a != 0")
-    spec.require_b_nonzero()
-    table = FrameTable(spec)
-    a = spec.a
-
-    def chart(js, ju, jv):
-        frame = table.component_jets(js.value)
-        alpha, X, Y, Z, W = (frame[k] for k in range(5))
-        psi = (jets.sqrt(1.0 - (a * jv) * (a * jv)) + 1.0) / a
-        x = alpha + ju * Y + jv * W + psi * Z
-        return [x[m] for m in range(4)]
-
-    label = f"generalized_umbilical(a={a:g}, B={spec.b.label})"
-    return Immersion(label, chart)

@@ -15,6 +15,7 @@ Everything is computed for one block of chart points at a time.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -46,15 +47,18 @@ class Immersion:
     ``chart_map`` maps three Jets (the chart variables) to a sequence of four
     Jets (the rectangular components of the image point).
     ``orientation_sign`` flips the computed unit normal, so catalog entries
-    can match stated curvature signs.
+    can match stated curvature signs.  ``integrated`` says that the chart
+    integrates the frame ODE, which picks its gate tolerances from
+    soliton.TAU.
     """
 
     name: str
     chart_map: Callable
     orientation_sign: float = 1.0
+    integrated: bool = False
 
     def with_orientation(self, sign):
-        return Immersion(self.name, self.chart_map, float(sign))
+        return dataclasses.replace(self, orientation_sign=float(sign))
 
 
 _ETA = METRIC_SIGNS[:, None]  # Minkowski signature, over the component axis
@@ -284,6 +288,9 @@ def geometry_block(imm, pts):
     b.rho, b.drho = _value(rho), _partials(rho)
     b.xT, b.dxT = _value(xT), _partials(xT)
     b.f, b.df = _value(f), _partials(f)
+    if not np.all(np.isfinite(b.f)):
+        raise jets.DomainError(f"position of {imm.name!r} is too large: "
+                               "<x, x> overflows on the batch")
     b.lie_coordinate = _lie_coordinate(b.xT, b.dxT, b.g, _partials(g))
 
     b.ric_gauss = ricci_gauss(b.A, b.g)

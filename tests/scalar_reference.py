@@ -14,9 +14,10 @@ in ``src/`` did before it was vectorized or narrowed:
 * ``ricci_intrinsic``, ``nabla_A`` and ``lie_coordinate`` write the
   formulas of the arrays ``GeometryBatch`` forms from first partials as
   whole-batch einsums, for partials taken by central differences;
-* ``constant_b``, ``build_generalized_cylinder_I`` and ``frame_route_entry``
-  build the constant-B null-curve entries on the frame ODE, the route their
-  closed-form chart text replaced.
+* ``build_generalized_umbilical``, ``build_generalized_cylinder_I`` and
+  ``frame_route_entry`` build the null-curve entries on the frame ODE, the
+  route their chart text replaced; ``b_text`` and ``constant_b`` give the
+  B(s) they integrate.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ import dataclasses
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from minksoliton import catalog, frame_ode
+from minksoliton import catalog, exprs, frame_ode, jets
 from minksoliton.canonical import (_REQUIRED, TAU_COINCIDE, WITNESS,
                                    CaseSystem)
 from minksoliton.hypersurface import Immersion
@@ -201,20 +202,50 @@ def lie_coordinate(xT, dxT, g, dg):
             + np.einsum('njk,nik->nij', dxT, g))
 
 
-# -- the frame ODE for a constant B ----------------------------------------------
+# -- the null-curve entries on the frame ODE --------------------------------------
+
+def b_text(text, **parameters):
+    """B(s) of the text of a chart file's declaration ``B = text``."""
+    return exprs.b_function(exprs.parse(text), parameters)
+
 
 def constant_b(c):
     """The coefficient B(s) = c of the frame system."""
-    c = float(c)
-    return frame_ode.BFunction(lambda s: c + 0.0 * s, lambda s: 0.0 * s,
-                               lambda s: 0.0 * s, label=f"{c:g}")
+    return b_text("c", c=float(c))
+
+
+def build_generalized_umbilical(spec):
+    """Ruled hypersurface x = alpha + u Y + v W + (sqrt(1/a^2 - v^2) + 1/a) Z
+    - Z(0)/a over the frame of ``spec``.
+
+    Requires a != 0.  The offset +1/a (rather than -1/a) is what makes the
+    stated frame system consistent with the closed-form unit normal
+    N = -a u Y - sqrt(1 - a^2 v^2) Z - a v W; with the opposite offset no
+    Gram-preserving frame completion admits that normal.  The shape operator
+    then satisfies A x_s = a x_s + B x_u, A x_u = a x_u, A x_v = a x_v, so
+    its minimal polynomial is (t - a)^2 wherever B != 0.  The shift
+    -Z(0)/a makes the support function -1/a on the s = 0 slice.
+    """
+    if spec.a == 0.0:
+        raise ValueError("generalized umbilical hypersurface needs a != 0")
+    table = frame_ode.FrameTable(spec)
+    a = spec.a
+    shift = -frame_ode.DEFAULT_INITIAL_FRAME[2][:, None] / a
+
+    def chart(js, ju, jv):
+        frame = table.component_jets(js.value)
+        alpha, X, Y, Z, W = (frame[k] for k in range(5))
+        psi = (jets.sqrt(1.0 - (a * jv) * (a * jv)) + 1.0) / a
+        x = alpha + ju * Y + jv * W + psi * Z + shift
+        return [x[m] for m in range(4)]
+
+    return Immersion(f"generalized_umbilical(a={a:g})", chart, integrated=True)
 
 
 def build_generalized_cylinder_I(spec):
     """Ruled hypersurface x = alpha + u Y + v W over a frame with a = 0."""
     if spec.a != 0.0:
         raise ValueError("type-I generalized cylinder needs a = 0")
-    spec.require_b_nonzero()
     table = frame_ode.FrameTable(spec)
 
     def chart(js, ju, jv):
@@ -223,18 +254,33 @@ def build_generalized_cylinder_I(spec):
         x = alpha + ju * Y + jv * W
         return [x[m] for m in range(4)]
 
-    return Immersion(f"generalized_cylinder_I(B={spec.b.label})", chart)
+    return Immersion("generalized_cylinder_I", chart, integrated=True)
+
+
+@dataclass
+class FrameRouteEntry(catalog.CatalogEntry):
+    """A catalog entry that ``builder`` builds on the frame ODE."""
+
+    builder: Callable = None
+    is_ode = True
+
+    def build(self, **overrides):
+        params = {**self.defaults, **overrides}
+        return self.builder(**params).with_orientation(self.orientation_sign), params
 
 
 def frame_route_entry(name):
-    """The catalog entry ``name``, generalized_umbilical or
-    generalized_cylinder_I, built on the frame ODE with its tolerances."""
+    """The catalog entry ``name``, generalized_umbilical,
+    generalized_umbilical_varB or generalized_cylinder_I, built on the frame
+    ODE with its tolerances."""
     def builder(a=None, b_const=1.0):
-        b = constant_b(b_const)
+        b = (b_text("2 + sin(s)") if name == "generalized_umbilical_varB"
+             else constant_b(b_const))
         if name == "generalized_cylinder_I":
             return build_generalized_cylinder_I(
                 frame_ode.FrameODESpec(a=0.0, b=b))
-        return frame_ode.build_generalized_umbilical(frame_ode.FrameODESpec(
-            a=a, b=b, alpha0=np.array([0.0, 0.0, -1.0 / a, 0.0])))
+        return build_generalized_umbilical(frame_ode.FrameODESpec(a=a, b=b))
 
-    return dataclasses.replace(catalog.get(name), builder=builder, is_ode=True)
+    entry = catalog.get(name)
+    return FrameRouteEntry(builder=builder, **{
+        f.name: getattr(entry, f.name) for f in dataclasses.fields(entry)})

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 import pytest
-from scalar_reference import constant_b
+from scalar_reference import b_text, constant_b
 
 from minksoliton import analysis, catalog, frame_ode
 from minksoliton.canonical import sweep
@@ -314,7 +314,7 @@ def test_c10_frame_ode_quality():
     # the default window runs one chain to s = 1 and one to s = -1
     spec = frame_ode.FrameODESpec(a=1.0, b=constant_b(1.0))
     drift = frame_ode.FrameTable(spec).max_drift
-    spec2 = frame_ode.FrameODESpec(a=1.0, b=frame_ode.BFunction.offset_sin(),
+    spec2 = frame_ode.FrameODESpec(a=1.0, b=b_text("2 + sin(s)"),
                                    window=(0.0, 1.0), tau_frame=1.0)
 
     def end_state(h):

@@ -224,9 +224,8 @@ def test_analysis_peak_memory_at_21_cubed(name):
 def test_public_names_resolve():
     import minksoliton
     assert set(minksoliton.__all__) == {
-        "BFunction", "CaseSystem", "FormVariant", "FrameODESpec", "Immersion",
-        "Jet", "Verdict", "analyze_entry", "analyze_immersion",
-        "build_generalized_umbilical", "grid_points", "mink_inner",
+        "CaseSystem", "FormVariant", "Immersion", "Jet", "Verdict",
+        "analyze_entry", "analyze_immersion", "grid_points", "mink_inner",
         "ricci_gauss", "sweep"}
     missing = [n for n in minksoliton.__all__ if not hasattr(minksoliton, n)]
     assert missing == []

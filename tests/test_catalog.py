@@ -1,6 +1,6 @@
 """Catalog entries: defining constraints, identity suites, manifest shape,
-the tolerance table every gate reads, the chart text of the closed-form
-entries, and the constant-B null-curve entries against the frame ODE."""
+the tolerance table every gate reads, the chart text of every entry, and
+the null-curve entries against their builders on the frame ODE."""
 
 import json
 import math
@@ -32,12 +32,20 @@ def test_every_entry_satisfies_its_constraint():
             assert np.max(res) < 1e-12, (name, overrides)
 
 
+def test_every_entry_is_chart_text():
+    assert set(catalog.CHARTS) == set(catalog.ENTRIES)
+    integrated = {name for name, e in catalog.ENTRIES.items() if e.is_ode}
+    assert integrated == {"generalized_umbilical_varB"}
+
+
 @pytest.mark.parametrize("name", list(catalog.CHARTS))
 def test_chart_text_reads_exactly_the_entry_parameters(name):
     # a parameter the text does not read would be accepted and ignored
-    components = exprs.parse_chart_file(catalog.CHARTS[name])
+    components, b = exprs.parse_chart_file(catalog.CHARTS[name])
     names = set().union(*(e.names() for e in components))
-    assert names - set(exprs.VARIABLES) == set(catalog.get(name).defaults)
+    if b is not None:
+        names |= b.names()
+    assert names - set(exprs.RESERVED) == set(catalog.get(name).defaults)
 
 
 @pytest.mark.parametrize("name", list(catalog.CHARTS))
@@ -140,11 +148,18 @@ def test_every_gate_reads_the_tolerance_table(name, capsys):
     assert (listed[name]["tau_identity"], listed[name]["tau_soliton"]) == tau
 
 
-def test_chart_file_report_reads_the_closed_form_tolerances():
+def test_chart_file_report_reads_the_closed_form_tolerances(tmp_path):
     chart = Path(__file__).parent / "golden" / "hyperbolic_graph_chart.txt"
     rep = analysis.analyze_immersion(exprs.immersion_from_file(str(chart)),
                                      ((-0.5, 0.5),) * 3, (3, 3, 3))
     assert (rep["identities"]["tau"], rep["soliton"]["tau"]) == TAU[False]
+    # a chart file that declares B integrates the frame ODE
+    declared = tmp_path / "varB.txt"
+    declared.write_text(catalog.CHARTS["generalized_umbilical_varB"])
+    rep = analysis.analyze_immersion(
+        exprs.immersion_from_file(str(declared), {"a": 1.0}),
+        ((-0.5, 0.5),) * 3, (3, 3, 3))
+    assert (rep["identities"]["tau"], rep["soliton"]["tau"]) == TAU[True]
 
 
 def test_principal_curvatures_compare_at_the_given_tolerance():
@@ -190,6 +205,15 @@ def leaves(obj, path=""):
     return [(path, obj)]
 
 
+def printed_form(report):
+    """The report's centre form, rounded as the text report prints it."""
+    form = report["classification"]["center_form"]
+    form["parameters"] = [f"{p:.9g}" for p in form["parameters"]]
+    form["minimal_polynomial"] = [round(c, 9) + 0.0
+                                  for c in form["minimal_polynomial"]]
+    return form
+
+
 @pytest.mark.parametrize("name", ["generalized_umbilical",
                                   "generalized_cylinder_I"])
 def test_closed_form_report_matches_frame_route(name, monkeypatch):
@@ -198,10 +222,7 @@ def test_closed_form_report_matches_frame_route(name, monkeypatch):
     ode = analysis.analyze_entry(name)
     # what the text report prints of the classification is the same
     for rep in (closed, ode):
-        form = rep["classification"]["center_form"]
-        form["parameters"] = [f"{p:.9g}" for p in form["parameters"]]
-        form["minimal_polynomial"] = [round(c, 9) + 0.0
-                                      for c in form["minimal_polynomial"]]
+        printed_form(rep)
     want, got = leaves(ode), leaves(closed)
     assert [path for path, _ in got] == [path for path, _ in want]
     for (path, w), (_, g) in zip(want, got):
@@ -213,3 +234,38 @@ def test_closed_form_report_matches_frame_route(name, monkeypatch):
                 abs(g - w) <= 1e-10 * max(1.0, abs(w)), (path, w, g)
         else:  # verdicts, forms, histogram counts, flags and text
             assert g == w, (path, w, g)
+
+
+# -- the varying-B entry against the builder its text replaced -------------------
+# Both routes read one frame table; the text starts the curve at the origin
+# and adds the offset -1/a to x3, where the builder added -Z(0)/a, so they
+# differ by round-off only.
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 1.7, -1.3, 2.0, 0.2])
+def test_varying_b_text_matches_reference_builder(a):
+    name = "generalized_umbilical_varB"
+    entry = catalog.get(name)
+    imm, merged = entry.build(a=a)
+    pts = grid_points(entry.safe_box(merged), (11, 11, 11))
+    text = GeometryBatch(imm, pts)
+    ode = GeometryBatch(frame_route_entry(name).build(a=a)[0], pts)
+    for key in KEPT:
+        want, got = getattr(ode, key), getattr(text, key)
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= bound, (key, bound)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 1.7, -1.3, 2.0, 0.2])
+def test_varying_b_report_matches_reference_builder(a, monkeypatch):
+    name = "generalized_umbilical_varB"
+    text = analysis.analyze_entry(name, {"a": a})
+    monkeypatch.setitem(catalog.ENTRIES, name, frame_route_entry(name))
+    ode = analysis.analyze_entry(name, {"a": a})
+    for key in ("verdict", "tau"):
+        assert text["soliton"][key] == ode["soliton"][key]
+        assert text["soliton"]["paper_form"].get(key) == \
+            ode["soliton"]["paper_form"].get(key)
+    cls_text, cls_ode = text["classification"], ode["classification"]
+    assert cls_text["form_histogram"] == cls_ode["form_histogram"]
+    assert printed_form(text) == printed_form(ode)
+    assert text["identities"]["pass"] and ode["identities"]["pass"]

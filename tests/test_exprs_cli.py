@@ -129,6 +129,72 @@ def test_chart_file_wrong_count(tmp_path):
         exprs.immersion_from_file(str(f), {})
 
 
+H3_GRAPH = ["x1 = sqrt(1 + u*u + v*v + w*w)", "x2 = u", "x3 = v", "x4 = w"]
+
+
+def test_chart_file_lines_are_placed_by_label(tmp_path):
+    # time and space swapped in the file, not in the chart
+    def report(lines):
+        chart = tmp_path / "chart.txt"
+        chart.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--entry", str(chart), "--format", "json",
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    swapped = [H3_GRAPH[k] for k in (1, 0, 3, 2)]
+    assert report(swapped) == report(H3_GRAPH)
+    assert report(swapped)["identities"]["epsilon"] == -1.0
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["x1 = u", "x1 = v", "x3 = w", "x4 = u*u"], "gives x1 twice"),
+    (["x1 = u", "x2 = v", "x3 = w"], "found 3"),
+    (["x1 = u", "v", "x3 = w", "x4 = u*u"], "mixes labelled and bare"),
+    (["B = 1", "B = 2", "u", "v", "w", "u*u"], "gives B twice")])
+def test_chart_file_labels_each_component_once(tmp_path, capsys, lines,
+                                                message):
+    chart = tmp_path / "chart.txt"
+    chart.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--entry", str(chart)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad chart file: ") and message in err, err
+
+
+def test_frame_components_need_a_declared_b(tmp_path):
+    f = tmp_path / "frame.txt"
+    f.write_text("x1 = alpha1 + v*Y1\nx2 = alpha2 + v*Y2\n"
+                 "x3 = alpha3 + v*Y3\nx4 = w\n")
+    with pytest.raises(exprs.ParseError, match="alpha1"):
+        exprs.immersion_from_file(str(f), {"a": 1.0})
+    f.write_text("B = 2 + u\n" + f.read_text())  # B reads s, not u
+    with pytest.raises(exprs.ParseError, match="'u'"):
+        exprs.immersion_from_file(str(f), {"a": 1.0})
+    f.write_text(f.read_text().replace("2 + u", "2 + s"))
+    imm = exprs.immersion_from_file(str(f), {"a": 1.0})
+    assert imm.integrated
+    with pytest.raises(exprs.ParseError, match="needs the parameter a"):
+        exprs.immersion_from_file(str(f), {})
+
+
+def test_chart_file_parameter_may_not_name_a_frame_component(tmp_path):
+    f = tmp_path / "graph.txt"
+    f.write_text("u\nv\nw\n2 + k*u*u\n")
+    for name in ("s",) + exprs.FRAME:
+        with pytest.raises(exprs.ParseError, match=repr(name)):
+            exprs.immersion_from_file(str(f), {"k": 1.0, name: 0.3})
+
+
+def test_cli_declared_b_without_a_is_a_usage_error(tmp_path, capsys):
+    # the type-I cylinder over B(s) reads no a, but its frame system does
+    chart = tmp_path / "cylinder.txt"
+    chart.write_text("B = 2 + sin(s)\n" + "".join(
+        f"x{k} = alpha{k} + v*Y{k} + w*W{k}\n" for k in range(1, 5)))
+    assert main(["analyze", "--entry", str(chart)]) == 1
+    assert capsys.readouterr().err == ("error: bad chart file: a chart that "
+                                       "declares B needs the parameter a\n")
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 def test_cli_analyze_json_roundtrip(tmp_path):
@@ -462,6 +528,18 @@ def test_cli_non_finite_position_fails_closed(tmp_path, capsys):
     assert err.splitlines() == [
         f"error: DomainError: position of {str(chart)!r} is not finite on "
         "the batch"]
+
+
+def test_cli_overflowing_position_fails_closed(tmp_path, capsys):
+    # the position is finite but <x, x> overflows; the gate stops the run
+    # before the structure verdicts warn and the identities fail (exit 2)
+    chart = tmp_path / "far.txt"
+    chart.write_text("x1 = sqrt(1 + u*u + v*v + w*w) + 1e160\n"
+                     "x2 = u\nx3 = v\nx4 = w\n")
+    assert main(["analyze", "--entry", str(chart)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: DomainError: position of {str(chart)!r} is too large: "
+        "<x, x> overflows on the batch"]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -1,18 +1,20 @@
-"""Null-curve frame integration and the ruled hypersurfaces built on it."""
+"""Null-curve frame integration, and the ruled hypersurfaces that chart
+text builds on it by declaring B(s)."""
 
 import csv
 import dataclasses
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from scalar_reference import (build_generalized_cylinder_I, constant_b,
-                              frame_route_entry)
+from scalar_reference import (b_text, build_generalized_cylinder_I,
+                              constant_b, frame_route_entry)
 
-from minksoliton import catalog
+from minksoliton import catalog, exprs
 from minksoliton import frame_ode as fo
 from minksoliton import hypersurface as hs
 from minksoliton import jets
@@ -20,10 +22,25 @@ from minksoliton.cli import main
 from minksoliton.lorentz import classify_batch, mink_inner
 
 
-def spec_umbilical(a=1.0, b=None, alpha0=None):
-    return fo.FrameODESpec(
-        a=a, b=b or constant_b(1.0),
-        alpha0=np.array([0.0, 0.0, -1.0 / a, 0.0]) if alpha0 is None else alpha0)
+def spec_umbilical(a=1.0, b=None):
+    return fo.FrameODESpec(a=a, b=b or constant_b(1.0))
+
+
+VARB = catalog.CHARTS["generalized_umbilical_varB"]
+CYLINDER = """
+    B = 2 + sin(s)
+    x1 = alpha1 + v*Y1 + w*W1
+    x2 = alpha2 + v*Y2 + w*W2
+    x3 = alpha3 + v*Y3 + w*W3
+    x4 = alpha4 + v*Y4 + w*W4
+"""
+
+
+def frame_chart(text=VARB, b="2 + sin(s)", **params):
+    """The chart ``text`` with its B(s) = 2 + sin s replaced by ``b``, at
+    a = 1 unless ``params`` set it."""
+    chart = exprs.parse_chart_file(text.replace("2 + sin(s)", b))
+    return exprs.chart_immersion("frame chart", chart, {"a": 1.0, **params})
 
 
 def end_state(spec, s, step=None):
@@ -46,7 +63,7 @@ def test_system_matrix_preserves_gram_algebraically():
         spec = fo.FrameODESpec(a=rng.uniform(-3, 3),
                                b=constant_b(rng.uniform(-3, 3)))
         s = rng.uniform(-1, 1)
-        M = spec.coefficient_matrix(s)[1:, 1:]
+        M = spec.coefficient_matrix(spec.b(s))[1:, 1:]
         G = fo.GRAM_TARGET
         assert np.max(np.abs(M @ G + G @ M.T)) == 0.0
 
@@ -64,7 +81,7 @@ def test_integrate_zero_gives_initial_state():
     spec = spec_umbilical()
     state, drift = end_state(spec, 0.0)
     assert drift == 0.0
-    assert np.allclose(state[0], spec.alpha0)
+    assert np.all(state[0] == 0.0)
     assert np.allclose(state[1:], fo.DEFAULT_INITIAL_FRAME)
 
 
@@ -89,7 +106,7 @@ def test_rk4_convergence_order():
     the leading one-step error term is an odd power of the system matrix,
     which stays inside the Gram-preserving Lie algebra.
     """
-    spec = fo.FrameODESpec(a=1.0, b=fo.BFunction.offset_sin(), tau_frame=1.0)
+    spec = fo.FrameODESpec(a=1.0, b=b_text("2 + sin(s)"), tau_frame=1.0)
     ref, _ = end_state(spec, 1.0, 1e-4)
 
     def sol_err(h):
@@ -113,17 +130,14 @@ def test_step_too_large_raises():
         fo.FrameTable(dataclasses.replace(spec, step=0.25))
     with pytest.raises(fo.StepTooLarge):  # a NaN drift fails closed
         fo.FrameTable(dataclasses.replace(spec, b=constant_b(np.nan)))
-    # a build holds its table to its own tolerance
-    loose = dataclasses.replace(spec, step=0.25, tau_frame=1.0)
-    fo.build_generalized_umbilical(loose)
-    with pytest.raises(fo.StepTooLarge):
-        fo.build_generalized_umbilical(dataclasses.replace(loose, tau_frame=1e-9))
+    # a table is held to its own tolerance
+    fo.FrameTable(dataclasses.replace(spec, step=0.25, tau_frame=1.0))
 
 
 def test_window_exceeded_raises():
     table = fo.FrameTable(spec_umbilical())
     for s in (1.5, -1.5, np.nan, np.inf, -np.inf, [0.1, np.nan]):
-        with pytest.raises(fo.WindowExceeded):
+        with pytest.raises(fo.WindowExceeded, match=re.escape("[-1, 1]")):
             table.values_at(s)
 
 
@@ -138,7 +152,7 @@ def test_window_exceeded_raises():
 # ``ref_integrate`` runs the loop from 0 to any s, ending on a partial step.
 
 def ref_coefficient_matrix(spec, s):
-    b = spec.b.value(s)
+    b = spec.b(s)
     K = np.zeros((5, 5))
     K[0, 1] = 1.0
     K[1, 3] = -b
@@ -162,7 +176,7 @@ def ref_gram_residual(state):
 
 
 def ref_initial_state(spec):
-    return np.vstack([spec.alpha0[None, :], fo.DEFAULT_INITIAL_FRAME])
+    return np.vstack([np.zeros((1, 4)), fo.DEFAULT_INITIAL_FRAME])
 
 
 def ref_table(spec):
@@ -201,7 +215,7 @@ def ref_integrate(spec, s, step):
 
 
 REFERENCE_B = {"constant": constant_b(1.3),
-               "offset_sin": fo.BFunction.offset_sin(0.5, 0.3)}
+               "offset_sin": b_text("0.5 + 0.3*sin(s)")}
 
 
 REFERENCE_GRID = pytest.mark.parametrize("b_kind, a, window", [
@@ -214,8 +228,7 @@ REFERENCE_GRID = pytest.mark.parametrize("b_kind, a, window", [
 @functools.lru_cache(maxsize=None)
 def reference_case(b_kind, a, window):
     """The shipped table and ``ref_table`` for one case of the grid."""
-    spec = fo.FrameODESpec(a=a, b=REFERENCE_B[b_kind], window=window,
-                           alpha0=np.array([0.1, 0.2, -0.3, 0.4]))
+    spec = fo.FrameODESpec(a=a, b=REFERENCE_B[b_kind], window=window)
     return fo.FrameTable(spec), ref_table(spec)
 
 
@@ -238,7 +251,7 @@ def test_table_matches_scalar_loop_within_bounds(b_kind, a, window):
 def exact_states(spec, s_grid, terms=40):
     """exp(s K) applied to the initial state, for constant B, by the Taylor
     series of the exponential summed in Horner form."""
-    K = spec.coefficient_matrix(0.0)
+    K = spec.coefficient_matrix(spec.b(0.0))
     powers = [ref_initial_state(spec)]
     for j in range(1, terms):
         powers.append(K @ powers[-1] / j)
@@ -252,8 +265,7 @@ def exact_states(spec, s_grid, terms=40):
 def test_table_within_scalar_loop_error_of_exact_frame(a):
     # the system matrix is constant, so the frame is exp(s K) of the start;
     # at a = 0, K is nilpotent and the series ends after five terms
-    spec = fo.FrameODESpec(a=a, b=REFERENCE_B["constant"],
-                           alpha0=np.array([0.1, 0.2, -0.3, 0.4]))
+    spec = fo.FrameODESpec(a=a, b=REFERENCE_B["constant"])
     table = fo.FrameTable(spec)
     s_grid, states, _ = ref_table(spec)
     exact = exact_states(spec, s_grid)
@@ -328,17 +340,20 @@ def test_frame_entry_reports_track_scalar_loop(tmp_path, monkeypatch, name,
     def reference_table(table, spec):
         table.spec = spec
         table.s_grid, table.states, table.max_drift = ref_table(spec)
+        b = spec.b(np.linspace(*spec.window, 2 * len(table.s_grid) - 1))
+        table.b_range = (float(np.min(b)), float(np.max(b)))
 
     monkeypatch.setattr(fo.FrameTable, "__init__", reference_table)
     assert_close(report(), shipped)
 
 
 def test_frame_builds_hold_no_tables():
-    catalog.generalized_umbilical_immersion()
+    entry = catalog.get("generalized_umbilical_varB")
+    entry.build()
     tracemalloc.start()
     try:
         for k in range(40):
-            catalog.generalized_umbilical_immersion(a=1.0 + 0.01 * k)
+            entry.build(a=1.0 + 0.01 * k)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -346,7 +361,7 @@ def test_frame_builds_hold_no_tables():
 
 
 def test_table_interpolation_matches_direct_integration():
-    spec = spec_umbilical(b=fo.BFunction.offset_sin())
+    spec = spec_umbilical(b=b_text("2 + sin(s)"))
     table = fo.FrameTable(spec)
     for s in (0.0, 0.3137, -0.777, 1.0, -1.0, 0.5):
         direct, _ = ref_integrate(spec, s, 1e-3)
@@ -355,7 +370,7 @@ def test_table_interpolation_matches_direct_integration():
 
 
 def test_taylor_derivatives_match_finite_differences():
-    spec = spec_umbilical(b=fo.BFunction.offset_sin())
+    spec = spec_umbilical(b=b_text("2 + sin(s)"))
     table = fo.FrameTable(spec)
     s0 = 0.41
     tay = table.taylor_at(np.array([s0]))[0]
@@ -369,28 +384,52 @@ def test_taylor_derivatives_match_finite_differences():
     assert np.max(np.abs(tay[2] - d2)) < 1e-6
 
 
+@pytest.mark.parametrize("amplitude, offset", [(1.0, 2.0), (0.3, 0.5)])
+def test_b_derivatives_from_its_jet_are_exact(amplitude, offset):
+    # the jet's order-k coefficient is B^(k)/k!, so scaling back is exact:
+    # B' and B'' are those of the closed forms, bit for bit
+    s = np.linspace(-1.0, 1.0, 101)
+    b = b_text(f"{offset!r} + {amplitude!r}*sin(s)")(jets.variable(1, s))
+    assert np.array_equal(b.value, offset + amplitude * np.sin(s))
+    assert np.array_equal(b.coeffs[jets.INDEX_OF[(1, 0, 0)]],
+                          amplitude * np.cos(s))
+    assert np.array_equal(2.0 * b.coeffs[jets.INDEX_OF[(2, 0, 0)]],
+                          -amplitude * np.sin(s))
+
+
+def test_b_is_gated_at_every_node_and_stage():
+    # (s - 0.0105)^2 vanishes at the stage s = 0.0105 between two nodes and
+    # stays above 9e-5 at the 101 samples of linspace(-1, 1, 101)
+    samples = (np.linspace(-1.0, 1.0, 101) - 0.0105) ** 2
+    assert samples.min() > 9e-5
+    table = fo.FrameTable(spec_umbilical(b=b_text("(s - 0.0105)*(s - 0.0105)")))
+    assert table.b_range[0] < 1e-9
+    with pytest.raises(ValueError, match="bounded away from zero"):
+        frame_chart(b="(s - 0.0105)*(s - 0.0105)")
+
+
 # -- generalized umbilical hypersurface ------------------------------------------
 
 def test_umbilical_requires_nonzero_a():
-    with pytest.raises(ValueError):
-        fo.build_generalized_umbilical(
-            fo.FrameODESpec(a=0.0, b=constant_b(1.0)))
+    with pytest.raises(ValueError, match="a must be nonzero"):
+        catalog.get("generalized_umbilical_varB").build(a=0.0)
+    # the text divides by a
+    with pytest.raises(jets.DomainError, match="division by 'a' = 0"):
+        hs.geometry_block(frame_chart(a=0.0), np.array([[0.2, 0.5, 0.3]]))
 
 
 def test_builders_require_nonzero_b():
-    with pytest.raises(ValueError):
-        fo.build_generalized_umbilical(
-            fo.FrameODESpec(a=1.0, b=constant_b(0.0)))
-    with pytest.raises(ValueError):
-        build_generalized_cylinder_I(
-            fo.FrameODESpec(a=0.0, b=fo.BFunction.offset_sin(0.5, 1.0)))
-    with pytest.raises(ValueError):
-        build_generalized_cylinder_I(
-            fo.FrameODESpec(a=0.0, b=constant_b(np.nan)))
+    for text, b in ((VARB, "0"), (VARB, "0.5 + sin(s)"), (CYLINDER, "1 - s"),
+                    (CYLINDER, "0.5 + sin(s)")):
+        with pytest.raises(ValueError, match="bounded away from zero"):
+            frame_chart(text, b, a=0.0 if text == CYLINDER else 1.0)
+    frame_chart(CYLINDER, "-2 + s", a=0.0)  # one sign, away from zero
+    with pytest.raises(fo.StepTooLarge):  # a NaN B fails the drift gate first
+        frame_chart(b="b0", b0=np.nan)
 
 
 def test_umbilical_unit_lorentzian_normal():
-    imm = fo.build_generalized_umbilical(spec_umbilical())
+    imm = frame_chart(b="1")
     geo = hs.geometry_block(imm, np.array([[0.2, 0.5, 0.3]]))
     assert geo.epsilon == 1.0
     assert abs(mink_inner(geo.N[0], geo.N[0]) - 1.0) < 1e-12
@@ -399,7 +438,7 @@ def test_umbilical_unit_lorentzian_normal():
 def test_umbilical_normal_matches_closed_form():
     a = 1.0
     spec = spec_umbilical(a=a)
-    imm = fo.build_generalized_umbilical(spec)
+    imm = frame_chart(b="1", a=a)
     table = fo.FrameTable(spec)
     pts = np.array([[0.3, 0.4, 0.25], [-0.6, -0.7, 0.1], [0.0, 0.2, -0.5]])
     geo = hs.geometry_block(imm, pts)
@@ -413,11 +452,11 @@ def test_umbilical_normal_matches_closed_form():
         assert diff < 1e-10
 
 
-@pytest.mark.parametrize("b", [constant_b(1.0),
-                               fo.BFunction.offset_sin()])
+@pytest.mark.parametrize("b", [pytest.param("1", id="b0"),
+                               pytest.param("2 + sin(s)", id="b1")])
 def test_umbilical_minimal_polynomial(b):
     a = 1.0
-    imm = fo.build_generalized_umbilical(spec_umbilical(a=a, b=b))
+    imm = frame_chart(b=b, a=a)
     imm = imm.with_orientation(-1.0)  # stated curvature sign is +a
     pts = np.array([[0.3, 0.4, 0.25], [-0.5, 0.6, -0.3]])
     geo = hs.GeometryBatch(imm, pts)
@@ -426,19 +465,18 @@ def test_umbilical_minimal_polynomial(b):
         # degree 2: the t^3 coefficient is zero
         assert np.allclose(mp, [0.0, 1.0, -2 * a, a * a], atol=1e-6)
         # the nilpotent coefficient is B(s) in the chart basis
-        bval = b.value(p[0])
+        bval = b_text(b)(p[0])
         assert A[1, 0] == pytest.approx(-(-1.0) * bval, abs=1e-9)
 
 
 def test_umbilical_domain_error_near_v_boundary():
-    imm = fo.build_generalized_umbilical(spec_umbilical())
+    imm = frame_chart(b="1")
     with pytest.raises(jets.DomainError):
         hs.GeometryBatch(imm, np.array([[0.1, 0.1, 1.01]]))
 
 
 def test_umbilical_identities_within_ode_budget():
-    imm = fo.build_generalized_umbilical(
-        spec_umbilical(b=fo.BFunction.offset_sin()))
+    imm = frame_chart()
     grid = hs.grid_points(((-0.8, 0.8), (-0.7, 0.7), (-0.6, 0.6)), (3, 3, 3))
     geo = hs.GeometryBatch(imm, grid)
     rows = geo.identities
@@ -471,8 +509,8 @@ def test_cylinder_normal_is_Z_and_nilpotent_operator():
 
 
 def test_cylinder_flat_metric_and_ricci_zero():
-    spec = fo.FrameODESpec(a=0.0, b=fo.BFunction.offset_sin())
-    imm = build_generalized_cylinder_I(spec)
+    # the chart text with a = 0 over B(s) = 2 + sin s
+    imm = frame_chart(CYLINDER, a=0.0)
     grid = hs.grid_points(((-0.85, 0.85), (-1, 1), (-1, 1)), (4, 3, 3))
     geo = hs.GeometryBatch(imm, grid)
     assert np.max(np.abs(geo.ric_intrinsic)) < 1e-10
