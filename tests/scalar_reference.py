@@ -216,27 +216,30 @@ def constant_b(c):
 
 def build_generalized_umbilical(spec):
     """Ruled hypersurface x = alpha + u Y + v W + (sqrt(1/a^2 - v^2) + 1/a) Z
-    - Z(0)/a over the frame of ``spec``.
+    over the frame of ``spec``.
 
     Requires a != 0.  The offset +1/a (rather than -1/a) is what makes the
     stated frame system consistent with the closed-form unit normal
     N = -a u Y - sqrt(1 - a^2 v^2) Z - a v W; with the opposite offset no
     Gram-preserving frame completion admits that normal.  The shape operator
     then satisfies A x_s = a x_s + B x_u, A x_u = a x_u, A x_v = a x_v, so
-    its minimal polynomial is (t - a)^2 wherever B != 0.  The shift
-    -Z(0)/a makes the support function -1/a on the s = 0 slice.
+    its minimal polynomial is (t - a)^2 wherever B != 0.  The curve starts
+    at alpha(0) = -Z(0)/a, which makes the support function -1/a on the
+    s = 0 slice.
     """
     if spec.a == 0.0:
         raise ValueError("generalized umbilical hypersurface needs a != 0")
     table = frame_ode.FrameTable(spec)
     a = spec.a
-    shift = -frame_ode.DEFAULT_INITIAL_FRAME[2][:, None] / a
+    # the table integrates alpha from the origin, and alpha' does not read
+    # alpha: the shifted states are those integrated from -Z(0)/a
+    table.states[:, 0] -= frame_ode.DEFAULT_INITIAL_FRAME[2] / a
 
     def chart(js, ju, jv):
         frame = table.component_jets(js.value)
         alpha, X, Y, Z, W = (frame[k] for k in range(5))
         psi = (jets.sqrt(1.0 - (a * jv) * (a * jv)) + 1.0) / a
-        x = alpha + ju * Y + jv * W + psi * Z + shift
+        x = alpha + ju * Y + jv * W + psi * Z
         return [x[m] for m in range(4)]
 
     return Immersion(f"generalized_umbilical(a={a:g})", chart, integrated=True)

@@ -261,11 +261,11 @@ def test_varying_b_report_matches_reference_builder(a, monkeypatch):
     text = analysis.analyze_entry(name, {"a": a})
     monkeypatch.setitem(catalog.ENTRIES, name, frame_route_entry(name))
     ode = analysis.analyze_entry(name, {"a": a})
-    for key in ("verdict", "tau"):
-        assert text["soliton"][key] == ode["soliton"][key]
-        assert text["soliton"]["paper_form"].get(key) == \
-            ode["soliton"]["paper_form"].get(key)
-    cls_text, cls_ode = text["classification"], ode["classification"]
-    assert cls_text["form_histogram"] == cls_ode["form_histogram"]
+    for rep in (text, ode):
+        assert rep["identities"]["pass"]
+        assert (rep["identities"]["tau"], rep["soliton"]["tau"]) == TAU[True]
+    for block in (lambda r: r["soliton"], lambda r: r["soliton"]["paper_form"]):
+        assert block(text)["verdict"] == block(ode)["verdict"]
+    assert text["classification"]["form_histogram"] == \
+        ode["classification"]["form_histogram"]
     assert printed_form(text) == printed_form(ode)
-    assert text["identities"]["pass"] and ode["identities"]["pass"]
